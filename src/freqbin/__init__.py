@@ -20,6 +20,7 @@ from .elements import (
     FbsSpec,
     FilterParams,
     attenuator_transform,
+    fbs_blocks,
     fbs_transform,
     filter_response,
     phase_transform,

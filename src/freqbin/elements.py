@@ -35,6 +35,9 @@ from .fock import ModeTransform
 
 DEFAULT_SIDEBAND_SUPPRESSION_DB = 24.0
 
+#: Spectral-norm slack of the physicality check, as in `ModeTransform`.
+_NORM_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class FbsSpec:
@@ -90,45 +93,66 @@ class FilterParams:
             raise ValidationError("drop efficiency must lie in (0, 1]")
 
 
-def fbs_transform(spec: FbsSpec) -> ModeTransform:
-    """Build the 4-mode transform of a frequency beam splitter.
+def fbs_blocks(
+    transmissivity_T,
+    phase_theta=0.0,
+    efficiency_eta=1.0,
+    sideband_suppression_db=DEFAULT_SIDEBAND_SUPPRESSION_DB,
+) -> np.ndarray:
+    """Matrices of a frequency beam splitter over k settings at once.
 
-    Mode order is (bin_lo, bin_hi, sideband_lo, sideband_hi).  Columns of
-    the returned matrix all have norm sqrt(eta) exactly, so a single
+    The arguments broadcast against each other to k settings; the result
+    has shape (k, 4, 4) with mode order (bin_lo, bin_hi, sideband_lo,
+    sideband_hi).  Columns all have norm sqrt(eta) exactly, so a single
     photon entering any of the four modes exits the set with total
-    probability eta.
+    probability eta.  Raises `ValidationError` when a matrix is not
+    finite or its spectral norm exceeds 1.
     """
-    t = math.sqrt(spec.transmissivity_T)
-    r = math.sqrt(spec.reflectivity_R)
-    theta = spec.phase_theta
-    if math.isinf(spec.sideband_suppression_db):
-        eps = 0.0
-    else:
-        eps = math.sqrt(
-            spec.reflectivity_R * 10.0 ** (-spec.sideband_suppression_db / 10.0)
+    T, theta, eta, db = (
+        a.ravel()
+        for a in np.broadcast_arrays(
+            *(np.asarray(x, dtype=float) for x in
+              (transmissivity_T, phase_theta, efficiency_eta, sideband_suppression_db))
         )
-    s = 1.0 / math.sqrt(1.0 + eps * eps)
+    )
+    t = np.sqrt(T)
+    r = np.sqrt(1.0 - T)
+    eps = np.sqrt((1.0 - T) * 10.0 ** (-db / 10.0))
+    s = 1.0 / np.sqrt(1.0 + eps * eps)
 
     # Columns for the two bin inputs: the 2x2 core plus sideband leakage,
     # renormalized so the column norm is exactly 1 before the eta scale.
-    c_lo = s * np.array(
-        [t, -np.exp(-1j * theta) * r, eps, 0.0], dtype=complex
-    )
-    c_hi = s * np.array(
-        [np.exp(1j * theta) * r, t, 0.0, eps], dtype=complex
-    )
+    u = np.zeros((T.size, 4, 4), dtype=complex)
+    u[:, 0, 0] = u[:, 1, 1] = t
+    u[:, 1, 0] = -np.exp(-1j * theta) * r
+    u[:, 0, 1] = np.exp(1j * theta) * r
+    u[:, 2, 0] = u[:, 3, 1] = eps
+    u[:, :, :2] *= s[:, None, None]
     # Complete to a unitary: Gram-Schmidt of the sideband basis vectors
-    # against the two core columns (closed form, both projections real).
-    e_lo = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
-    e_hi = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-    c_sb_lo = e_lo - (c_lo.conj() @ e_lo) * c_lo
-    c_sb_lo /= np.linalg.norm(c_sb_lo)
-    c_sb_hi = e_hi - (c_hi.conj() @ e_hi) * c_hi
-    c_sb_hi -= (c_sb_lo.conj() @ c_sb_hi) * c_sb_lo
-    c_sb_hi /= np.linalg.norm(c_sb_hi)
+    # against the core columns in closed form.  Each sideband vector
+    # overlaps only its own core column (by s * eps), the two results are
+    # orthogonal, and each has norm s before rescaling.
+    u[:, 2, 2] = u[:, 3, 3] = 1.0
+    u[:, :, 2:] -= (s * eps)[:, None, None] * u[:, :, :2]
+    u[:, :, 2:] /= s[:, None, None]
 
-    u = np.column_stack([c_lo, c_hi, c_sb_lo, c_sb_hi])
-    matrix = math.sqrt(spec.efficiency_eta) * u
+    m = np.sqrt(eta)[:, None, None] * u
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("beam-splitter matrix is not finite: not physical")
+    if np.any(np.linalg.norm(m, 2, axis=(-2, -1)) > 1.0 + _NORM_TOL):
+        raise ValidationError("matrix spectral norm exceeds 1: not physical")
+    return m
+
+
+def fbs_transform(spec: FbsSpec) -> ModeTransform:
+    """The 4-mode transform of one frequency beam splitter (see
+    `fbs_blocks`), on the modes (bin_lo, bin_hi, sideband_lo, sideband_hi)."""
+    matrix = fbs_blocks(
+        spec.transmissivity_T,
+        spec.phase_theta,
+        spec.efficiency_eta,
+        spec.sideband_suppression_db,
+    )[0]
     subset = (spec.bin_lo, spec.bin_hi, spec.sideband_lo, spec.sideband_hi)
     return ModeTransform(subset, matrix)
 

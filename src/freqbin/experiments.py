@@ -10,9 +10,19 @@ controlled-phase gate truth tables, and entanglement fringes.
 
 Conventions, documented once here:
 
+* Every pipeline is linear optics, so it is evaluated as one
+  single-photon matrix U[out, in] on the working grid, composed from its
+  elements and stacked over the sweep points as (n_points, n, n).
+  Outcomes follow in closed form: a photon injected at i reaches grid
+  mode p with probability |U[p, i]|^2, and two photons injected at
+  i != j leave one photon at p and one at q != p with amplitude
+  U[p, i] U[q, j] + U[q, i] U[p, j] (the 2x2 permanent).  The Fock
+  engine and the permanent of `freqbin.fock` are the oracles the tests
+  check this against.
 * Element efficiency is applied as frequency-uniform insertion loss:
-  when an element acts, every photon in the state picks up sqrt(eta) of
-  that element, whether or not its bin is coupled by the element.
+  an element's matrix carries sqrt(eta) on every mode it does not
+  couple, so every photon picks up sqrt(eta) of that element, whether or
+  not its bin is coupled.  The chip-wide efficiency is a scalar on U.
   Post-selected quantities therefore depend only on relative amplitudes,
   which is what coincidence measurements normalize away.
 * Each beam splitter leaks into two dedicated bookkeeping sideband
@@ -20,8 +30,11 @@ Conventions, documented once here:
   at detection.
 * Detection models the filter bank as a series cascade in ascending bin
   order.  A photon reaching detector d from bin b carries the Lorentzian
-  drop power at their frequency offset times the through power of every
-  upstream filter.  Crosstalk therefore flows one way along the cascade.
+  drop power W[d, b] at their frequency offset times the through power
+  of every upstream filter.  Crosstalk therefore flows one way along the
+  cascade.  Single-photon detection probabilities are W |U[:, i]|^2;
+  coincidences contract the two-photon probabilities with W on both
+  photons (`_coincidences`).
 * Hadamard preparation and analysis use a beam splitter with T = 1/2 and
   theta = 0.  Injecting the |1> bin prepares |+>; after an analysis
   splitter, the lower-index bin detector reads "+".
@@ -44,7 +57,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,29 +69,14 @@ from .counting import (
     g2_histogram,
     hofmann_bound,
     indistinguishability_mix,
-    make_source_state,
     sample_counts,
     truth_table_fidelity,
     visibility_hom,
     visibility_minmax,
 )
-from .elements import (
-    FbsSpec,
-    FilterParams,
-    attenuator_transform,
-    fbs_transform,
-    filter_response,
-    phase_transform,
-)
-from .errors import ConfigurationError, ValidationError
-from .fock import (
-    Bin,
-    BinGrid,
-    ModeTransform,
-    PureState,
-    apply_transform,
-    fock_state,
-)
+from .elements import FbsSpec, FilterParams, fbs_blocks, filter_response
+from .errors import ConfigurationError, FitError, ValidationError
+from .fock import Bin, BinGrid
 from .resonator import DRParams, DriveSpec, dr_through_spectrum, fit_doublet
 
 # ---------------------------------------------------------------------------
@@ -284,50 +282,64 @@ def _working_grid(cfg: ChipConfig, n_fbs: int) -> tuple[BinGrid, list[tuple[int,
     return grid, sidebands
 
 
+def _embed(
+    grid: BinGrid, modes: Sequence[int], blocks: np.ndarray, eta: float = 1.0
+) -> np.ndarray:
+    """Single-photon matrices (k, n, n) of one element over k settings.
+
+    ``blocks`` (k, m, m) acts on the grid modes ``modes``; every other
+    mode picks up sqrt(eta), the element's frequency-uniform insertion
+    loss.
+    """
+    n = grid.n_modes
+    pos = np.array([grid.position(i) for i in modes])
+    out = np.zeros((len(blocks), n, n), dtype=complex)
+    out[:, np.arange(n), np.arange(n)] = math.sqrt(eta)
+    out[:, pos[:, None], pos] = blocks
+    return out
+
+
 def _fbs_element(
     dr: DrConfig,
+    grid: BinGrid,
     bins: tuple[int, int],
     sidebands: tuple[int, int],
     toggles: frozenset[str],
-    transmissivity: float | None = None,
-    theta: float | None = None,
-) -> tuple[ModeTransform, float]:
-    """Build one beam-splitter transform and its insertion efficiency."""
+    transmissivity=None,
+    theta=None,
+) -> np.ndarray:
+    """One beam splitter with its insertion loss, over the settings that
+    ``transmissivity`` and ``theta`` (scalars or arrays) broadcast to."""
     eta = dr.fbs.efficiency_eta if "eta" in toggles else 1.0
-    suppression = dr.fbs.sideband_suppression_db if "sideband" in toggles else math.inf
-    spec = FbsSpec(
-        bin_lo=bins[0],
-        bin_hi=bins[1],
-        transmissivity_T=dr.fbs.transmissivity_T if transmissivity is None else transmissivity,
-        phase_theta=dr.fbs.phase_theta if theta is None else theta,
-        efficiency_eta=eta,
-        sideband_suppression_db=suppression,
-        sideband_lo=sidebands[0],
-        sideband_hi=sidebands[1],
+    blocks = fbs_blocks(
+        dr.fbs.transmissivity_T if transmissivity is None else transmissivity,
+        dr.fbs.phase_theta if theta is None else theta,
+        eta,
+        dr.fbs.sideband_suppression_db if "sideband" in toggles else math.inf,
     )
-    return fbs_transform(spec), eta
+    return _embed(grid, (*bins, *sidebands), blocks, eta)
 
 
-def _apply_with_insertion(state: PureState, t: ModeTransform, eta: float) -> PureState:
-    """Apply an element, then sqrt(eta) per photon outside its mode set."""
-    out = apply_transform(state, t)
-    if eta >= 1.0:
-        return out
-    positions = {out.grid.position(i) for i in t.mode_subset}
-    scaled = {}
-    for occ, amp in out.items():
-        outside = sum(c for p, c in enumerate(occ) if p not in positions)
-        scaled[occ] = amp * eta ** (outside / 2.0)
-    return PureState(out.grid, scaled, validate=False)
+def _compose(global_eta: float, *elements: np.ndarray) -> np.ndarray:
+    """Circuit matrix U[..., out, in] of elements listed in order of
+    application, broadcast over sweep points, times the chip-wide
+    amplitude sqrt(global_eta)."""
+    u = elements[0]
+    for e in elements[1:]:
+        u = e @ u
+    return math.sqrt(global_eta) * u
 
 
-def _scale_uniform(state: PureState, power_transmission: float) -> PureState:
-    if power_transmission >= 1.0:
-        return state
-    factor = power_transmission ** (state.photon_number / 2.0)
-    return PureState(
-        state.grid, {occ: a * factor for occ, a in state.items()}, validate=False
-    )
+def _pair_amplitudes(u: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Two-photon output S[..., p, q] = U[p, i] U[q, j] + U[q, i] U[p, j]
+    for one photon injected at each of the distinct positions i and j.
+
+    For p != q this is the amplitude of one photon at p and one at q (the
+    2x2 permanent); S[p, p] is sqrt(2) times the amplitude of both at p,
+    so the mean photon number at p is sum_q |S[p, q]|^2.
+    """
+    outer = u[..., :, i, None] * u[..., None, :, j]
+    return outer + np.swapaxes(outer, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -339,111 +351,58 @@ def _detector_weights(
     det_bins: Sequence[int],
     filters: Sequence[FilterParams],
     crosstalk: bool,
-) -> dict[int, np.ndarray]:
-    """Routing power W[detector][grid position] for computational photons.
+) -> np.ndarray:
+    """Routing power W[k, p] from grid position p onto detector det_bins[k].
 
     Without the crosstalk toggle the filter bank is ideal: one-hot rows.
     With it, detectors sit behind their drop filters in a series cascade
     ordered by bin index; photons in sideband modes are never routed.
     """
-    comp = list(grid.computational_indices)
-    order = sorted(det_bins)
-    weights = {d: np.zeros(grid.n_modes) for d in det_bins}
+    weights = np.zeros((len(det_bins), grid.n_modes))
+    row = {d: k for k, d in enumerate(det_bins)}
     if not crosstalk:
-        for d in det_bins:
-            weights[d][grid.position(d)] = 1.0
+        for d, k in row.items():
+            weights[k, grid.position(d)] = 1.0
         return weights
+    order = sorted(det_bins)
     filter_of = {d: filters[k % len(filters)] for k, d in enumerate(order)}
-    spacing = grid.bin_spacing_ghz
-    for b in comp:
+    for b in grid.computational_indices:
         residual = 1.0
         for d in order:
-            delta = (b - d) * spacing
+            delta = (b - d) * grid.bin_spacing_ghz
             drop, through = filter_response(filter_of[d], delta)
-            weights[d][grid.position(b)] = residual * abs(drop) ** 2
+            weights[row[d], grid.position(b)] = residual * abs(drop) ** 2
             residual *= abs(through) ** 2
     return weights
 
 
-def _joint_detection(
-    state: PureState,
-    weights: Mapping[int, np.ndarray],
-    group_a: Sequence[int],
-    group_b: Sequence[int],
-) -> tuple[dict[tuple[int, int], float], dict[int, float], float]:
-    """Detection of coincidence patterns with readout routing.
+def _coincidences(
+    s: np.ndarray,
+    w_a: np.ndarray,
+    w_b: np.ndarray,
+    pos_a: Sequence[int],
+    pos_b: Sequence[int],
+) -> np.ndarray:
+    """Probability P[..., x, y] that detector x of group A and detector y
+    of group B both fire, for two-photon amplitudes ``s`` (`_pair_amplitudes`).
 
     The frequency demux measures bin occupations first, so only
-    occupations that already form the coincidence pattern (exactly one
-    photon in the group-A bins and one in the group-B bins) are routed
-    onto detectors.  Routing misdirection that breaks the detector-level
-    pattern rejects the event; leakage that promotes a non-coincident
-    occupation into a fake pattern is a background contribution and is
-    left to the accidental model.
+    occupations with exactly one photon on the group-A bins ``pos_a`` and
+    one on the group-B bins ``pos_b`` are routed onto detectors, with
+    routing rows ``w_a``/``w_b``:
 
-    Returns (probabilities of valid patterns keyed by (detector in A,
-    detector in B), expected singles flux per detector over the full
-    state, total accepted probability).
+        P[x, y] = sum_ab |S[a, b]|^2 (W[x, a] W[y, b] + W[y, a] W[x, b])
+
+    Routing misdirection that breaks the detector-level pattern rejects
+    the event; leakage that promotes a non-coincident occupation into a
+    fake pattern is a background contribution left to the accidental
+    model.
     """
-    set_a = set(group_a)
-    set_b = set(group_b)
-    dets = list(weights)
-    pos_a = {state.grid.position(i) for i in group_a}
-    pos_b = {state.grid.position(i) for i in group_b}
-    outcomes: dict[tuple[int, int], float] = {}
-    singles = {d: 0.0 for d in dets}
-    success = 0.0
-    for occ, amp in state.items():
-        p_key = abs(amp) ** 2
-        photons = [p for p, c in enumerate(occ) for _ in range(c)]
-        for d in dets:
-            singles[d] += p_key * sum(weights[d][p] for p in photons)
-        in_a = sum(occ[p] for p in pos_a)
-        in_b = sum(occ[p] for p in pos_b)
-        if in_a != 1 or in_b != 1:
-            continue
-        # Enumerate per-photon destinations (each detector or loss).
-        assignments = [((), p_key)]
-        for p in photons:
-            nxt = []
-            lost = 1.0
-            for d in dets:
-                w = weights[d][p]
-                lost -= w
-                if w > 0.0:
-                    for hit, prob in assignments:
-                        nxt.append((hit + (d,), prob * w))
-            if lost > 1e-15:
-                for hit, prob in assignments:
-                    nxt.append((hit, prob * lost))
-            assignments = nxt
-        for hit, prob in assignments:
-            if len(hit) != 2:
-                continue
-            da, db = hit
-            if da in set_a and db in set_b:
-                key = (da, db)
-            elif db in set_a and da in set_b:
-                key = (db, da)
-            else:
-                continue
-            outcomes[key] = outcomes.get(key, 0.0) + prob
-            success += prob
-    return outcomes, singles, success
-
-
-def _single_photon_probs(
-    state: PureState, weights: Mapping[int, np.ndarray]
-) -> dict[int, float]:
-    """Detection probability per detector for a one-photon state."""
-    probs = {d: 0.0 for d in weights}
-    for occ, amp in state.items():
-        p_key = abs(amp) ** 2
-        for d in weights:
-            probs[d] += p_key * sum(
-                weights[d][p] * c for p, c in enumerate(occ) if c
-            )
-    return probs
+    q = np.abs(s[..., pos_a, :][..., pos_b]) ** 2
+    return (
+        w_a[:, pos_a] @ q @ w_b[:, pos_b].T
+        + w_a[:, pos_b] @ np.swapaxes(q, -1, -2) @ w_b[:, pos_a].T
+    )
 
 
 def _avg_metric(parts: Sequence[MetricResult], method: str) -> MetricResult:
@@ -484,28 +443,25 @@ def run_fmzi(
                 " fringe visibility will be reduced"
             )
 
+    phases = [float(p) for p in phases]
+    if not all(math.isfinite(p) for p in phases):
+        raise ValidationError("phases must be finite")
     grid, sb = _working_grid(cfg, 2)
     bins = (0, 1)
-    bs1, eta1 = _fbs_element(cfg.dr1, bins, sb[0], toggles)
-    bs3, eta3 = _fbs_element(cfg.dr3, bins, sb[1], toggles)
-    global_eta = cfg.global_efficiency if "eta" in toggles else 1.0
+    u = _compose(
+        cfg.global_efficiency if "eta" in toggles else 1.0,
+        _fbs_element(cfg.dr1, grid, bins, sb[0], toggles),
+        _embed(grid, (1,), np.exp(1j * np.asarray(phases))[:, None, None]),
+        _fbs_element(cfg.dr3, grid, bins, sb[1], toggles),
+    )
     weights = _detector_weights(grid, bins, cfg.filters, "crosstalk" in toggles)
-
-    phases = [float(p) for p in phases]
-    curves: dict[tuple[int, int], list[float]] = {
-        (i, d): [] for i in bins for d in bins
+    # probs[k, d, i]: detector d fires for the photon injected at bin i.
+    probs = weights @ np.abs(u[:, :, [grid.position(b) for b in bins]]) ** 2
+    curves = {
+        (i, d): probs[:, kd, ki].tolist()
+        for ki, i in enumerate(bins)
+        for kd, d in enumerate(bins)
     }
-    for phi in phases:
-        shift = phase_transform(1, phi)
-        for input_bin in bins:
-            psi = fock_state(grid, {input_bin: 1})
-            psi = _apply_with_insertion(psi, bs1, eta1)
-            psi = apply_transform(psi, shift)
-            psi = _apply_with_insertion(psi, bs3, eta3)
-            psi = _scale_uniform(psi, global_eta)
-            probs = _single_photon_probs(psi, weights)
-            for d in bins:
-                curves[(input_bin, d)].append(probs[d])
 
     series = {"phase_rad": phases}
     for (i, d), col in curves.items():
@@ -610,28 +566,23 @@ def run_hom(
     )
 
     reflectivities = [float(r) for r in reflectivities]
-    p_cc_col, p_dist_col, vis_col = [], [], []
-    for r in reflectivities:
-        if not 0.0 <= r <= 1.0:
-            raise ValidationError("reflectivities must lie in [0, 1]")
-        bs, eta3 = _fbs_element(cfg.dr3, bins, sb[0], toggles, transmissivity=1.0 - r)
-        pair = fock_state(grid, {0: 1, 1: 1})
-        psi = _apply_with_insertion(pair, bs, eta3)
-        psi = _scale_uniform(psi, global_eta)
-        outcome, _, _ = _joint_detection(psi, weights, [0], [1])
-        p_ind = outcome.get((0, 1), 0.0)
-        # Distinguishable photons: independent single-photon routing.
-        marg = []
-        for b in bins:
-            one = fock_state(grid, {b: 1})
-            one = _apply_with_insertion(one, bs, eta3)
-            one = _scale_uniform(one, global_eta)
-            marg.append(_single_photon_probs(one, weights))
-        p_dist = marg[0][0] * marg[1][1] + marg[0][1] * marg[1][0]
-        p_cc = indistinguishability_mix(p_ind, p_dist, v_indist)
-        p_cc_col.append(p_cc)
-        p_dist_col.append(p_dist)
-        vis_col.append(0.0 if p_dist == 0.0 else (p_dist - p_cc) / p_dist)
+    rs = np.asarray(reflectivities)
+    if not np.all((rs >= 0.0) & (rs <= 1.0)):
+        raise ValidationError("reflectivities must lie in [0, 1]")
+    u = _compose(
+        global_eta,
+        _fbs_element(cfg.dr3, grid, bins, sb[0], toggles, transmissivity=1.0 - rs),
+    )
+    pos = [grid.position(b) for b in bins]
+    s = _pair_amplitudes(u, *pos)
+    p_ind = _coincidences(s, weights[:1], weights[1:], pos[:1], pos[1:])[:, 0, 0]
+    # Distinguishable photons: independent single-photon routing,
+    # marg[k, d, i] for the photon injected at bin i.
+    marg = weights @ np.abs(u[:, :, pos]) ** 2
+    p_dist = marg[:, 0, 0] * marg[:, 1, 1] + marg[:, 1, 0] * marg[:, 0, 1]
+    p_cc = indistinguishability_mix(p_ind, p_dist, v_indist)
+    vis = np.divide(p_dist - p_cc, p_dist, out=np.zeros_like(p_dist), where=p_dist != 0.0)
+    p_cc_col, p_dist_col, vis_col = p_cc.tolist(), p_dist.tolist(), vis.tolist()
 
     series = {
         "reflectivity": reflectivities,
@@ -726,7 +677,7 @@ def cz_ideal_table(basis: str) -> np.ndarray:
     return table
 
 
-def _cz_injection(basis: str, label: str) -> dict[int, int]:
+def _cz_injection(basis: str, label: str) -> tuple[int, int]:
     """Bins receiving the two photons for one labeled input state."""
     c0, c1 = CZ_CONTROL_BINS
     t0, t1 = CZ_TARGET_BINS
@@ -740,7 +691,7 @@ def _cz_injection(basis: str, label: str) -> dict[int, int]:
     else:
         control = c0 if c_char == "0" else c1
         target = t0 if t_char == "0" else t1
-    return {control: 1, target: 1}
+    return control, target
 
 
 def run_cz(
@@ -779,45 +730,34 @@ def run_cz(
     grid, sb = _working_grid(cfg, 3)
     c0, c1 = CZ_CONTROL_BINS
     t0, t1 = CZ_TARGET_BINS
-    h_bins = (c0, c1) if basis == "xz" else (t0, t1)
-    use_h = basis != "zz"
+    elements = [
+        _embed(grid, (c0,), np.full((1, 1, 1), math.sqrt(cfg.r1_transmission))),
+        _embed(grid, (t1,), np.full((1, 1, 1), math.sqrt(cfg.r2_transmission))),
+        _fbs_element(cfg.dr2, grid, (t0, c1), sb[1], toggles),
+    ]
+    if basis != "zz":
+        h_bins = (c0, c1) if basis == "xz" else (t0, t1)
+        prep = _fbs_element(cfg.dr1, grid, h_bins, sb[0], toggles, transmissivity=0.5, theta=0.0)
+        analysis = _fbs_element(cfg.dr3, grid, h_bins, sb[2], toggles, transmissivity=0.5, theta=0.0)
+        elements = [prep, *elements, analysis]
+    u = _compose(cfg.global_efficiency if "eta" in toggles else 1.0, *elements)[0]
+    dets = (c0, c1, t0, t1)
+    weights = _detector_weights(grid, dets, cfg.filters, "crosstalk" in toggles)
+    pos = [grid.position(d) for d in dets]
 
-    prep, eta1 = _fbs_element(cfg.dr1, h_bins, sb[0], toggles, transmissivity=0.5, theta=0.0)
-    gate, eta2 = _fbs_element(cfg.dr2, (t0, c1), sb[1], toggles)
-    analysis, eta3 = _fbs_element(cfg.dr3, h_bins, sb[2], toggles, transmissivity=0.5, theta=0.0)
-    att1 = attenuator_transform(c0, cfg.r1_transmission)
-    att2 = attenuator_transform(t1, cfg.r2_transmission)
-    global_eta = cfg.global_efficiency if "eta" in toggles else 1.0
-    weights = _detector_weights(
-        grid, (c0, c1, t0, t1), cfg.filters, "crosstalk" in toggles
-    )
-
-    # Outcome detector pairs share row/column order with the input labels.
-    det_pairs = [(c, t) for c in (c0, c1) for t in (t0, t1)]
     labels = _CZ_INPUTS[basis]
+    s = np.stack([
+        _pair_amplitudes(u, *(grid.position(b) for b in _cz_injection(basis, label)))
+        for label in labels
+    ])
+    # Outcome columns (c0 t0, c0 t1, c1 t0, c1 t1) share their order with
+    # the input labels.
+    exact = _coincidences(s, weights[:2], weights[2:], pos[:2], pos[2:]).reshape(4, 4)
+    success = exact.sum(axis=1)
+    # Expected singles flux per detector and input row over the full state.
+    singles_rows = (np.abs(s) ** 2).sum(axis=-1) @ weights.T
 
-    exact = np.zeros((4, 4))
-    success = np.zeros(4)
-    singles_rows = []
-    for row, label in enumerate(labels):
-        psi = fock_state(grid, _cz_injection(basis, label))
-        if use_h:
-            psi = _apply_with_insertion(psi, prep, eta1)
-        psi = apply_transform(psi, att1)
-        psi = apply_transform(psi, att2)
-        psi = _apply_with_insertion(psi, gate, eta2)
-        if use_h:
-            psi = _apply_with_insertion(psi, analysis, eta3)
-        psi = _scale_uniform(psi, global_eta)
-        outcome, singles, succ = _joint_detection(
-            psi, weights, (c0, c1), (t0, t1)
-        )
-        for col, pair in enumerate(det_pairs):
-            exact[row, col] = outcome.get(pair, 0.0)
-        success[row] = succ
-        singles_rows.append(singles)
-
-    row_sums = exact.sum(axis=1, keepdims=True)
+    row_sums = success[:, None]
     warnings = []
     with np.errstate(invalid="ignore"):
         exact_normalized = np.where(row_sums > 0.0, exact / np.where(row_sums > 0, row_sums, 1.0), 0.0)
@@ -842,16 +782,12 @@ def run_cz(
         counts_table = np.zeros((4, 4))
         counts_per_point = []
         for row in range(4):
-            singles = singles_rows[row]
-            total_flux = sum(singles.values()) or 1.0
-            share = {d: singles[d] / total_flux for d in singles}
-            pair_share = {
-                pair: share[pair[0]] * share[pair[1]] for pair in det_pairs
-            }
-            denom = sum(pair_share.values()) or 1.0
+            share = singles_rows[row] / (singles_rows[row].sum() or 1.0)
+            pair_share = np.outer(share[:2], share[2:]).ravel()
+            denom = pair_share.sum() or 1.0
             point: dict[str, CountRecord] = {}
-            for col, pair in enumerate(det_pairs):
-                weight = p_row_ref * pair_share[pair] / denom
+            for col in range(4):
+                weight = p_row_ref * pair_share[col] / denom
                 rec = sample_counts(
                     exact[row, col],
                     cfg.detector,
@@ -873,7 +809,7 @@ def run_cz(
         "input": list(range(4)),
         "success_probability": success.tolist(),
     }
-    for col, _ in enumerate(det_pairs):
+    for col in range(4):
         series[f"p_out{col}"] = exact_normalized[:, col].tolist()
 
     return ExperimentResult(
@@ -958,52 +894,30 @@ def run_bell(
         car=cfg.source.car if "car" in toggles else math.inf,
     )
     v = src.indistinguishability if "distinguishability" in toggles else 1.0
-    global_eta = cfg.global_efficiency if "eta" in toggles else 1.0
     weights = _detector_weights(grid, BELL_BINS, cfg.filters, "crosstalk" in toggles)
-    group_a = (f1, f2)
-    group_b = (f3, f4)
-    outcome_pairs = [(f1, f3), (f1, f4), (f2, f3), (f2, f4)]
+    # Outcomes (f1 f3, f1 f4, f2 f3, f2 f4) in the order of the curves.
     curve_names = ("p_pp", "p_pm", "p_mp", "p_mm")
 
-    bell_state = make_source_state(src, grid)
-    # Dephased reference: equal mixture of the two product components.
-    product_states = [
-        fock_state(grid, {f1: 1, f4: 1}),
-        fock_state(grid, {f2: 1, f3: 1}),
-    ]
-
-    analyzer_a, eta1 = _fbs_element(
-        cfg.dr1, (f1, f2), sb[0], toggles, transmissivity=0.5, theta=0.0
-    )
-
     phases = [float(p) for p in phases]
-    curves = {name: [] for name in curve_names}
-    for phi in phases:
-        analyzer_b, eta2 = _fbs_element(
-            cfg.dr2, (f3, f4), sb[1], toggles, transmissivity=0.5, theta=phi
-        )
+    u = _compose(
+        cfg.global_efficiency if "eta" in toggles else 1.0,
+        _fbs_element(cfg.dr1, grid, (f1, f2), sb[0], toggles, transmissivity=0.5, theta=0.0),
+        _fbs_element(cfg.dr2, grid, (f3, f4), sb[1], toggles, transmissivity=0.5,
+                     theta=np.asarray(phases)),
+    )
+    p1, p2, p3, p4 = (grid.position(b) for b in BELL_BINS)
 
-        def project(state: PureState) -> dict[tuple[int, int], float]:
-            out = _apply_with_insertion(state, analyzer_a, eta1)
-            out = _apply_with_insertion(out, analyzer_b, eta2)
-            out = _scale_uniform(out, global_eta)
-            res, _, _ = _joint_detection(out, weights, group_a, group_b)
-            return res
+    def detect(s: np.ndarray) -> np.ndarray:
+        return _coincidences(s, weights[:2], weights[2:], (p1, p2), (p3, p4)).reshape(-1, 4)
 
-        coherent = project(bell_state)
-        if v < 1.0:
-            parts = [project(s) for s in product_states]
-            incoherent = {
-                k: 0.5 * (parts[0].get(k, 0.0) + parts[1].get(k, 0.0))
-                for k in outcome_pairs
-            }
-        else:
-            incoherent = coherent
-        for name, pair in zip(curve_names, outcome_pairs):
-            p = indistinguishability_mix(
-                coherent.get(pair, 0.0), incoherent.get(pair, 0.0), v
-            )
-            curves[name].append(p)
+    # The source state (|f1 f4> + |f2 f3>) / sqrt(2) and, as the dephased
+    # reference, the equal mixture of its two product components.
+    s00 = _pair_amplitudes(u, p1, p4)
+    s11 = _pair_amplitudes(u, p2, p3)
+    coherent = detect((s00 + s11) / math.sqrt(2.0))
+    incoherent = 0.5 * (detect(s00) + detect(s11))
+    mixed = indistinguishability_mix(coherent, incoherent, v)
+    curves = {name: mixed[:, k].tolist() for k, name in enumerate(curve_names)}
 
     series = {"phase_rad": phases, **curves}
     metrics: dict[str, MetricResult] = {}
@@ -1088,7 +1002,7 @@ def run_spectroscopy(
                 fit.linewidths_ghz[1], fit.residual_rms, "doublet fit"
             )
             extras["fit"] = asdict(fit)
-        except Exception as exc:  # fit may legitimately fail on odd scans
+        except (FitError, ValidationError) as exc:  # odd or short scans
             extras["fit_error"] = str(exc)
         return ExperimentResult(
             experiment="spectroscopy",

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitError, ValidationError
 
@@ -166,6 +165,10 @@ def fit_doublet(detuning_ghz, transmission) -> DoubletFit:
     the two deepest local minima of the raw data.  Raises `FitError` when
     the data show no doublet or the optimizer fails to converge.
     """
+    # Imported here: scipy.optimize takes most of the package's import time
+    # and only this function needs it.
+    from scipy.optimize import least_squares
+
     x = np.asarray(detuning_ghz, dtype=float)
     y = np.asarray(transmission, dtype=float)
     if x.shape != y.shape or x.ndim != 1:

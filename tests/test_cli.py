@@ -48,17 +48,40 @@ class TestParsing:
             parse_manifest('{"seed": 1}')
         assert "/experiment" in str(err.value)
 
-    def test_cz_requires_standard_splitting(self):
+    def test_cz_requires_standard_splitting(self, tmp_path):
+        # Parsing accepts a nonstandard gate; the run refuses it unless the
+        # manifest opts out.
+        doc = {"experiment": "cz", "basis": "zz",
+               "config": {"dr2": {"transmissivity_T": 0.5}}}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        assert not parse_manifest(manifest.read_text()).allow_nonstandard
+        assert main(["run", str(manifest), "--out", str(tmp_path / "a")]) == 2
+        manifest.write_text(json.dumps({**doc, "allow_nonstandard": True}))
+        assert parse_manifest(manifest.read_text()).allow_nonstandard
+        assert main(["run", str(manifest), "--out", str(tmp_path / "b")]) == 0
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_numbers_rejected(self, literal, tmp_path):
+        text = ('{"experiment": "fmzi", "sweep": {"start": 0, "stop": %s, "num": 5}}'
+                % literal)
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(text)
+        assert "/sweep/stop" in str(err.value)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(text)
+        assert main(["run", str(manifest), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"experiment": "hom", "seed": true}',
+        '{"experiment": "hom", "schema_version": true}',
+        '{"experiment": "hom", "sweep": {"start": 0, "stop": 1, "num": true}}',
+        '{"experiment": "hom", "config": {"global_efficiency": true}}',
+        '{"experiment": "hom", "config": {"dr1": {"phase_theta": false}}}',
+    ])
+    def test_booleans_rejected_as_numbers(self, text):
         with pytest.raises(ManifestError):
-            parse_manifest(
-                '{"experiment": "cz", "config": {"dr2": {"transmissivity_T": 0.5}}}'
-            )
-        # Explicit opt-out is accepted.
-        m = parse_manifest(
-            '{"experiment": "cz", "allow_nonstandard": true,'
-            ' "config": {"dr2": {"transmissivity_T": 0.5}}}'
-        )
-        assert m.allow_nonstandard
+            parse_manifest(text)
 
     def test_serialization_roundtrip(self):
         m = parse_manifest(
@@ -142,6 +165,17 @@ class TestRunCommand:
         assert "hofmann_bound" in report
         payload = json.loads((out / "result.json").read_text())
         assert payload["hofmann_bound"] >= 0.984
+
+    def test_allow_nonstandard_flag(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(
+            '{"experiment": "cz", "config": {"dr2": {"transmissivity_T": 0.4}}}'
+        )
+        out = str(tmp_path / "out")
+        assert main(["run", str(manifest), "--out", out]) == 2
+        assert main(["run", str(manifest), "--out", out, "--allow-nonstandard"]) == 0
+        payload = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert payload["manifest"]["allow_nonstandard"] is True
 
     def test_bad_manifest_exit_code(self, tmp_path):
         manifest = tmp_path / "m.json"

@@ -247,6 +247,11 @@ class TestSpectroscopyRun:
         assert res.metrics["nearest_bin_crosstalk"].value == pytest.approx(0.0233, abs=5e-4)
         assert res.metrics["drop_peak_power"].value == pytest.approx(0.946)
 
+    def test_short_scan_reports_fit_error(self, cfg):
+        res = run_spectroscopy(cfg, np.linspace(-15.0, 15.0, 20), target="dr1")
+        assert "50 samples" in res.extras["fit_error"]
+        assert "fitted_splitting_ghz" not in res.metrics
+
     def test_unknown_target(self, cfg):
         with pytest.raises(ConfigurationError):
             run_spectroscopy(cfg, [0.0, 1.0], target="dr9")

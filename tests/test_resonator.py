@@ -1,8 +1,14 @@
 """Double-resonator spectroscopy, drive calibration, and fitting tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import freqbin
 from freqbin.errors import FitError, ValidationError
 from freqbin.resonator import (
     CalibCurve,
@@ -154,3 +160,15 @@ class TestDoubletFit:
             fit = fit_doublet(x, noisy)
             worst = max(worst, abs(fit.two_g_ghz - 13.49))
         assert worst < 0.2
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy.optimize is imported by fit_doublet on first use, so plain
+    # `import freqbin` alone does not pay for it.
+    src = str(Path(freqbin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, freqbin; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
