@@ -21,10 +21,13 @@ from freqbin import (
     transition_amplitude,
 )
 
+# Beam splitters between bins 0 and 1, leaking into their grid neighbors
+# -1 and 2.
+MODES = (0, 1, -1, 2)
+
 # A balanced beam splitter between two bins, ideal (no loss, no leakage).
 ideal = fbs_transform(
-    FbsSpec(bin_lo=0, bin_hi=1, transmissivity_T=0.5,
-            sideband_suppression_db=math.inf, sideband_lo=-1, sideband_hi=2)
+    FbsSpec(transmissivity_T=0.5, sideband_suppression_db=math.inf), MODES
 )
 print("balanced splitter, bins (0, 1) block:")
 print(np.array_str(ideal.matrix[:2, :2].real, precision=4))
@@ -33,8 +36,8 @@ print("unitary:", ideal.is_unitary)
 # The same element with realistic settings: 69% total efficiency and
 # 24 dB suppression of the second-order sidebands.
 real = fbs_transform(
-    FbsSpec(bin_lo=0, bin_hi=1, transmissivity_T=0.5, efficiency_eta=0.69,
-            sideband_suppression_db=24.0, sideband_lo=-1, sideband_hi=2)
+    FbsSpec(transmissivity_T=0.5, efficiency_eta=0.69, sideband_suppression_db=24.0),
+    MODES,
 )
 col = real.matrix[:, 0]
 print("\nrealistic splitter, input on the lower bin:")
@@ -48,10 +51,7 @@ print(f"  column power total  : {np.sum(np.abs(col)**2):.4f}  (equals eta)")
 grid = grid_from_indices([0, 1], sideband=[-1, 2])
 pair = fock_state(grid, {0: 1, 1: 1})
 for T in (0.5, 1.0 / 3.0):
-    bs = fbs_transform(
-        FbsSpec(bin_lo=0, bin_hi=1, transmissivity_T=T,
-                sideband_suppression_db=math.inf, sideband_lo=-1, sideband_hi=2)
-    )
+    bs = fbs_transform(FbsSpec(transmissivity_T=T, sideband_suppression_db=math.inf), MODES)
     out = apply_transform(pair, bs)
     pos0, pos1 = grid.position(0), grid.position(1)
     occ = [0] * grid.n_modes

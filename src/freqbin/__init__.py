@@ -6,11 +6,9 @@ from .counting import (
     DetectorSpec,
     MetricResult,
     SourceSpec,
-    coincidence_probability,
     g2_histogram,
     hofmann_bound,
     indistinguishability_mix,
-    make_source_state,
     sample_counts,
     truth_table_fidelity,
     visibility_hom,
@@ -55,7 +53,6 @@ from .fock import (
     fock_state,
     grid_from_indices,
     permanent,
-    project_probability,
     transition_amplitude,
 )
 from .resonator import (

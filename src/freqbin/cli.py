@@ -89,8 +89,9 @@ def _err(msg: str, loc: str) -> ManifestError:
 
 def _expect_keys(obj: dict, allowed: dict[str, type | tuple], loc: str) -> None:
     """Reject unknown keys, values of the wrong type, booleans where a
-    number is expected, and non-finite numbers (JSON NaN, Infinity, or an
-    overflowing literal such as 1e400)."""
+    number is expected, and numbers that are no finite float (JSON NaN,
+    Infinity, or an overflowing literal such as 1e400 or 1 followed by 400
+    zeros)."""
     for key in obj:
         if key not in allowed:
             raise _err(f"unknown key {key!r}", f"{loc}/{key}")
@@ -100,8 +101,13 @@ def _expect_keys(obj: dict, allowed: dict[str, type | tuple], loc: str) -> None:
         value = obj[key]
         if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
             raise _err(f"expected {types} value", f"{loc}/{key}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise _err(f"expected a finite number, got {value}", f"{loc}/{key}")
+        if isinstance(value, (int, float)):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer past the float range
+                finite = False
+            if not finite:
+                raise _err("expected a finite number", f"{loc}/{key}")
 
 
 _NUM = (int, float)
@@ -154,6 +160,8 @@ _CONFIG_KEYS = {
     "detector": dict,
 }
 _SWEEP_KEYS = {"start": _NUM, "stop": _NUM, "num": int}
+#: Most sweep points a manifest may ask for.
+MAX_SWEEP_NUM = 10_000
 _TOP_KEYS = {
     "schema_version": int,
     "experiment": str,
@@ -173,7 +181,9 @@ def parse_manifest(text: str) -> RunManifest:
     """Strictly parse and validate a manifest document."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals past
+        # Python's digit limit; RecursionError, nesting too deep to parse.
         raise _err(f"malformed JSON: {exc}", "/")
     if not isinstance(raw, dict):
         raise _err("manifest must be a JSON object", "/")
@@ -210,11 +220,13 @@ def parse_manifest(text: str) -> RunManifest:
     _expect_keys(sweep, _SWEEP_KEYS, "/sweep")
     if sweep and any(k not in sweep for k in ("start", "stop", "num")):
         raise _err("sweep needs start, stop, and num", "/sweep")
-    if sweep and sweep["num"] < 2:
-        raise _err("sweep num must be at least 2", "/sweep/num")
+    if sweep and not 2 <= sweep["num"] <= MAX_SWEEP_NUM:
+        raise _err(f"sweep num must lie in [2, {MAX_SWEEP_NUM}]", "/sweep/num")
 
     imperfections = raw.get("imperfections", [])
     for k, name in enumerate(imperfections):
+        if not isinstance(name, str):
+            raise _err(f"expected a string, got {name!r}", f"/imperfections/{k}")
         if name not in xp.IMPERFECTION_NAMES:
             raise _err(
                 f"unknown imperfection {name!r}; known: {sorted(xp.IMPERFECTION_NAMES)}",
@@ -227,6 +239,9 @@ def parse_manifest(text: str) -> RunManifest:
     basis = raw.get("basis", "both")
     if basis not in ("both", "xz", "zx", "zz"):
         raise _err("basis must be both, xz, zx, or zz", "/basis")
+    output_dir = raw.get("output_dir")
+    if output_dir is not None and "\0" in output_dir:
+        raise _err("output_dir contains a NUL character", "/output_dir")
     target = raw.get("target", "all")
     if target not in ("all", "dr1", "dr2", "dr3", "filters"):
         raise _err("target must be all, dr1, dr2, dr3, or filters", "/target")
@@ -235,7 +250,7 @@ def parse_manifest(text: str) -> RunManifest:
         experiment=experiment,
         schema_version=version,
         seed=raw.get("seed", 12345),
-        output_dir=raw.get("output_dir"),
+        output_dir=output_dir,
         sweep=sweep,
         config=config,
         imperfections=list(imperfections),
@@ -271,8 +286,7 @@ def build_config(manifest: RunManifest) -> ChipConfig:
             )
             cfg = replace(cfg, **{name: replace(dr, fbs=fbs, cavity=cavity)})
         if "filters" in c:
-            filt = replace(cfg.r3, **c["filters"])
-            cfg = replace(cfg, r3=filt, r4=filt, r5=filt, r6=filt)
+            cfg = replace(cfg, filters=replace(cfg.filters, **c["filters"]))
         if "source" in c:
             cfg = replace(cfg, source=replace(cfg.source, **c["source"]))
         if "detector" in c:
@@ -314,81 +328,71 @@ def _execute(manifest: RunManifest) -> tuple[dict, list[dict], dict]:
     toggles = frozenset(manifest.imperfections)
     values = _sweep_values(manifest)
     exp = manifest.experiment
+    sample = "car" in toggles
+
+    if exp == "cz" and manifest.basis == "both":
+        char = xp.run_cz_characterization(
+            cfg, toggles, manifest.seed, sample, manifest.allow_nonstandard
+        )
+        payload = {
+            "experiment": exp,
+            "xz": char["xz"].to_jsonable(),
+            "zx": char["zx"].to_jsonable(),
+            "f_xz": char["f_xz"],
+            "f_zx": char["f_zx"],
+            "hofmann_bound": char["hofmann_bound"],
+            "hofmann_clamped": char["hofmann_clamped"],
+        }
+        rows = []
+        for basis in ("xz", "zx"):
+            res = char[basis]
+            labels = res.extras["input_labels"]
+            table = res.extras["table_normalized"]
+            for r, label in enumerate(labels):
+                row = {"basis": basis, "input": label}
+                for c_idx in range(4):
+                    row[f"p_out{c_idx}"] = table[r][c_idx]
+                row["success_probability"] = res.series["success_probability"][r]
+                rows.append(row)
+        metrics = {
+            "f_xz": char["f_xz"],
+            "f_zx": char["f_zx"],
+            "hofmann_bound": char["hofmann_bound"],
+        }
+        return payload, rows, metrics
+
+    if exp == "spectroscopy":
+        targets = ("dr1", "dr2", "dr3", "filters") if manifest.target == "all" else (
+            manifest.target,
+        )
+        payload = {"experiment": exp}
+        rows: list[dict] = []
+        metrics: dict[str, float] = {}
+        for target in targets:
+            res = xp.run_spectroscopy(cfg, values, target=target)
+            payload[target] = res.to_jsonable()
+            for name, m in res.metrics.items():
+                metrics[f"{target}_{name}"] = m.value
+            for row in _series_rows(res.series):
+                rows.append({"target": target, **row})
+        if manifest.target != "all":
+            metrics = {k.split("_", 1)[1]: v for k, v in metrics.items()}
+        return payload, rows, metrics
 
     if exp == "fmzi":
         res = xp.run_fmzi(cfg, values, mode=manifest.mode, seed=manifest.seed,
                           imperfections=toggles)
-        rows = _series_rows(res.series)
-        return {"experiment": exp, "result": res.to_jsonable()}, rows, _metric_map(res)
-
-    if exp == "hom":
+    elif exp == "hom":
         res = xp.run_hom(cfg, values, seed=manifest.seed, imperfections=toggles,
                          sample=True)
-        order = ["reflectivity", "p_cc", "visibility"]
-        rest = [k for k in res.series if k not in order]
-        rows = _series_rows({k: res.series[k] for k in order + rest})
-        return {"experiment": exp, "result": res.to_jsonable()}, rows, _metric_map(res)
-
-    if exp == "bell":
+    elif exp == "bell":
         res = xp.run_bell(cfg, values, seed=manifest.seed, imperfections=toggles,
                           sample=True)
-        rows = _series_rows(res.series)
-        return {"experiment": exp, "result": res.to_jsonable()}, rows, _metric_map(res)
-
-    if exp == "cz":
-        sample = "car" in toggles
-        if manifest.basis == "both":
-            char = xp.run_cz_characterization(
-                cfg, toggles, manifest.seed, sample, manifest.allow_nonstandard
-            )
-            payload = {
-                "experiment": exp,
-                "xz": char["xz"].to_jsonable(),
-                "zx": char["zx"].to_jsonable(),
-                "f_xz": char["f_xz"],
-                "f_zx": char["f_zx"],
-                "hofmann_bound": char["hofmann_bound"],
-                "hofmann_clamped": char["hofmann_clamped"],
-            }
-            rows = []
-            for basis in ("xz", "zx"):
-                res = char[basis]
-                labels = res.extras["input_labels"]
-                table = res.extras["table_normalized"]
-                for r, label in enumerate(labels):
-                    row = {"basis": basis, "input": label}
-                    for c_idx in range(4):
-                        row[f"p_out{c_idx}"] = table[r][c_idx]
-                    row["success_probability"] = res.series["success_probability"][r]
-                    rows.append(row)
-            metrics = {
-                "f_xz": char["f_xz"],
-                "f_zx": char["f_zx"],
-                "hofmann_bound": char["hofmann_bound"],
-            }
-            return payload, rows, metrics
+    else:
         res = xp.run_cz(cfg, manifest.basis, toggles, manifest.seed, sample,
                         manifest.allow_nonstandard)
-        rows = _series_rows(res.series)
-        return {"experiment": exp, "result": res.to_jsonable()}, rows, _metric_map(res)
-
-    # spectroscopy
-    targets = ("dr1", "dr2", "dr3", "filters") if manifest.target == "all" else (
-        manifest.target,
-    )
-    payload = {"experiment": exp}
-    rows: list[dict] = []
-    metrics: dict[str, float] = {}
-    for target in targets:
-        res = xp.run_spectroscopy(cfg, values, target=target)
-        payload[target] = res.to_jsonable()
-        for name, m in res.metrics.items():
-            metrics[f"{target}_{name}"] = m.value
-        for row in _series_rows(res.series):
-            rows.append({"target": target, **row})
-    if manifest.target != "all":
-        metrics = {k.split("_", 1)[1]: v for k, v in metrics.items()}
-    return payload, rows, metrics
+    payload = {"experiment": exp, "result": res.to_jsonable()}
+    return payload, _series_rows(res.series), _metric_map(res)
 
 
 def _series_rows(series: dict) -> list[dict]:

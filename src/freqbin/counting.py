@@ -1,6 +1,7 @@
-"""Photon sources, detectors, counting statistics, and derived metrics.
+"""Source and detector settings, counting statistics, and derived metrics.
 
-Counting converts circuit probabilities into simulated coincidence
+Detection probabilities come from the compiled pipelines of
+`freqbin.experiments`; counting converts them into simulated coincidence
 records.  True coincidences are Poisson with mean
 
     lambda_t = pair_rate * integration * p_true * (efficiency * insertion)^2
@@ -18,44 +19,24 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .fock import BinGrid, PureState, fock_state, project_probability
 
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Photon-pair source settings.
+    """Photon-pair source settings.  Which bins the photons enter is fixed
+    by each experiment's encoding in `freqbin.experiments`."""
 
-    ``kind`` is one of ``pair`` (one photon in the signal bin, one in the
-    idler bin), ``heralded_single`` (one photon in the signal bin, the
-    herald handled as rate bookkeeping), or ``bell``.  For ``bell``,
-    ``bell_bins`` lists four bins f1 < f2 < f3 < f4; qubit A uses
-    (f1, f2) with |0> = f1 and qubit B uses (f4, f3) with |0> = f4, so
-    the two joint states |00> and |11> are energy-matched pairs under a
-    single-tone continuous pump.
-    """
-
-    kind: str = "pair"
-    signal_bin: int = 0
-    idler_bin: int = 1
-    bell_bins: tuple[int, int, int, int] | None = None
     photon_linewidth_mhz: float = 202.0
     pair_rate_hz: float = 2.0e6
     car: float = math.inf
     indistinguishability: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("pair", "heralded_single", "bell"):
-            raise ValidationError(f"unknown source kind {self.kind!r}")
-        if self.kind != "bell" and self.signal_bin == self.idler_bin:
-            raise ValidationError("signal and idler bins must differ")
-        if self.kind == "bell":
-            if self.bell_bins is None or len(set(self.bell_bins)) != 4:
-                raise ValidationError("bell source needs four distinct bins")
         if not self.car > 1.0:
             raise ValidationError("coincidence-to-accidental ratio must exceed 1")
         if not 0.0 <= self.indistinguishability <= 1.0:
@@ -122,50 +103,6 @@ class MetricResult:
 class HofmannBound(NamedTuple):
     value: float
     clamped: bool
-
-
-def make_source_state(s: SourceSpec, grid: BinGrid) -> PureState:
-    """Build the source's input state on the given grid."""
-    if s.kind == "pair":
-        return fock_state(grid, {s.signal_bin: 1, s.idler_bin: 1})
-    if s.kind == "heralded_single":
-        return fock_state(grid, {s.signal_bin: 1})
-    f1, f2, f3, f4 = s.bell_bins
-    amp = 1.0 / math.sqrt(2.0)
-    zero = [0] * grid.n_modes
-    occ_00 = list(zero)
-    occ_00[grid.position(f1)] = 1
-    occ_00[grid.position(f4)] = 1
-    occ_11 = list(zero)
-    occ_11[grid.position(f2)] = 1
-    occ_11[grid.position(f3)] = 1
-    return PureState(grid, {tuple(occ_00): amp, tuple(occ_11): amp})
-
-
-def coincidence_probability(
-    state: PureState, pattern_a: Iterable[int], pattern_b: Iterable[int]
-) -> float:
-    """Probability of exactly one photon in each of two bin sets.
-
-    Sideband and loss bins are marginalized; all other computational bins
-    must be empty.
-    """
-    set_a = {int(i) for i in pattern_a}
-    set_b = {int(i) for i in pattern_b}
-    if set_a & set_b:
-        raise DomainError("coincidence bin sets overlap")
-    grid = state.grid
-    marginal = [
-        b.index for b in grid.bins if b.role != "computational"
-    ]
-    prob = 0.0
-    for i in set_a:
-        for j in set_b:
-            pattern = {k: 0 for k in grid.computational_indices}
-            pattern[i] = 1
-            pattern[j] = 1
-            prob += project_probability(state, pattern, marginal)
-    return prob
 
 
 def indistinguishability_mix(p_indist: float, p_dist: float, v: float) -> float:

@@ -1,9 +1,12 @@
 """Physical element constructors: frequency beam splitters, microring
 filters, attenuators, and phase shifts.
 
-A frequency beam splitter couples two bins one grid spacing apart through
-a microwave-driven coupled double resonator.  Its single-photon action on
-the pair (lo, hi) is the standard beam-splitter matrix
+A frequency beam splitter couples two bins through a microwave-driven
+coupled double resonator.  `FbsSpec` holds its settings only;
+`fbs_transform` places them on four grid modes (the two bins and their
+two sideband modes), and `fbs_blocks` builds the matrices of many
+settings at once.  Its single-photon action on the pair (lo, hi) is the
+standard beam-splitter matrix
 
     [[ sqrt(T),            e^{i theta} sqrt(R) ],
      [ -e^{-i theta} sqrt(R),      sqrt(T)     ]]
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -41,21 +45,13 @@ _NORM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FbsSpec:
-    """Settings of one frequency beam splitter.
+    """Settings of one frequency beam splitter; `fbs_transform` places it
+    on the grid."""
 
-    ``sideband_lo``/``sideband_hi`` default to the grid neighbors
-    (bin_lo - 1, bin_hi + 1); experiments may point them at dedicated
-    bookkeeping modes instead.
-    """
-
-    bin_lo: int
-    bin_hi: int
     transmissivity_T: float = 0.5
     phase_theta: float = 0.0
     efficiency_eta: float = 1.0
     sideband_suppression_db: float = DEFAULT_SIDEBAND_SUPPRESSION_DB
-    sideband_lo: int | None = None
-    sideband_hi: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.transmissivity_T <= 1.0:
@@ -64,17 +60,6 @@ class FbsSpec:
             raise ValidationError("efficiency must lie in (0, 1]")
         if self.sideband_suppression_db < 0.0:
             raise ValidationError("sideband suppression must be nonnegative")
-        if self.sideband_lo is None:
-            object.__setattr__(self, "sideband_lo", self.bin_lo - 1)
-        if self.sideband_hi is None:
-            object.__setattr__(self, "sideband_hi", self.bin_hi + 1)
-        modes = (self.bin_lo, self.bin_hi, self.sideband_lo, self.sideband_hi)
-        if len(set(modes)) != 4:
-            raise ValidationError("the four beam-splitter mode indices must be distinct")
-
-    @property
-    def reflectivity_R(self) -> float:
-        return 1.0 - self.transmissivity_T
 
 
 @dataclass(frozen=True)
@@ -102,8 +87,8 @@ def fbs_blocks(
     """Matrices of a frequency beam splitter over k settings at once.
 
     The arguments broadcast against each other to k settings; the result
-    has shape (k, 4, 4) with mode order (bin_lo, bin_hi, sideband_lo,
-    sideband_hi).  Columns all have norm sqrt(eta) exactly, so a single
+    has shape (k, 4, 4) with mode order (lo, hi, lo sideband, hi
+    sideband).  Columns all have norm sqrt(eta) exactly, so a single
     photon entering any of the four modes exits the set with total
     probability eta.  Raises `ValidationError` when a matrix is not
     finite or its spectral norm exceeds 1.
@@ -144,17 +129,17 @@ def fbs_blocks(
     return m
 
 
-def fbs_transform(spec: FbsSpec) -> ModeTransform:
+def fbs_transform(spec: FbsSpec, modes: Sequence[int]) -> ModeTransform:
     """The 4-mode transform of one frequency beam splitter (see
-    `fbs_blocks`), on the modes (bin_lo, bin_hi, sideband_lo, sideband_hi)."""
+    `fbs_blocks`) on four distinct grid modes, in the order (lo, hi, lo
+    sideband, hi sideband)."""
     matrix = fbs_blocks(
         spec.transmissivity_T,
         spec.phase_theta,
         spec.efficiency_eta,
         spec.sideband_suppression_db,
     )[0]
-    subset = (spec.bin_lo, spec.bin_hi, spec.sideband_lo, spec.sideband_hi)
-    return ModeTransform(subset, matrix)
+    return ModeTransform(tuple(modes), matrix)
 
 
 def filter_response(p: FilterParams, detuning_ghz):

@@ -2,11 +2,12 @@
 
 The chip carries three microwave-driven double resonators (DR1 state
 preparation, DR2 gate interference, DR3 analysis), two attenuating
-microrings R1/R2, and four add-drop filters R3..R6 that demultiplex the
-bins onto detectors.  Five prebuilt experiments reproduce its headline
-measurements: resonator spectroscopy, classical and single-photon
-interference in a frequency-domain Mach-Zehnder, a Hong-Ou-Mandel sweep,
-controlled-phase gate truth tables, and entanglement fringes.
+microrings R1/R2, and four identical add-drop filters R3..R6 that
+demultiplex the bins onto detectors.  Five prebuilt experiments
+reproduce its headline measurements: resonator spectroscopy, classical
+and single-photon interference in a frequency-domain Mach-Zehnder, a
+Hong-Ou-Mandel sweep, controlled-phase gate truth tables, and
+entanglement fringes.
 
 Conventions, documented once here:
 
@@ -46,10 +47,11 @@ Conventions, documented once here:
   coincidence pattern rejects; only the weaker next-nearest leakage can
   misread an outcome.  The analysis beam splitters for this encoding
   couple bins two spacings apart.
-* The entanglement experiment uses the block map of `SourceSpec`:
-  qubit A on bins (0, 1) with |0> = 0, qubit B on bins (3, 2) with
-  |0> = 3.  The swept phase rides on DR2's microwave phase, so the
-  "+ +" fringe follows (1 + cos phi)/4.
+* The entanglement source emits (|f1 f4> + |f2 f3>)/sqrt(2) on bins
+  f1 < f2 < f3 < f4 = 0..3: qubit A on (f1, f2) with |0> = f1, qubit B
+  on (f4, f3) with |0> = f4, so |00> and |11> are energy-matched pairs
+  under a single-tone continuous pump.  The swept phase rides on DR2's
+  microwave phase, so the "+ +" fringe follows (1 + cos phi)/4.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from .counting import (
 from .elements import FbsSpec, FilterParams, fbs_blocks, filter_response
 from .errors import ConfigurationError, FitError, ValidationError
 from .fock import Bin, BinGrid
-from .resonator import DRParams, DriveSpec, dr_through_spectrum, fit_doublet
+from .resonator import DRParams, dr_through_spectrum, fit_doublet
 
 # ---------------------------------------------------------------------------
 # Documented calibration values.  Absolute count rates and background levels
@@ -120,16 +122,18 @@ def derive_seed(base_seed: int, *indices: int) -> int:
 
 @dataclass(frozen=True)
 class DrConfig:
-    """One double resonator: beam-splitter settings, drive, cavity physics."""
+    """One double resonator: beam-splitter settings and cavity physics."""
 
     fbs: FbsSpec
-    drive: DriveSpec = DriveSpec()
     cavity: DRParams = DRParams()
 
 
 @dataclass(frozen=True)
 class ChipConfig:
-    """Full chip description with the modeled device's defaults."""
+    """Full chip description with the modeled device's defaults.
+
+    ``filters`` is the setting shared by the four drop filters R3..R6.
+    """
 
     grid: BinGrid
     dr1: DrConfig
@@ -137,10 +141,7 @@ class ChipConfig:
     dr3: DrConfig
     r1_transmission: float = 1.0 / 3.0
     r2_transmission: float = 1.0 / 3.0
-    r3: FilterParams = FilterParams()
-    r4: FilterParams = FilterParams()
-    r5: FilterParams = FilterParams()
-    r6: FilterParams = FilterParams()
+    filters: FilterParams = FilterParams()
     global_efficiency: float = 0.69
     source: SourceSpec = SourceSpec()
     detector: DetectorSpec = DetectorSpec()
@@ -150,10 +151,6 @@ class ChipConfig:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValidationError(f"{name} must lie in (0, 1]")
-
-    @property
-    def filters(self) -> tuple[FilterParams, FilterParams, FilterParams, FilterParams]:
-        return (self.r3, self.r4, self.r5, self.r6)
 
 
 def default_chip_config() -> ChipConfig:
@@ -170,15 +167,15 @@ def default_chip_config() -> ChipConfig:
     )
     eta = 0.69
     dr1 = DrConfig(
-        fbs=FbsSpec(bin_lo=0, bin_hi=1, transmissivity_T=0.5, efficiency_eta=eta),
+        fbs=FbsSpec(transmissivity_T=0.5, efficiency_eta=eta),
         cavity=DRParams(eo_coeff_ghz_per_v=0.226),
     )
     dr2 = DrConfig(
-        fbs=FbsSpec(bin_lo=1, bin_hi=2, transmissivity_T=1.0 / 3.0, efficiency_eta=eta),
+        fbs=FbsSpec(transmissivity_T=1.0 / 3.0, efficiency_eta=eta),
         cavity=DRParams(eo_coeff_ghz_per_v=0.255),
     )
     dr3 = DrConfig(
-        fbs=FbsSpec(bin_lo=0, bin_hi=1, transmissivity_T=0.5, efficiency_eta=eta),
+        fbs=FbsSpec(transmissivity_T=0.5, efficiency_eta=eta),
         cavity=DRParams(eo_coeff_ghz_per_v=0.222),
     )
     return ChipConfig(grid=grid, dr1=dr1, dr2=dr2, dr3=dr3)
@@ -349,14 +346,15 @@ def _pair_amplitudes(u: np.ndarray, i: int, j: int) -> np.ndarray:
 def _detector_weights(
     grid: BinGrid,
     det_bins: Sequence[int],
-    filters: Sequence[FilterParams],
+    filt: FilterParams,
     crosstalk: bool,
 ) -> np.ndarray:
     """Routing power W[k, p] from grid position p onto detector det_bins[k].
 
     Without the crosstalk toggle the filter bank is ideal: one-hot rows.
     With it, detectors sit behind their drop filters in a series cascade
-    ordered by bin index; photons in sideband modes are never routed.
+    ordered by bin index, each with the drop filter ``filt``; photons in
+    sideband modes are never routed.
     """
     weights = np.zeros((len(det_bins), grid.n_modes))
     row = {d: k for k, d in enumerate(det_bins)}
@@ -365,12 +363,11 @@ def _detector_weights(
             weights[k, grid.position(d)] = 1.0
         return weights
     order = sorted(det_bins)
-    filter_of = {d: filters[k % len(filters)] for k, d in enumerate(order)}
     for b in grid.computational_indices:
         residual = 1.0
         for d in order:
             delta = (b - d) * grid.bin_spacing_ghz
-            drop, through = filter_response(filter_of[d], delta)
+            drop, through = filter_response(filt, delta)
             weights[row[d], grid.position(b)] = residual * abs(drop) ** 2
             residual *= abs(through) ** 2
     return weights
@@ -478,11 +475,7 @@ def run_fmzi(
             metrics[f"visibility_in{i + 1}_port{d + 1}"] = m
         metrics["visibility_avg"] = _avg_metric(per_curve, "mean of four fringe curves")
     if sample:
-        src = replace(
-            cfg.source,
-            kind="heralded_single",
-            car=cfg.source.car if "car" in toggles else math.inf,
-        )
+        src = replace(cfg.source, car=cfg.source.car if "car" in toggles else math.inf)
         p_ref = max(max(col) for col in curves.values())
         counts_per_point = []
         count_curves: dict[tuple[int, int], list[int]] = {k: [] for k in curves}
@@ -556,14 +549,7 @@ def run_hom(
     bins = (0, 1)
     global_eta = cfg.global_efficiency if "eta" in toggles else 1.0
     weights = _detector_weights(grid, bins, cfg.filters, "crosstalk" in toggles)
-    src = replace(
-        cfg.source,
-        kind="pair",
-        signal_bin=0,
-        idler_bin=1,
-        car=cfg.source.car if "car" in toggles else math.inf,
-        indistinguishability=v_indist,
-    )
+    src = replace(cfg.source, car=cfg.source.car if "car" in toggles else math.inf)
 
     reflectivities = [float(r) for r in reflectivities]
     rs = np.asarray(reflectivities)
@@ -776,8 +762,7 @@ def run_cz(
     counts_per_point: list[dict[str, CountRecord]] | None = None
     counts_table = None
     if sample:
-        car = cfg.source.car if "car" in toggles else math.inf
-        src = replace(cfg.source, kind="pair", car=car)
+        src = replace(cfg.source, car=cfg.source.car if "car" in toggles else math.inf)
         p_row_ref = float(success.max())
         counts_table = np.zeros((4, 4))
         counts_per_point = []
@@ -887,12 +872,7 @@ def run_bell(
 
     grid, sb = _working_grid(cfg, 2)
     f1, f2, f3, f4 = BELL_BINS
-    src = replace(
-        cfg.source,
-        kind="bell",
-        bell_bins=BELL_BINS,
-        car=cfg.source.car if "car" in toggles else math.inf,
-    )
+    src = replace(cfg.source, car=cfg.source.car if "car" in toggles else math.inf)
     v = src.indistinguishability if "distinguishability" in toggles else 1.0
     weights = _detector_weights(grid, BELL_BINS, cfg.filters, "crosstalk" in toggles)
     # Outcomes (f1 f3, f1 f4, f2 f3, f2 f4) in the order of the curves.
@@ -1014,9 +994,9 @@ def run_spectroscopy(
             config_echo=config_echo(cfg),
         )
     if target == "filters":
-        drop, through = filter_response(cfg.r3, scan)
-        drop_peak, _ = filter_response(cfg.r3, 0.0)
-        drop_adjacent, _ = filter_response(cfg.r3, cfg.grid.bin_spacing_ghz)
+        drop, through = filter_response(cfg.filters, scan)
+        drop_peak, _ = filter_response(cfg.filters, 0.0)
+        drop_adjacent, _ = filter_response(cfg.filters, cfg.grid.bin_spacing_ghz)
         crosstalk = abs(drop_adjacent) ** 2 / abs(drop_peak) ** 2
         series = {
             "detuning_ghz": scan.tolist(),

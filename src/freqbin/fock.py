@@ -381,39 +381,3 @@ def transition_amplitude(
     sub = t.matrix[np.ix_(rows, cols)] if rows else np.zeros((0, 0), dtype=complex)
     norm = math.sqrt(_factorial_product(nin) * _factorial_product(nout))
     return permanent(sub) / norm
-
-
-def project_probability(
-    state: PureState,
-    pattern: Mapping[int, int],
-    marginal_modes: Iterable[int] = (),
-) -> float:
-    """Born-rule probability of an occupation pattern.
-
-    ``pattern`` fixes exact photon counts on the observed bin indices.
-    Occupations of ``marginal_modes`` are summed over; every bin in
-    neither set must be empty for a term to contribute.
-    """
-    marg = {int(i) for i in marginal_modes}
-    obs = {int(i): int(c) for i, c in pattern.items()}
-    overlap = marg & set(obs)
-    if overlap:
-        raise DomainError(f"observed and marginal modes overlap: {sorted(overlap)}")
-    grid = state.grid
-    obs_pos = {grid.position(i): c for i, c in obs.items()}
-    marg_pos = {grid.position(i) for i in marg}
-    prob = 0.0
-    for occ, amp in state.items():
-        ok = True
-        for p, c in enumerate(occ):
-            want = obs_pos.get(p)
-            if want is not None:
-                if c != want:
-                    ok = False
-                    break
-            elif p not in marg_pos and c != 0:
-                ok = False
-                break
-        if ok:
-            prob += abs(amp) ** 2
-    return float(prob)

@@ -162,8 +162,10 @@ def fit_doublet(detuning_ghz, transmission) -> DoubletFit:
     Damped least squares (bounded trust-region) against the
     `dr_through_spectrum` model with parameters (g, kappa1, kappa_ex,
     kappa2, thermal detune, center offset).  Initial guesses come from
-    the two deepest local minima of the raw data.  Raises `FitError` when
-    the data show no doublet or the optimizer fails to converge.
+    the two deepest local minima of the raw data.  Raises
+    `ValidationError` when the samples are mismatched, fewer than 50 or
+    not finite, and `FitError` when the data show no doublet or the
+    optimizer fails to converge.
     """
     # Imported here: scipy.optimize takes most of the package's import time
     # and only this function needs it.
@@ -173,6 +175,8 @@ def fit_doublet(detuning_ghz, transmission) -> DoubletFit:
     y = np.asarray(transmission, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("detuning and transmission must be equal-length 1-d arrays")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValidationError("detuning and transmission must be finite")
     if len(x) < 50:
         raise ValidationError("need at least 50 samples spanning both dips")
 

@@ -32,17 +32,13 @@ from freqbin.fock import PureState, apply_transform, fock_state
 def _fbs(dr, bins, sidebands, toggles, transmissivity=None, theta=None):
     eta = dr.fbs.efficiency_eta if "eta" in toggles else 1.0
     spec = FbsSpec(
-        bin_lo=bins[0],
-        bin_hi=bins[1],
         transmissivity_T=dr.fbs.transmissivity_T if transmissivity is None else transmissivity,
         phase_theta=dr.fbs.phase_theta if theta is None else theta,
         efficiency_eta=eta,
         sideband_suppression_db=dr.fbs.sideband_suppression_db
         if "sideband" in toggles else math.inf,
-        sideband_lo=sidebands[0],
-        sideband_hi=sidebands[1],
     )
-    return fbs_transform(spec), eta
+    return fbs_transform(spec, (*bins, *sidebands)), eta
 
 
 def _apply_with_insertion(state, t, eta):

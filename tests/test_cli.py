@@ -8,8 +8,18 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqbin.cli import (
+    _CAVITY_KEYS,
+    _CONFIG_KEYS,
+    _DETECTOR_KEYS,
+    _DR_KEYS,
+    _FILTER_KEYS,
+    _NUM,
+    _SOURCE_KEYS,
+    _TOP_KEYS,
     EXPERIMENTS,
     build_config,
     list_experiments,
@@ -17,6 +27,7 @@ from freqbin.cli import (
     parse_manifest,
 )
 from freqbin.errors import ManifestError
+from freqbin.experiments import IMPERFECTION_NAMES
 from freqbin.resonator import DRParams, dr_through_spectrum
 
 
@@ -28,8 +39,8 @@ class TestParsing:
         assert m.schema_version == 1
         cfg = build_config(m)
         assert cfg.grid.bin_spacing_ghz == 12.95
-        assert cfg.r3.linewidth_fwhm_ghz == 4.0
-        assert cfg.r3.fsr_ghz == 100.0
+        assert cfg.filters.linewidth_fwhm_ghz == 4.0
+        assert cfg.filters.fsr_ghz == 100.0
         assert cfg.dr1.fbs.sideband_suppression_db == 24.0
         assert cfg.global_efficiency == 0.69
         assert cfg.detector.coincidence_window_ps == 512.0
@@ -97,11 +108,104 @@ class TestParsing:
             parse_manifest('{"experiment": "hom", "imperfections": ["grit"]}')
         assert "/imperfections/0" in str(err.value)
 
+    @pytest.mark.parametrize("text, location, message", [
+        ('{"experiment": "hom", "imperfections": [{}]}', "/imperfections/0", "string"),
+        ('{"experiment": "hom", "imperfections": [[]]}', "/imperfections/0", "string"),
+        ('{"experiment": "hom", "imperfections": ["eta", 1]}', "/imperfections/1", "string"),
+        ('{"experiment": "hom", "imperfections": [null]}', "/imperfections/0", "string"),
+        ('{"experiment": "hom", "config": {"bin_spacing_ghz": 1%s}}' % ("0" * 400),
+         "/config/bin_spacing_ghz", "finite"),
+        ('{"experiment": "hom", "sweep": {"start": 0, "stop": 1, "num": %d}}' % 10**30,
+         "/sweep/num", "num"),
+        ('{"experiment": "hom", "output_dir": "a\\u0000b"}', "/output_dir", "NUL"),
+        # Past Python's digit limit for integer literals, and nested past
+        # the recursion limit of the JSON parser.
+        ('{"experiment": "hom", "seed": 1%s}' % ("0" * 5000), "/", "malformed"),
+        ("[" * 100_000, "/", "malformed"),
+    ], ids=["dict-entry", "list-entry", "int-entry", "null-entry", "huge-int",
+            "huge-num", "nul-output-dir", "int-digit-limit", "deep-nesting"])
+    def test_inputs_that_ended_in_a_traceback(self, text, location, message, tmp_path):
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(text)
+        assert err.value.location == location
+        assert message in str(err.value)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(text)
+        assert main(["run", str(manifest), "--out", str(tmp_path / "out")]) == 2
+
     def test_out_of_range_value(self):
         with pytest.raises(ManifestError):
             parse_manifest(
                 '{"experiment": "hom", "config": {"global_efficiency": 2.0}}'
             )
+
+
+# Manifest fuzz: a document over the known keys with every value of its
+# expected kind, then one value, at any depth, replaced by any JSON value
+# (NaN, infinities, integers past the float range, lists, objects).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | st.integers() | st.floats()
+    | st.sampled_from([10**30, 10**400, -10**400]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_NUMBER = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _object(schema, nested=None):
+    nested = nested or {}
+    return st.fixed_dictionaries({}, optional={
+        k: nested.get(k, _NUMBER if schema[k] == _NUM else _JSON) for k in schema
+    })
+
+
+_DR = _object(_DR_KEYS, {"cavity": _object(_CAVITY_KEYS)})
+_TOP_VALUES = {
+    "experiment": st.sampled_from(sorted(EXPERIMENTS)),
+    "schema_version": st.just(1),
+    "seed": st.integers(),
+    "output_dir": st.none() | st.text(max_size=6),
+    "sweep": st.fixed_dictionaries(
+        {"start": _NUMBER, "stop": _NUMBER, "num": st.integers(2, 50)}
+    ),
+    "config": _object(_CONFIG_KEYS, {
+        "dr1": _DR, "dr2": _DR, "dr3": _DR,
+        "filters": _object(_FILTER_KEYS),
+        "source": _object(_SOURCE_KEYS),
+        "detector": _object(_DETECTOR_KEYS),
+    }),
+    "imperfections": st.lists(st.sampled_from(sorted(IMPERFECTION_NAMES)), max_size=3),
+    "mode": st.sampled_from(["classical", "quantum"]),
+    "basis": st.sampled_from(["both", "xz", "zx", "zz"]),
+    "target": st.sampled_from(["all", "dr1", "dr2", "dr3", "filters"]),
+    "allow_nonstandard": st.booleans(),
+}
+assert set(_TOP_VALUES) == set(_TOP_KEYS)
+_TYPED_MANIFESTS = st.fixed_dictionaries(
+    {"experiment": _TOP_VALUES["experiment"]},
+    optional={k: v for k, v in _TOP_VALUES.items() if k != "experiment"},
+)
+
+
+def _slots(doc):
+    """(container, key) of every value in a nested document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_TYPED_MANIFESTS, data=st.data())
+def test_fuzzed_manifest_parses_or_raises_manifest_error(doc, data):
+    container, key = data.draw(st.sampled_from(list(_slots(doc))))
+    container[key] = data.draw(_JSON)
+    try:
+        parse_manifest(json.dumps(doc))
+    except ManifestError:
+        pass
 
 
 class TestListing:
@@ -217,3 +321,18 @@ class TestFitCommand:
             writer.writerow(["detuning_ghz", "transmission"])
             writer.writerows((xi, 1.0) for xi in x)
         assert main(["fit", str(path)]) == 3
+
+    @pytest.mark.parametrize("column, value", [("transmission", "nan"),
+                                               ("detuning_ghz", "inf")])
+    def test_fit_non_finite_sample_fails_with_fit_exit(self, column, value, tmp_path, capsys):
+        x = np.linspace(-15.0, 15.0, 301)
+        y = dr_through_spectrum(DRParams(g_ghz=6.745), x)
+        rows = [[float(a), float(b)] for a, b in zip(x, y)]
+        rows[150][0 if column == "detuning_ghz" else 1] = value
+        path = tmp_path / "spec.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["detuning_ghz", "transmission"])
+            writer.writerows(rows)
+        assert main(["fit", str(path)]) == 3
+        assert "finite" in capsys.readouterr().err

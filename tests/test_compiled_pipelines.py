@@ -15,6 +15,8 @@ from freqbin.elements import fbs_blocks
 from freqbin.errors import ValidationError
 from freqbin.experiments import (
     IMPERFECTION_NAMES,
+    _coincidences,
+    _pair_amplitudes,
     default_chip_config,
     run_bell,
     run_cz,
@@ -105,6 +107,24 @@ def test_batched_blocks_match_one_at_a_time():
     assert stack.shape == (5, 4, 4)
     for k in range(5):
         assert np.array_equal(stack[k], fbs_blocks(ts[k], thetas[k], 0.7, 24.0)[0])
+
+
+def test_bell_source_coincidences():
+    # (|f1 f4> + |f2 f3>) / sqrt(2) through the identity: qubit B mirrors
+    # qubit A, and exactly one photon reaches each qubit's pair of bins.
+    u = np.eye(4, dtype=complex)
+    s = (_pair_amplitudes(u, 0, 3) + _pair_amplitudes(u, 1, 2)) / math.sqrt(2.0)
+    p = _coincidences(s, np.eye(4)[:2], np.eye(4)[2:], (0, 1), (2, 3))
+    assert _gap(p, [[0.0, 0.5], [0.5, 0.0]]) < TOL
+
+
+def test_sideband_photon_gives_no_coincidence():
+    # One photon in bin 0 and one in a sideband mode (position 2), which
+    # no detector sees: the (0, 1) coincidence never fires.
+    u = np.eye(3, dtype=complex)
+    weights = np.eye(3)[:2]
+    p = _coincidences(_pair_amplitudes(u, 0, 2), weights[:1], weights[1:], (0,), (1,))
+    assert p.shape == (1, 1) and p[0, 0] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,9 @@ import pytest
 from freqbin.counting import (
     DetectorSpec,
     SourceSpec,
-    coincidence_probability,
     g2_histogram,
     hofmann_bound,
     indistinguishability_mix,
-    make_source_state,
     sample_counts,
     truth_table_fidelity,
     visibility_hom,
@@ -21,63 +19,16 @@ from freqbin.counting import (
 )
 from freqbin.counting import _exp_window_convolution
 from freqbin.errors import DomainError, ValidationError
-from freqbin.fock import fock_state, grid_from_indices, project_probability
 
 
 class TestSources:
-    def test_pair_state(self):
-        grid = grid_from_indices([0, 1])
-        state = make_source_state(SourceSpec(kind="pair"), grid)
-        assert state.amplitude((1, 1)) == pytest.approx(1.0)
-
-    def test_heralded_single(self):
-        grid = grid_from_indices([0, 1])
-        state = make_source_state(SourceSpec(kind="heralded_single"), grid)
-        assert state.amplitude((1, 0)) == pytest.approx(1.0)
-
-    def test_bell_amplitudes(self):
-        grid = grid_from_indices([0, 1, 2, 3])
-        spec = SourceSpec(kind="bell", bell_bins=(0, 1, 2, 3))
-        state = make_source_state(spec, grid)
-        s = 1.0 / math.sqrt(2.0)
-        assert state.amplitude((1, 0, 0, 1)) == pytest.approx(s)
-        assert state.amplitude((0, 1, 1, 0)) == pytest.approx(s)
-
-    def test_bell_projection_is_deterministic(self):
-        # Conditioned on qubit A in |0> (bin 0), qubit B is always |0> (bin 3).
-        grid = grid_from_indices([0, 1, 2, 3])
-        state = make_source_state(SourceSpec(kind="bell", bell_bins=(0, 1, 2, 3)), grid)
-        joint = project_probability(state, {0: 1, 3: 1})
-        mismatched = project_probability(state, {0: 1, 2: 1})
-        assert joint == pytest.approx(0.5)
-        assert mismatched == 0.0
-
     def test_invalid_specs(self):
         with pytest.raises(ValidationError):
-            SourceSpec(kind="pair", signal_bin=0, idler_bin=0)
-        with pytest.raises(ValidationError):
-            SourceSpec(kind="bell", bell_bins=(0, 1, 2, 2))
-        with pytest.raises(ValidationError):
             SourceSpec(car=0.5)
-
-
-class TestCoincidence:
-    def test_bell_logical_coincidence(self):
-        grid = grid_from_indices([0, 1, 2, 3])
-        state = make_source_state(SourceSpec(kind="bell", bell_bins=(0, 1, 2, 3)), grid)
-        assert coincidence_probability(state, [0], [3]) == pytest.approx(0.5)
-        assert coincidence_probability(state, [0, 1], [2, 3]) == pytest.approx(1.0)
-
-    def test_overlap_rejected(self):
-        grid = grid_from_indices([0, 1])
-        state = fock_state(grid, {0: 1, 1: 1})
-        with pytest.raises(DomainError):
-            coincidence_probability(state, [0], [0, 1])
-
-    def test_sideband_only_photon_gives_zero(self):
-        grid = grid_from_indices([0, 1], sideband=[5])
-        state = fock_state(grid, {0: 1, 5: 1})
-        assert coincidence_probability(state, [0], [1]) == 0.0
+        with pytest.raises(ValidationError):
+            SourceSpec(indistinguishability=1.5)
+        with pytest.raises(ValidationError):
+            SourceSpec(pair_rate_hz=0.0)
 
 
 class TestMixing:

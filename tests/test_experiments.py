@@ -174,10 +174,10 @@ class TestCz:
 
         from freqbin.elements import FbsSpec, attenuator_transform
 
-        h_prep = fbs_transform(FbsSpec(c0, c1, 0.5, sideband_suppression_db=math.inf,
-                                       sideband_lo=4, sideband_hi=5))
-        gate = fbs_transform(FbsSpec(t0, c1, 1.0 / 3.0, sideband_suppression_db=math.inf,
-                                     sideband_lo=6, sideband_hi=7))
+        h_prep = fbs_transform(FbsSpec(0.5, sideband_suppression_db=math.inf),
+                               (c0, c1, 4, 5))
+        gate = fbs_transform(FbsSpec(1.0 / 3.0, sideband_suppression_db=math.inf),
+                             (t0, c1, 6, 7))
         att1 = attenuator_transform(c0, 1.0 / 3.0)
         att2 = attenuator_transform(t1, 1.0 / 3.0)
 

@@ -16,7 +16,6 @@ from freqbin.fock import (
     fock_state,
     grid_from_indices,
     permanent,
-    project_probability,
     transition_amplitude,
 )
 
@@ -149,38 +148,6 @@ class TestPermanentOracle:
         bs = ModeTransform((0, 1), beam_splitter(0.5))
         with pytest.raises(DomainError):
             transition_amplitude(bs, (1, 1), (1, 0))
-
-
-class TestProjectProbability:
-    def test_single_photon_superposition(self):
-        grid = grid_from_indices([0, 1])
-        s = 1.0 / math.sqrt(2.0)
-        state = PureState(grid, {(1, 0): s, (0, 1): s})
-        assert project_probability(state, {0: 1}) == pytest.approx(0.5)
-
-    def test_bell_joint_pattern(self):
-        grid = grid_from_indices([0, 1, 2, 3])
-        s = 1.0 / math.sqrt(2.0)
-        state = PureState(grid, {(1, 0, 0, 1): s, (0, 1, 1, 0): s})
-        assert project_probability(state, {0: 1, 3: 1}) == pytest.approx(0.5)
-
-    def test_marginal_modes_are_summed(self):
-        grid = grid_from_indices([0, 1], sideband=[2])
-        state = PureState(
-            grid, {(1, 0, 1): math.sqrt(0.3), (1, 1, 0): math.sqrt(0.7)}
-        )
-        assert project_probability(state, {0: 1}, marginal_modes=[1, 2]) == (
-            pytest.approx(1.0)
-        )
-        assert project_probability(state, {0: 1}, marginal_modes=[2]) == (
-            pytest.approx(0.3)
-        )
-
-    def test_overlap_rejected(self):
-        grid = grid_from_indices([0, 1])
-        state = fock_state(grid, {0: 1})
-        with pytest.raises(DomainError):
-            project_probability(state, {0: 1}, marginal_modes=[0])
 
 
 class TestInvariants:
