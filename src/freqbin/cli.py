@@ -7,9 +7,10 @@ Subcommands:
     freqbin fit SPECTRUM.csv
 
 ``run`` parses a strict JSON manifest, executes the named experiment,
-and writes result.json, sweep.csv, and report.txt into the output
-directory.  The same manifest and seed always produce byte-identical
-result.json.  ``fit`` reads a two-column CSV with header
+writes result.json, sweep.csv, and report.txt into the output
+directory, and prints each warning of the run on stderr.  The same
+manifest and seed always produce byte-identical result.json.  ``fit``
+reads a two-column CSV with header
 ``detuning_ghz,transmission`` and fits the coupled-resonator doublet.
 
 The default output directory comes from the FREQBIN_OUTPUT_DIR
@@ -126,7 +127,6 @@ _CAVITY_KEYS = {
     "kappa2_ghz": _NUM,
     "thermal_detune_ghz": _NUM,
     "eo_coeff_ghz_per_v": _NUM,
-    "omega0_thz": _NUM,
 }
 _FILTER_KEYS = {
     "linewidth_fwhm_ghz": _NUM,
@@ -343,17 +343,7 @@ def _execute(manifest: RunManifest) -> tuple[dict, list[dict], dict]:
             "hofmann_bound": char["hofmann_bound"],
             "hofmann_clamped": char["hofmann_clamped"],
         }
-        rows = []
-        for basis in ("xz", "zx"):
-            res = char[basis]
-            labels = res.extras["input_labels"]
-            table = res.extras["table_normalized"]
-            for r, label in enumerate(labels):
-                row = {"basis": basis, "input": label}
-                for c_idx in range(4):
-                    row[f"p_out{c_idx}"] = table[r][c_idx]
-                row["success_probability"] = res.series["success_probability"][r]
-                rows.append(row)
+        rows = _cz_rows(char["xz"]) + _cz_rows(char["zx"])
         metrics = {
             "f_xz": char["f_xz"],
             "f_zx": char["f_zx"],
@@ -392,7 +382,22 @@ def _execute(manifest: RunManifest) -> tuple[dict, list[dict], dict]:
         res = xp.run_cz(cfg, manifest.basis, toggles, manifest.seed, sample,
                         manifest.allow_nonstandard)
     payload = {"experiment": exp, "result": res.to_jsonable()}
-    return payload, _series_rows(res.series), _metric_map(res)
+    rows = _cz_rows(res) if exp == "cz" else _series_rows(res.series)
+    return payload, rows, _metric_map(res)
+
+
+def _cz_rows(res) -> list[dict]:
+    """One row per input state of a gate truth table, in the column order
+    of the schema: basis, input label, p_out0..3, success probability."""
+    rows = []
+    table = res.extras["table_normalized"]
+    for r, label in enumerate(res.extras["input_labels"]):
+        row = {"basis": res.extras["basis"], "input": label}
+        for c_idx in range(4):
+            row[f"p_out{c_idx}"] = table[r][c_idx]
+        row["success_probability"] = res.series["success_probability"][r]
+        rows.append(row)
+    return rows
 
 
 def _series_rows(series: dict) -> list[dict]:
@@ -477,6 +482,10 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
+    for result in payload.values():  # the single result, xz/zx, or each target
+        if isinstance(result, dict):
+            for text in result["warnings"]:
+                print(f"warning: {text}", file=sys.stderr)
     print(f"wrote {out_dir / 'result.json'}")
     print(f"wrote {out_dir / 'sweep.csv'}")
     print(f"wrote {out_dir / 'report.txt'}")

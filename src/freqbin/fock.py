@@ -16,14 +16,17 @@ leaves the retained mode set is dropped, which is exactly the
 post-selected physics when only full coincidences are counted.  No
 unitary dilation is performed.
 
-A permanent-based transition amplitude (`transition_amplitude`) provides
-an independent brute-force oracle for the evolution implemented by
-`apply_transform`.
+`apply_transform` evolves a state by monomial expansion, run once per
+distinct occupation pattern of the transform's modes.  A permanent-based
+transition amplitude (`transition_amplitude`) provides an independent
+brute-force oracle for it: Ryser's formula vectorized over all column
+subsets, O(n^2 2^n) numpy work for an n-photon amplitude, n <= 16.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -168,16 +171,19 @@ class PureState:
         *,
         validate: bool = True,
     ):
-        amps: dict[Occupation, complex] = {}
-        for occ, a in amplitudes.items():
-            a = complex(a)
-            if abs(a) < AMPLITUDE_PRUNE:
-                continue
-            amps[tuple(int(c) for c in occ)] = a
+        if validate:
+            amps: dict[Occupation, complex] = {}
+            for occ, a in amplitudes.items():
+                a = complex(a)
+                if abs(a) < AMPLITUDE_PRUNE:
+                    continue
+                amps[tuple(int(c) for c in occ)] = a
+        else:  # as above, a NaN amplitude is kept
+            amps = {o: a for o, a in amplitudes.items() if not abs(a) < AMPLITUDE_PRUNE}
         if not amps:
             raise ValidationError("state has no amplitude above the pruning threshold")
-        totals = {sum(occ) for occ in amps}
         if validate:
+            totals = {sum(occ) for occ in amps}
             if len(totals) != 1:
                 raise ValidationError("occupations mix different total photon numbers")
             n = next(iter(totals))
@@ -194,7 +200,7 @@ class PureState:
             if nsq > 1.0 + 1e-9:
                 raise ValidationError(f"squared norm {nsq} exceeds 1")
         self.grid = grid
-        self.photon_number = next(iter(totals))
+        self.photon_number = sum(next(iter(amps)))
         self._amps = amps
 
     def items(self):
@@ -265,11 +271,36 @@ class ModeTransform:
         return len(self.mode_subset)
 
 
+#: Largest n of an n x n matrix `permanent` accepts.
+MAX_PERMANENT_SIZE = 16
+_FACTORIALS = tuple(float(math.factorial(k)) for k in range(MAX_PERMANENT_SIZE + 1))
+# Per n: the indicator columns of the 2^n - 1 nonempty column subsets
+# (n x (2^n - 1), complex so that the product with a complex matrix needs
+# no cast; 16 MB at n = 16) and their signs (-1)^|S|.
+_RYSER_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _factorial_product(counts: Iterable[int]) -> float:
+    return math.prod(map(_FACTORIALS.__getitem__, counts))
+
+
+def _ryser_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    table = _RYSER_TABLES.get(n)
+    if table is None:
+        members = (np.arange(1, 1 << n) >> np.arange(n)[:, None]) & 1
+        signs = (-1.0) ** members.sum(axis=0)
+        table = (members.astype(complex), signs.astype(complex))
+        _RYSER_TABLES[n] = table
+    return table
+
+
 def permanent(matrix: np.ndarray) -> complex:
     """Permanent of a square complex matrix, Ryser's formula.
 
-    Subsets are visited in Gray-code order so each step updates the row
-    sums by one column.  O(n 2^n); intended for n <= 16.
+    per(A) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} A[i, j] over the
+    nonempty column subsets S, evaluated in one pass: the row sums of every
+    subset are ``A @ table`` with a cached table of subset indicator
+    columns.  O(n^2 2^n) numpy work; n <= 16.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -277,33 +308,36 @@ def permanent(matrix: np.ndarray) -> complex:
     n = a.shape[0]
     if n == 0:
         return 1.0 + 0.0j
-    if n > 16:
-        raise DomainError("permanent supported up to 16x16")
-    row_sums = np.zeros(n, dtype=complex)
-    total = 0.0 + 0.0j
-    gray_prev = 0
-    subset_size = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        diff = gray ^ gray_prev
-        j = diff.bit_length() - 1
-        if gray & diff:
-            row_sums += a[:, j]
-            subset_size += 1
-        else:
-            row_sums -= a[:, j]
-            subset_size -= 1
-        sign = -1.0 if subset_size % 2 else 1.0
-        total += sign * np.prod(row_sums)
-        gray_prev = gray
-    return complex((-1.0) ** n * total)
+    if n > MAX_PERMANENT_SIZE:
+        raise DomainError(f"permanent supported up to n = {MAX_PERMANENT_SIZE}")
+    members, signs = _ryser_table(n)
+    return (-1.0) ** n * complex((a @ members).prod(axis=0).dot(signs))
 
 
-def _factorial_product(counts: Iterable[int]) -> float:
-    out = 1.0
-    for c in counts:
-        out *= math.factorial(c)
-    return out
+def _expand(m: np.ndarray, sub: Occupation, positions: list[int], n_modes: int):
+    """The output terms of the input pattern ``sub`` on ``positions``, as
+    (full-length occupation change, coefficient) pairs."""
+    start = [0] * n_modes
+    for p, n_p in zip(positions, sub):
+        start[p] = -n_p
+    # Expand prod_i (sum_j M[j,i] a_j^dag)^{n_i} / sqrt(sub!) one photon at a
+    # time.  A photon that brings a mode to c photons contributes sqrt(c),
+    # so each coefficient ends normalized by sqrt(vec!) of its output vec.
+    terms: dict[Occupation, complex] = {
+        tuple(start): 1.0 / math.sqrt(_factorial_product(sub))
+    }
+    for column, n_i in zip(m.T.tolist(), sub):
+        col = [(p, c, n_p) for p, c, n_p in zip(positions, column, sub) if c != 0]
+        for _ in range(n_i):
+            nxt: dict[Occupation, complex] = {}
+            for change, coef in terms.items():
+                for p, c, n_p in col:
+                    new = list(change)
+                    new[p] += 1
+                    key = tuple(new)
+                    nxt[key] = nxt.get(key, 0.0) + coef * c * math.sqrt(new[p] + n_p)
+            terms = nxt
+    return list(terms.items())
 
 
 def apply_transform(state: PureState, t: ModeTransform) -> PureState:
@@ -312,48 +346,22 @@ def apply_transform(state: PureState, t: ModeTransform) -> PureState:
     Photons on modes outside ``t.mode_subset`` are untouched.  Photon
     number is conserved within the retained mode set; for subunitary
     matrices the squared norm may decrease by the weight of branches in
-    which a photon left the retained set.
+    which a photon left the retained set.  The monomial expansion runs
+    once per distinct occupation of ``t.mode_subset``.
     """
     grid = state.grid
     positions = [grid.position(i) for i in t.mode_subset]
-    m = t.matrix
-    k = len(positions)
+    expansions: dict[Occupation, list[tuple[Occupation, complex]]] = {}
     out: dict[Occupation, complex] = {}
 
     for occ, amp in state.items():
-        sub = [occ[p] for p in positions]
-        n_sub = sum(sub)
-        if n_sub == 0:
-            out[occ] = out.get(occ, 0.0) + amp
-            continue
-        base = list(occ)
-        for p in positions:
-            base[p] = 0
-        # Expand prod_i (sum_j M[j,i] a_j^dag)^{n_i} one photon at a time,
-        # tracking monomial coefficients over the subset modes.
-        terms: dict[Occupation, complex] = {
-            (0,) * k: amp / math.sqrt(_factorial_product(sub))
-        }
-        for i, n_i in enumerate(sub):
-            col = m[:, i]
-            for _ in range(n_i):
-                nxt: dict[Occupation, complex] = {}
-                for vec, coef in terms.items():
-                    for j in range(k):
-                        c = col[j]
-                        if c == 0:
-                            continue
-                        new_vec = list(vec)
-                        new_vec[j] += 1
-                        key = tuple(new_vec)
-                        nxt[key] = nxt.get(key, 0.0) + coef * c
-                terms = nxt
-        for vec, coef in terms.items():
-            occ_out = list(base)
-            for j, pos in enumerate(positions):
-                occ_out[pos] = vec[j]
-            key = tuple(occ_out)
-            out[key] = out.get(key, 0.0) + coef * math.sqrt(_factorial_product(vec))
+        sub = tuple(map(occ.__getitem__, positions))
+        terms = expansions.get(sub)
+        if terms is None:
+            terms = expansions[sub] = _expand(t.matrix, sub, positions, grid.n_modes)
+        for change, coef in terms:
+            key = tuple(map(operator.add, occ, change))
+            out[key] = out.get(key, 0.0) + amp * coef
 
     return PureState(grid, out, validate=False)
 
@@ -368,16 +376,14 @@ def transition_amplitude(
     column i of M repeated n_in[i] times and row j repeated n_out[j]
     times.  Serves as the independent oracle for `apply_transform`.
     """
-    nin = [int(c) for c in n_in]
-    nout = [int(c) for c in n_out]
+    nin = list(map(int, n_in))
+    nout = list(map(int, n_out))
     if len(nin) != t.size or len(nout) != t.size:
         raise DomainError("occupation length must match the transform size")
-    if any(c < 0 for c in nin) or any(c < 0 for c in nout):
+    if min(nin + nout, default=0) < 0:
         raise DomainError("negative photon count")
     if sum(nin) != sum(nout):
         raise DomainError("photon number mismatch between input and output")
-    cols = [i for i, c in enumerate(nin) for _ in range(c)]
-    rows = [j for j, c in enumerate(nout) for _ in range(c)]
-    sub = t.matrix[np.ix_(rows, cols)] if rows else np.zeros((0, 0), dtype=complex)
-    norm = math.sqrt(_factorial_product(nin) * _factorial_product(nout))
-    return permanent(sub) / norm
+    modes = np.arange(t.size)
+    per = permanent(t.matrix.take(modes.repeat(nout), 0).take(modes.repeat(nin), 1))
+    return per / math.sqrt(_factorial_product(nin + nout))

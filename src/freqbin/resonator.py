@@ -35,7 +35,6 @@ from .errors import FitError, ValidationError
 class DRParams:
     """Physical parameters of one coupled double resonator."""
 
-    omega0_thz: float = 192.02699
     g_ghz: float = 6.475
     kappa1_ghz: float = 2.0
     kappa_ex_ghz: float = 1.0

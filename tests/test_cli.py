@@ -133,6 +133,17 @@ class TestParsing:
         manifest.write_text(text)
         assert main(["run", str(manifest), "--out", str(tmp_path / "out")]) == 2
 
+    def test_removed_cavity_center_frequency_rejected(self, tmp_path, capsys):
+        # DRParams.omega0_thz was echoed but read by nothing; it is gone.
+        text = '{"experiment": "hom", "config": {"dr1": {"cavity": {"omega0_thz": 192.0}}}}'
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(text)
+        assert err.value.location == "/config/dr1/cavity/omega0_thz"
+        manifest = tmp_path / "m.json"
+        manifest.write_text(text)
+        assert main(["run", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        assert "/config/dr1/cavity/omega0_thz" in capsys.readouterr().err
+
     def test_out_of_range_value(self):
         with pytest.raises(ManifestError):
             parse_manifest(
@@ -280,6 +291,29 @@ class TestRunCommand:
         assert main(["run", str(manifest), "--out", out, "--allow-nonstandard"]) == 0
         payload = json.loads((tmp_path / "out" / "result.json").read_text())
         assert payload["manifest"]["allow_nonstandard"] is True
+
+    def test_warnings_printed_on_stderr(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "experiment": "fmzi", "sweep": {"start": 0, "stop": 6.28, "num": 5},
+            "config": {"dr1": {"transmissivity_T": 0.4}}}))
+        out = tmp_path / "out"
+        assert main(["run", str(manifest), "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        warnings = json.loads((out / "result.json").read_text())["result"]["warnings"]
+        assert len(warnings) == 1 and "not balanced" in warnings[0]
+        assert err == [f"warning: {warnings[0]}"]
+
+    @pytest.mark.parametrize("doc", [
+        {"experiment": "fmzi", "sweep": {"start": 0, "stop": 6.28, "num": 5}},
+        {"experiment": "bell", "sweep": {"start": 0, "stop": 6.28, "num": 5}},
+        {"experiment": "cz"},
+    ], ids=["fmzi", "bell", "cz"])
+    def test_default_manifest_prints_no_warning(self, doc, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["run", str(manifest), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_bad_manifest_exit_code(self, tmp_path):
         manifest = tmp_path / "m.json"

@@ -73,7 +73,11 @@ def test_sweep_csv_header_matches_schema(case, tmp_path):
 
 @pytest.mark.parametrize("basis", ["xz", "zx", "zz"])
 def test_single_basis_cz_columns_are_schema_columns(basis, tmp_path):
-    # One basis is written without the basis column, in the order of the
-    # run's series (input, success_probability, p_out0..3).
-    header = _header(tmp_path, {"experiment": "cz", "basis": basis})
-    assert set(header) == set(SCHEMA["cz"]["columns"]) - {"basis"}
+    # One basis is written like each half of a run in both bases.
+    assert _header(tmp_path, {"experiment": "cz", "basis": basis}) == SCHEMA["cz"]["columns"]
+    with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    labels = json.loads((tmp_path / "out" / "result.json").read_text())[
+        "result"]["extras"]["input_labels"]
+    assert [row["basis"] for row in rows] == [basis] * 4
+    assert [row["input"] for row in rows] == labels

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqbin.errors import ConfigurationError, DomainError, ValidationError
 from freqbin.fock import (
+    AMPLITUDE_PRUNE,
     Bin,
     BinGrid,
     ModeTransform,
@@ -131,6 +134,27 @@ class TestPermanentOracle:
             a = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
             assert permanent(a) == pytest.approx(brute_force_permanent(a), rel=1e-10)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_all_ones_gives_factorial(self, n):
+        assert permanent(np.ones((n, n))) == pytest.approx(math.factorial(n), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_phased_permutation_gives_product_of_phases(self, n):
+        rng = np.random.default_rng(n)
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+        a = np.zeros((n, n), dtype=complex)
+        a[np.arange(n), rng.permutation(n)] = phases
+        assert abs(permanent(a) - np.prod(phases)) < 1e-12
+
+    def test_size_limit(self):
+        a = RNG.normal(size=(16, 16)) / 4.0
+        assert np.isfinite(permanent(a))
+        with pytest.raises(DomainError):
+            permanent(np.eye(17))
+        with pytest.raises(DomainError):
+            permanent(np.ones((2, 3)))
+        assert permanent(np.zeros((0, 0))) == 1.0
+
     def test_identity_diagonal_transition(self):
         ident = ModeTransform((0, 1, 2), np.eye(3))
         assert transition_amplitude(ident, (2, 1, 0), (2, 1, 0)) == pytest.approx(1.0)
@@ -221,3 +245,60 @@ class TestInvariants:
         grid = grid_from_indices([0, 1])
         state = PureState(grid, {(1, 0): 1.0, (0, 1): 1e-16})
         assert len(state) == 1
+
+    def test_unvalidated_state_prunes_and_keeps_entries_as_given(self):
+        grid = grid_from_indices([0, 1, 2])
+        kept = 0.6 - 0.8j
+        state = PureState(
+            grid,
+            {(1, 1, 0): kept, (0, 1, 1): AMPLITUDE_PRUNE / 2, (2, 0, 0): 0.0},
+            validate=False,
+        )
+        assert list(state.items()) == [((1, 1, 0), kept)]
+        assert state.photon_number == 2
+
+
+N_GRID_MODES = 6
+
+
+@st.composite
+def superposition_and_block(draw):
+    """A state of up to 4 photons on a 6-mode grid whose terms share one
+    occupation of a random mode subset, and a subunitary block on it."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(N_GRID_MODES)))
+    size = draw(st.integers(1, N_GRID_MODES - 1))
+    subset = order[:size]
+    inside = draw(st.integers(0, n - 1))
+    shared = [0] * N_GRID_MODES
+    for m in draw(st.lists(st.sampled_from(subset), min_size=inside, max_size=inside)):
+        shared[m] += 1
+    rests = [occ for occ in occupations(N_GRID_MODES, n - inside)
+             if all(occ[m] == 0 for m in subset)]
+    chosen = draw(st.lists(st.sampled_from(rests), min_size=min(2, len(rests)),
+                           max_size=5, unique=True))
+    extra = draw(st.lists(st.sampled_from(list(occupations(N_GRID_MODES, n))),
+                          max_size=2, unique=True))
+    keys = {tuple(map(sum, zip(shared, rest))) for rest in chosen} | set(extra)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    amps *= rng.uniform(0.3, 1.0) / np.linalg.norm(amps)
+    block = haar_unitary(size, rng) * math.sqrt(rng.uniform(0.5, 1.0))
+    return dict(zip(sorted(keys), amps)), tuple(subset), block
+
+
+@settings(max_examples=60, deadline=None)
+@given(superposition_and_block())
+def test_expansion_matches_permanent_oracle(case):
+    terms, subset, block = case
+    grid = grid_from_indices(list(range(N_GRID_MODES)))
+    out = apply_transform(PureState(grid, terms), ModeTransform(subset, block))
+    # The oracle sees the block embedded in the whole grid.
+    full = np.eye(N_GRID_MODES, dtype=complex)
+    full[np.ix_(subset, subset)] = block
+    oracle = ModeTransform(tuple(range(N_GRID_MODES)), full)
+    n = sum(next(iter(terms)))
+    for occ_out in occupations(N_GRID_MODES, n):
+        expected = sum(amp * transition_amplitude(oracle, occ_in, occ_out)
+                       for occ_in, amp in terms.items())
+        assert abs(out.amplitude(occ_out) - expected) < 1e-10
