@@ -27,15 +27,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments as xp
+from .counting import DetectorSpec, SourceSpec
+from .elements import FbsSpec, FilterParams
 from .errors import FitError, FreqbinError, ManifestError
 from .experiments import ChipConfig, default_chip_config
-from .resonator import fit_doublet
+from .resonator import DRParams, fit_doublet
 
 SCHEMA_VERSION = 1
 ENV_OUTPUT_DIR = "FREQBIN_OUTPUT_DIR"
@@ -113,40 +115,17 @@ def _expect_keys(obj: dict, allowed: dict[str, type | tuple], loc: str) -> None:
 
 _NUM = (int, float)
 
-_DR_KEYS = {
-    "transmissivity_T": _NUM,
-    "phase_theta": _NUM,
-    "efficiency_eta": _NUM,
-    "sideband_suppression_db": _NUM,
-    "cavity": dict,
-}
-_CAVITY_KEYS = {
-    "g_ghz": _NUM,
-    "kappa1_ghz": _NUM,
-    "kappa_ex_ghz": _NUM,
-    "kappa2_ghz": _NUM,
-    "thermal_detune_ghz": _NUM,
-    "eo_coeff_ghz_per_v": _NUM,
-}
-_FILTER_KEYS = {
-    "linewidth_fwhm_ghz": _NUM,
-    "fsr_ghz": _NUM,
-    "drop_efficiency": _NUM,
-    "resonance_offset_ghz": _NUM,
-}
-_SOURCE_KEYS = {
-    "pair_rate_hz": _NUM,
-    "car": _NUM,
-    "indistinguishability": _NUM,
-    "photon_linewidth_mhz": _NUM,
-}
-_DETECTOR_KEYS = {
-    "efficiency": _NUM,
-    "dark_rate_hz": _NUM,
-    "coincidence_window_ps": _NUM,
-    "integration_s": _NUM,
-    "insertion_loss": _NUM,
-}
+
+def _numeric_keys(settings) -> dict[str, tuple]:
+    """Manifest keys of a settings dataclass: its fields, all numbers."""
+    return {f.name: _NUM for f in fields(settings)}
+
+
+_DR_KEYS = {**_numeric_keys(FbsSpec), "cavity": dict}
+_CAVITY_KEYS = _numeric_keys(DRParams)
+_FILTER_KEYS = _numeric_keys(FilterParams)
+_SOURCE_KEYS = _numeric_keys(SourceSpec)
+_DETECTOR_KEYS = _numeric_keys(DetectorSpec)
 _CONFIG_KEYS = {
     "global_efficiency": _NUM,
     "r1_transmission": _NUM,
@@ -317,7 +296,8 @@ def _sweep_values(manifest: RunManifest) -> np.ndarray:
     }
     if manifest.sweep:
         s = manifest.sweep
-        return np.linspace(s["start"], s["stop"], s["num"])
+        # float(): an integer past int64 would make linspace an object array.
+        return np.linspace(float(s["start"]), float(s["stop"]), s["num"])
     start, stop, num = defaults.get(manifest.experiment, (0.0, 1.0, 2))
     return np.linspace(start, stop, num)
 
@@ -334,21 +314,11 @@ def _execute(manifest: RunManifest) -> tuple[dict, list[dict], dict]:
         char = xp.run_cz_characterization(
             cfg, toggles, manifest.seed, sample, manifest.allow_nonstandard
         )
-        payload = {
-            "experiment": exp,
-            "xz": char["xz"].to_jsonable(),
-            "zx": char["zx"].to_jsonable(),
-            "f_xz": char["f_xz"],
-            "f_zx": char["f_zx"],
-            "hofmann_bound": char["hofmann_bound"],
-            "hofmann_clamped": char["hofmann_clamped"],
-        }
+        payload = {"experiment": exp, **char}
+        for basis in ("xz", "zx"):
+            payload[basis] = char[basis].to_jsonable()
         rows = _cz_rows(char["xz"]) + _cz_rows(char["zx"])
-        metrics = {
-            "f_xz": char["f_xz"],
-            "f_zx": char["f_zx"],
-            "hofmann_bound": char["hofmann_bound"],
-        }
+        metrics = {k: char[k] for k in ("f_xz", "f_zx", "hofmann_bound")}
         return payload, rows, metrics
 
     if exp == "spectroscopy":

@@ -11,7 +11,10 @@ the accidental mean is lambda_ref / car scaled by a caller-supplied
 weight, where lambda_ref is the same rate formula at p_true = 1.
 Experiments pass weights that combine the operating-point true rate with
 normalized singles products, so the documented CAR values refer to the
-experiment's maximal true-coincidence rate, as quoted in practice.
+experiment's maximal true-coincidence rate, as quoted in practice.  They
+draw one record per sweep point (or truth-table row) and curve (or
+outcome), each from its own seed; a mean too large to draw is a
+`DomainError`.
 """
 
 from __future__ import annotations
@@ -124,7 +127,9 @@ def sample_counts(
     ``accidental_weight`` scales the accidental mean relative to the
     p_true = 1 reference rate divided by the CAR.  Callers that quote CAR
     at an operating point fold the operating true rate and the normalized
-    singles product for the outcome into this weight.
+    singles product for the outcome into this weight.  Raises
+    `DomainError` when a Poisson mean is outside what the generator can
+    draw (NaN, or too large for a 64-bit count).
     """
     if not 0.0 <= p_true <= 1.0 + 1e-12:
         raise DomainError("p_true must lie in [0, 1]")
@@ -136,10 +141,15 @@ def sample_counts(
     lam_single = exposure * arm + d.dark_rate_hz * d.integration_s
 
     rng = np.random.default_rng(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    true_c = int(rng.poisson(lam_true))
-    acc_c = int(rng.poisson(lam_acc))
-    singles_a = int(rng.poisson(lam_single))
-    singles_b = int(rng.poisson(lam_single))
+    try:
+        true_c, acc_c, singles_a, singles_b = [
+            int(rng.poisson(lam)) for lam in (lam_true, lam_acc, lam_single, lam_single)
+        ]
+    except ValueError as exc:
+        raise DomainError(
+            f"cannot draw counts ({exc}): expected true {lam_true:.3g}, accidental"
+            f" {lam_acc:.3g}, singles {lam_single:.3g}"
+        ) from exc
     return CountRecord(
         true_coincidences=true_c,
         accidental_coincidences=acc_c,

@@ -35,12 +35,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .fock import ModeTransform
+from .fock import _NORM_TOL, ModeTransform
 
 DEFAULT_SIDEBAND_SUPPRESSION_DB = 24.0
-
-#: Spectral-norm slack of the physicality check, as in `ModeTransform`.
-_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ entanglement fringes.
 
 Conventions, documented once here:
 
+* A runner resolves its imperfection toggles once (`_effective`): each
+  imperfection whose toggle is off takes its ideal value, and the runner
+  reads only that chip.  Crosstalk alone is decided at detection.
 * Every pipeline is linear optics, so it is evaluated as one
   single-photon matrix U[out, in] on the working grid, composed from its
   elements and stacked over the sweep points as (n_points, n, n).
@@ -36,6 +39,9 @@ Conventions, documented once here:
   cascade.  Single-photon detection probabilities are W |U[:, i]|^2;
   coincidences contract the two-photon probabilities with W on both
   photons (`_coincidences`).
+* Sampled runs draw counts in `_sample` only: the probability p[k, c]
+  of sweep point or truth-table row k and curve or outcome c becomes one
+  count record with seed derive_seed(seed, k, c).
 * Hadamard preparation and analysis use a beam splitter with T = 1/2 and
   theta = 0.  Injecting the |1> bin prepares |+>; after an analysis
   splitter, the lower-index bin detector reads "+".
@@ -77,7 +83,7 @@ from .counting import (
     visibility_minmax,
 )
 from .elements import FbsSpec, FilterParams, fbs_blocks, filter_response
-from .errors import ConfigurationError, FitError, ValidationError
+from .errors import ConfigurationError, DomainError, FitError, ValidationError
 from .fock import Bin, BinGrid
 from .resonator import DRParams, dr_through_spectrum, fit_doublet
 
@@ -255,6 +261,36 @@ def _check_toggles(imperfections: Iterable[str]) -> frozenset[str]:
     return toggles
 
 
+def _effective(cfg: ChipConfig, toggles: frozenset[str]) -> ChipConfig:
+    """The chip the runners evaluate: ``cfg`` with the setting of every
+    imperfection whose toggle is off at its ideal value.  An ideal filter
+    bank is no `FilterParams` value, so `_detector_weights` takes the
+    crosstalk toggle itself."""
+
+    def dr(d: DrConfig) -> DrConfig:
+        return replace(d, fbs=replace(
+            d.fbs,
+            efficiency_eta=d.fbs.efficiency_eta if "eta" in toggles else 1.0,
+            sideband_suppression_db=d.fbs.sideband_suppression_db
+            if "sideband" in toggles else math.inf,
+        ))
+
+    src = cfg.source
+    return replace(
+        cfg,
+        dr1=dr(cfg.dr1),
+        dr2=dr(cfg.dr2),
+        dr3=dr(cfg.dr3),
+        global_efficiency=cfg.global_efficiency if "eta" in toggles else 1.0,
+        source=replace(
+            src,
+            car=src.car if "car" in toggles else math.inf,
+            indistinguishability=src.indistinguishability
+            if "distinguishability" in toggles else 1.0,
+        ),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Circuit assembly helpers.
 
@@ -301,20 +337,18 @@ def _fbs_element(
     grid: BinGrid,
     bins: tuple[int, int],
     sidebands: tuple[int, int],
-    toggles: frozenset[str],
     transmissivity=None,
     theta=None,
 ) -> np.ndarray:
     """One beam splitter with its insertion loss, over the settings that
     ``transmissivity`` and ``theta`` (scalars or arrays) broadcast to."""
-    eta = dr.fbs.efficiency_eta if "eta" in toggles else 1.0
     blocks = fbs_blocks(
         dr.fbs.transmissivity_T if transmissivity is None else transmissivity,
         dr.fbs.phase_theta if theta is None else theta,
-        eta,
-        dr.fbs.sideband_suppression_db if "sideband" in toggles else math.inf,
+        dr.fbs.efficiency_eta,
+        dr.fbs.sideband_suppression_db,
     )
-    return _embed(grid, (*bins, *sidebands), blocks, eta)
+    return _embed(grid, (*bins, *sidebands), blocks, dr.fbs.efficiency_eta)
 
 
 def _compose(global_eta: float, *elements: np.ndarray) -> np.ndarray:
@@ -408,6 +442,27 @@ def _avg_metric(parts: Sequence[MetricResult], method: str) -> MetricResult:
     return MetricResult(value, sigma, method)
 
 
+def _sample(
+    cfg: ChipConfig, p: np.ndarray, accidental_weight, seed: int
+) -> tuple[list[list[CountRecord]], np.ndarray]:
+    """Count records[k][c] for the detection probabilities p[k, c] of
+    sweep point or truth-table row k and curve or outcome c, each drawn
+    with seed derive_seed(seed, k, c) and accidental weight w[k, c]
+    (``accidental_weight`` broadcast to p), plus the int array of their
+    total coincidences."""
+    w = np.broadcast_to(accidental_weight, p.shape).tolist()
+    records = [
+        [
+            sample_counts(p_kc, cfg.detector, cfg.source, derive_seed(seed, k, c),
+                          accidental_weight=w_kc)
+            for c, (p_kc, w_kc) in enumerate(zip(p_k, w_k))
+        ]
+        for k, (p_k, w_k) in enumerate(zip(p.tolist(), w))
+    ]
+    totals = [[rec.total_coincidences for rec in row] for row in records]
+    return records, np.array(totals, dtype=int).reshape(p.shape)
+
+
 # ---------------------------------------------------------------------------
 # Mach-Zehnder interferometer in the frequency basis.
 
@@ -430,10 +485,11 @@ def run_fmzi(
     if mode not in ("classical", "quantum"):
         raise ConfigurationError(f"unknown interferometer mode {mode!r}")
     toggles = _check_toggles(imperfections)
+    chip = _effective(cfg, toggles)
     if sample is None:
         sample = mode == "quantum"
     warnings = []
-    for name, dr in (("dr1", cfg.dr1), ("dr3", cfg.dr3)):
+    for name, dr in (("dr1", chip.dr1), ("dr3", chip.dr3)):
         if abs(dr.fbs.transmissivity_T - 0.5) > 1e-9:
             warnings.append(
                 f"{name} transmissivity {dr.fbs.transmissivity_T} is not balanced;"
@@ -443,65 +499,38 @@ def run_fmzi(
     phases = [float(p) for p in phases]
     if not all(math.isfinite(p) for p in phases):
         raise ValidationError("phases must be finite")
-    grid, sb = _working_grid(cfg, 2)
+    grid, sb = _working_grid(chip, 2)
     bins = (0, 1)
     u = _compose(
-        cfg.global_efficiency if "eta" in toggles else 1.0,
-        _fbs_element(cfg.dr1, grid, bins, sb[0], toggles),
+        chip.global_efficiency,
+        _fbs_element(chip.dr1, grid, bins, sb[0]),
         _embed(grid, (1,), np.exp(1j * np.asarray(phases))[:, None, None]),
-        _fbs_element(cfg.dr3, grid, bins, sb[1], toggles),
+        _fbs_element(chip.dr3, grid, bins, sb[1]),
     )
-    weights = _detector_weights(grid, bins, cfg.filters, "crosstalk" in toggles)
-    # probs[k, d, i]: detector d fires for the photon injected at bin i.
+    weights = _detector_weights(grid, bins, chip.filters, "crosstalk" in toggles)
+    # p[k, c]: detector d fires for the photon injected at bin i, c = 2 i + d.
     probs = weights @ np.abs(u[:, :, [grid.position(b) for b in bins]]) ** 2
-    curves = {
-        (i, d): probs[:, kd, ki].tolist()
-        for ki, i in enumerate(bins)
-        for kd, d in enumerate(bins)
-    }
+    p = np.swapaxes(probs, 1, 2).reshape(len(phases), 4)
+    names = [f"in{i + 1}_port{d + 1}" for i in bins for d in bins]
 
     series = {"phase_rad": phases}
-    for (i, d), col in curves.items():
-        series[f"p_in{i + 1}_port{d + 1}"] = col
+    for c, name in enumerate(names):
+        series[f"p_{name}"] = p[:, c].tolist()
 
     metrics: dict[str, MetricResult] = {}
     counts_per_point: list[dict[str, CountRecord]] | None = None
-    fringe_resolved = len(phases) >= 2
-    if fringe_resolved and (mode == "classical" or not sample):
-        per_curve = [
-            visibility_minmax(col) for col in curves.values()
-        ]
-        for (i, d), m in zip(curves.keys(), per_curve):
-            metrics[f"visibility_in{i + 1}_port{d + 1}"] = m
-        metrics["visibility_avg"] = _avg_metric(per_curve, "mean of four fringe curves")
+    fringes, method = p, "mean of four fringe curves"
     if sample:
-        src = replace(cfg.source, car=cfg.source.car if "car" in toggles else math.inf)
-        p_ref = max(max(col) for col in curves.values())
-        counts_per_point = []
-        count_curves: dict[tuple[int, int], list[int]] = {k: [] for k in curves}
-        for k_phi in range(len(phases)):
-            point: dict[str, CountRecord] = {}
-            for c_idx, ((i, d), col) in enumerate(curves.items()):
-                rec = sample_counts(
-                    col[k_phi],
-                    cfg.detector,
-                    src,
-                    derive_seed(seed, k_phi, c_idx),
-                    accidental_weight=p_ref,
-                )
-                point[f"in{i + 1}_port{d + 1}"] = rec
-                count_curves[(i, d)].append(rec.total_coincidences)
-                series.setdefault(f"counts_in{i + 1}_port{d + 1}", []).append(
-                    rec.total_coincidences
-                )
-            counts_per_point.append(point)
-        if fringe_resolved:
-            per_curve = [visibility_minmax(col) for col in count_curves.values()]
-            for (i, d), m in zip(count_curves.keys(), per_curve):
-                metrics[f"visibility_in{i + 1}_port{d + 1}"] = m
-            metrics["visibility_avg"] = _avg_metric(
-                per_curve, "mean of four sampled fringe curves"
-            )
+        records, fringes = _sample(chip, p, p.max(), seed)
+        counts_per_point = [dict(zip(names, row)) for row in records]
+        for c, name in enumerate(names):
+            series[f"counts_{name}"] = fringes[:, c].tolist()
+        method = "mean of four sampled fringe curves"
+    if len(phases) >= 2:
+        per_curve = [visibility_minmax(fringes[:, c]) for c in range(4)]
+        for name, m in zip(names, per_curve):
+            metrics[f"visibility_{name}"] = m
+        metrics["visibility_avg"] = _avg_metric(per_curve, method)
 
     return ExperimentResult(
         experiment="fmzi",
@@ -538,26 +567,23 @@ def run_hom(
     the far-delay coincidence level.
     """
     toggles = _check_toggles(imperfections)
+    chip = _effective(cfg, toggles)
     if v_indist is None:
-        v_indist = (
-            cfg.source.indistinguishability if "distinguishability" in toggles else 1.0
-        )
+        v_indist = chip.source.indistinguishability
     if not 0.0 <= v_indist <= 1.0:
         raise ValidationError("indistinguishability must lie in [0, 1]")
 
-    grid, sb = _working_grid(cfg, 1)
+    grid, sb = _working_grid(chip, 1)
     bins = (0, 1)
-    global_eta = cfg.global_efficiency if "eta" in toggles else 1.0
-    weights = _detector_weights(grid, bins, cfg.filters, "crosstalk" in toggles)
-    src = replace(cfg.source, car=cfg.source.car if "car" in toggles else math.inf)
+    weights = _detector_weights(grid, bins, chip.filters, "crosstalk" in toggles)
 
     reflectivities = [float(r) for r in reflectivities]
     rs = np.asarray(reflectivities)
     if not np.all((rs >= 0.0) & (rs <= 1.0)):
         raise ValidationError("reflectivities must lie in [0, 1]")
     u = _compose(
-        global_eta,
-        _fbs_element(cfg.dr3, grid, bins, sb[0], toggles, transmissivity=1.0 - rs),
+        chip.global_efficiency,
+        _fbs_element(chip.dr3, grid, bins, sb[0], transmissivity=1.0 - rs),
     )
     pos = [grid.position(b) for b in bins]
     s = _pair_amplitudes(u, *pos)
@@ -580,41 +606,21 @@ def run_hom(
 
     half_idx = int(np.argmin(np.abs(np.asarray(reflectivities) - 0.5)))
     if sample:
-        counts_per_point = []
-        p_ref = max(p_dist_col)
-        vis_counts = []
-        for k, (p_cc, p_dist) in enumerate(zip(p_cc_col, p_dist_col)):
-            rec_obs = sample_counts(
-                p_cc, cfg.detector, src, derive_seed(seed, k, 0),
-                accidental_weight=p_ref,
-            )
-            rec_ref = sample_counts(
-                p_dist, cfg.detector, src, derive_seed(seed, k, 1),
-                accidental_weight=p_ref,
-            )
-            counts_per_point.append({"observed": rec_obs, "reference": rec_ref})
-            if rec_ref.total_coincidences > 0:
-                vis_counts.append(
-                    visibility_hom(
-                        rec_ref.total_coincidences, rec_obs.total_coincidences
-                    )
-                )
-            else:
-                vis_counts.append(MetricResult(0.0, 0.0, "empty reference"))
-        series["counts_observed"] = [
-            p["observed"].total_coincidences for p in counts_per_point
-        ]
-        series["counts_reference"] = [
-            p["reference"].total_coincidences for p in counts_per_point
-        ]
-        metrics["visibility_at_balanced"] = vis_counts[half_idx]
+        records, totals = _sample(chip, np.stack([p_cc, p_dist], axis=1), p_dist.max(), seed)
+        counts_per_point = [dict(zip(("observed", "reference"), row)) for row in records]
+        series["counts_observed"], series["counts_reference"] = totals.T.tolist()
+        n_obs, n_ref = totals[half_idx].tolist()
+        metrics["visibility_at_balanced"] = (
+            visibility_hom(n_ref, n_obs) if n_ref > 0
+            else MetricResult(0.0, 0.0, "empty reference")
+        )
     else:
         metrics["visibility_at_balanced"] = MetricResult(
             vis_col[half_idx], 0.0, "probability ratio"
         )
 
     tau = np.linspace(-4000.0, 4000.0, 401)
-    hist = g2_histogram(tau, cfg.source.photon_linewidth_mhz, cfg.detector.coincidence_window_ps)
+    hist = g2_histogram(tau, chip.source.photon_linewidth_mhz, chip.detector.coincidence_window_ps)
     return ExperimentResult(
         experiment="hom",
         sweep_name="reflectivity",
@@ -699,36 +705,37 @@ def run_cz(
     if basis not in _CZ_BASES:
         raise ConfigurationError(f"basis must be one of {_CZ_BASES}")
     toggles = _check_toggles(imperfections)
+    chip = _effective(cfg, toggles)
     if not allow_nonstandard:
-        if abs(cfg.dr2.fbs.transmissivity_T - 1.0 / 3.0) > 1e-9:
+        if abs(chip.dr2.fbs.transmissivity_T - 1.0 / 3.0) > 1e-9:
             raise ValidationError(
                 "gate requires DR2 transmissivity 1/3; pass allow_nonstandard to override"
             )
         for name, value in (
-            ("r1_transmission", cfg.r1_transmission),
-            ("r2_transmission", cfg.r2_transmission),
+            ("r1_transmission", chip.r1_transmission),
+            ("r2_transmission", chip.r2_transmission),
         ):
             if abs(value - 1.0 / 3.0) > 1e-9:
                 raise ValidationError(
                     f"gate requires {name} = 1/3; pass allow_nonstandard to override"
                 )
 
-    grid, sb = _working_grid(cfg, 3)
+    grid, sb = _working_grid(chip, 3)
     c0, c1 = CZ_CONTROL_BINS
     t0, t1 = CZ_TARGET_BINS
     elements = [
-        _embed(grid, (c0,), np.full((1, 1, 1), math.sqrt(cfg.r1_transmission))),
-        _embed(grid, (t1,), np.full((1, 1, 1), math.sqrt(cfg.r2_transmission))),
-        _fbs_element(cfg.dr2, grid, (t0, c1), sb[1], toggles),
+        _embed(grid, (c0,), np.full((1, 1, 1), math.sqrt(chip.r1_transmission))),
+        _embed(grid, (t1,), np.full((1, 1, 1), math.sqrt(chip.r2_transmission))),
+        _fbs_element(chip.dr2, grid, (t0, c1), sb[1]),
     ]
     if basis != "zz":
         h_bins = (c0, c1) if basis == "xz" else (t0, t1)
-        prep = _fbs_element(cfg.dr1, grid, h_bins, sb[0], toggles, transmissivity=0.5, theta=0.0)
-        analysis = _fbs_element(cfg.dr3, grid, h_bins, sb[2], toggles, transmissivity=0.5, theta=0.0)
+        prep = _fbs_element(chip.dr1, grid, h_bins, sb[0], transmissivity=0.5, theta=0.0)
+        analysis = _fbs_element(chip.dr3, grid, h_bins, sb[2], transmissivity=0.5, theta=0.0)
         elements = [prep, *elements, analysis]
-    u = _compose(cfg.global_efficiency if "eta" in toggles else 1.0, *elements)[0]
+    u = _compose(chip.global_efficiency, *elements)[0]
     dets = (c0, c1, t0, t1)
-    weights = _detector_weights(grid, dets, cfg.filters, "crosstalk" in toggles)
+    weights = _detector_weights(grid, dets, chip.filters, "crosstalk" in toggles)
     pos = [grid.position(d) for d in dets]
 
     labels = _CZ_INPUTS[basis]
@@ -762,27 +769,19 @@ def run_cz(
     counts_per_point: list[dict[str, CountRecord]] | None = None
     counts_table = None
     if sample:
-        src = replace(cfg.source, car=cfg.source.car if "car" in toggles else math.inf)
-        p_row_ref = float(success.max())
-        counts_table = np.zeros((4, 4))
-        counts_per_point = []
-        for row in range(4):
-            share = singles_rows[row] / (singles_rows[row].sum() or 1.0)
-            pair_share = np.outer(share[:2], share[2:]).ravel()
-            denom = pair_share.sum() or 1.0
-            point: dict[str, CountRecord] = {}
-            for col in range(4):
-                weight = p_row_ref * pair_share[col] / denom
-                rec = sample_counts(
-                    exact[row, col],
-                    cfg.detector,
-                    src,
-                    derive_seed(seed, row, col),
-                    accidental_weight=weight,
-                )
-                counts_table[row, col] = rec.total_coincidences
-                point[f"{labels[row]}->{labels[col]}"] = rec
-            counts_per_point.append(point)
+        # Accidental weight per cell: the largest row success times the
+        # row's normalized product of singles on the cell's two detectors.
+        flux = singles_rows.sum(axis=1, keepdims=True)
+        share = singles_rows / np.where(flux == 0.0, 1.0, flux)
+        pair_share = (share[:, :2, None] * share[:, None, 2:]).reshape(4, 4)
+        denom = pair_share.sum(axis=1, keepdims=True)
+        weight = float(success.max()) * pair_share / np.where(denom == 0.0, 1.0, denom)
+        records, totals = _sample(chip, exact, weight, seed)
+        counts_table = totals.astype(float)
+        counts_per_point = [
+            {f"{row_label}->{label}": rec for label, rec in zip(labels, row)}
+            for row_label, row in zip(labels, records)
+        ]
         if np.all(counts_table.sum(axis=1) > 0):
             metrics["fidelity_counts"] = truth_table_fidelity(
                 counts_table, cz_ideal_table(basis)
@@ -831,6 +830,9 @@ def run_cz_characterization(
     res_xz = run_cz(cfg, "xz", imperfections, derive_seed(seed, 1), sample, allow_nonstandard)
     res_zx = run_cz(cfg, "zx", imperfections, derive_seed(seed, 2), sample, allow_nonstandard)
     key = "fidelity_counts" if sample else "fidelity"
+    for basis, res in (("xz", res_xz), ("zx", res_zx)):
+        if key not in res.metrics:  # its last warning says why
+            raise DomainError(f"no {key} in the {basis} basis: {res.warnings[-1]}")
     f_xz = res_xz.metrics[key].value
     f_zx = res_zx.metrics[key].value
     bound = hofmann_bound(f_xz, f_zx)
@@ -863,26 +865,26 @@ def run_bell(
     detector of each pair reads "+".
     """
     toggles = _check_toggles(imperfections)
+    chip = _effective(cfg, toggles)
     warnings = []
-    for name, dr in (("dr1", cfg.dr1), ("dr2", cfg.dr2)):
+    for name, dr in (("dr1", chip.dr1), ("dr2", chip.dr2)):
         if abs(dr.fbs.transmissivity_T - 0.5) > 1e-9:
             warnings.append(
                 f"{name} transmissivity {dr.fbs.transmissivity_T} is not balanced"
             )
 
-    grid, sb = _working_grid(cfg, 2)
+    grid, sb = _working_grid(chip, 2)
     f1, f2, f3, f4 = BELL_BINS
-    src = replace(cfg.source, car=cfg.source.car if "car" in toggles else math.inf)
-    v = src.indistinguishability if "distinguishability" in toggles else 1.0
-    weights = _detector_weights(grid, BELL_BINS, cfg.filters, "crosstalk" in toggles)
+    v = chip.source.indistinguishability
+    weights = _detector_weights(grid, BELL_BINS, chip.filters, "crosstalk" in toggles)
     # Outcomes (f1 f3, f1 f4, f2 f3, f2 f4) in the order of the curves.
     curve_names = ("p_pp", "p_pm", "p_mp", "p_mm")
 
     phases = [float(p) for p in phases]
     u = _compose(
-        cfg.global_efficiency if "eta" in toggles else 1.0,
-        _fbs_element(cfg.dr1, grid, (f1, f2), sb[0], toggles, transmissivity=0.5, theta=0.0),
-        _fbs_element(cfg.dr2, grid, (f3, f4), sb[1], toggles, transmissivity=0.5,
+        chip.global_efficiency,
+        _fbs_element(chip.dr1, grid, (f1, f2), sb[0], transmissivity=0.5, theta=0.0),
+        _fbs_element(chip.dr2, grid, (f3, f4), sb[1], transmissivity=0.5,
                      theta=np.asarray(phases)),
     )
     p1, p2, p3, p4 = (grid.position(b) for b in BELL_BINS)
@@ -897,37 +899,20 @@ def run_bell(
     coherent = detect((s00 + s11) / math.sqrt(2.0))
     incoherent = 0.5 * (detect(s00) + detect(s11))
     mixed = indistinguishability_mix(coherent, incoherent, v)
-    curves = {name: mixed[:, k].tolist() for k, name in enumerate(curve_names)}
 
-    series = {"phase_rad": phases, **curves}
+    series = {"phase_rad": phases}
+    for c, name in enumerate(curve_names):
+        series[name] = mixed[:, c].tolist()
     metrics: dict[str, MetricResult] = {}
     counts_per_point: list[dict[str, CountRecord]] | None = None
-    fringe_resolved = len(phases) >= 2
+    fringes = mixed
     if sample:
-        p_ref = max(max(col) for col in curves.values())
-        counts_per_point = []
-        count_curves = {name: [] for name in curve_names}
-        for k in range(len(phases)):
-            point = {}
-            for c_idx, name in enumerate(curve_names):
-                rec = sample_counts(
-                    curves[name][k],
-                    cfg.detector,
-                    src,
-                    derive_seed(seed, k, c_idx),
-                    accidental_weight=p_ref / 4.0,
-                )
-                point[name] = rec
-                count_curves[name].append(rec.total_coincidences)
-                series.setdefault(f"counts_{name[2:]}", []).append(
-                    rec.total_coincidences
-                )
-            counts_per_point.append(point)
-        fringe_source = count_curves
-    else:
-        fringe_source = curves
-    if fringe_resolved:
-        per_curve = [visibility_minmax(fringe_source[name]) for name in curve_names]
+        records, fringes = _sample(chip, mixed, mixed.max() / 4.0, seed)
+        counts_per_point = [dict(zip(curve_names, row)) for row in records]
+        for c, name in enumerate(curve_names):
+            series[f"counts_{name[2:]}"] = fringes[:, c].tolist()
+    if len(phases) >= 2:
+        per_curve = [visibility_minmax(fringes[:, c]) for c in range(4)]
         for name, m in zip(curve_names, per_curve):
             metrics[f"visibility_{name[2:]}"] = m
         metrics["visibility_avg"] = _avg_metric(per_curve, "mean of four fringe curves")

@@ -40,8 +40,7 @@ Occupation = tuple[int, ...]
 
 ROLE_COMPUTATIONAL = "computational"
 ROLE_SIDEBAND = "sideband"
-ROLE_LOSS = "loss"
-_ROLES = (ROLE_COMPUTATIONAL, ROLE_SIDEBAND, ROLE_LOSS)
+_ROLES = (ROLE_COMPUTATIONAL, ROLE_SIDEBAND)
 
 #: Transmission window of the chip's grating couplers, THz.
 GRATING_WINDOW_THZ = (190.1734, 192.6459)
@@ -53,6 +52,7 @@ AMPLITUDE_PRUNE = 1e-15
 MAX_PHOTON_NUMBER = 4
 
 _UNITARY_ATOL = 1e-9
+#: Spectral-norm slack of the physicality check of a coupling matrix.
 _NORM_TOL = 1e-9
 
 
@@ -113,19 +113,12 @@ class BinGrid:
     def n_modes(self) -> int:
         return len(self.bins)
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(b.index for b in self.bins)
-
     def position(self, index: int) -> int:
         """Position of a bin index within occupation vectors."""
         try:
             return self._pos[index]
         except KeyError:
             raise ConfigurationError(f"mode index {index} is not on the grid")
-
-    def has_index(self, index: int) -> bool:
-        return index in self._pos
 
     def role_indices(self, role: str) -> tuple[int, ...]:
         return tuple(b.index for b in self.bins if b.role == role)
@@ -143,14 +136,12 @@ class BinGrid:
 def grid_from_indices(
     computational: Iterable[int],
     sideband: Iterable[int] = (),
-    loss: Iterable[int] = (),
     bin_spacing_ghz: float = 12.95,
     anchor_thz: float | None = None,
 ) -> BinGrid:
     """Convenience constructor from per-role index lists."""
     bins = [Bin(i, ROLE_COMPUTATIONAL) for i in computational]
     bins += [Bin(i, ROLE_SIDEBAND) for i in sideband]
-    bins += [Bin(i, ROLE_LOSS) for i in loss]
     return BinGrid(tuple(bins), bin_spacing_ghz=bin_spacing_ghz, anchor_thz=anchor_thz)
 
 
@@ -211,12 +202,6 @@ class PureState:
 
     def norm_squared(self) -> float:
         return float(sum(abs(a) ** 2 for a in self._amps.values()))
-
-    def normalized(self) -> "PureState":
-        n = math.sqrt(self.norm_squared())
-        return PureState(
-            self.grid, {occ: a / n for occ, a in self._amps.items()}, validate=False
-        )
 
     def __len__(self) -> int:
         return len(self._amps)

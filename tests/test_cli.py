@@ -4,7 +4,9 @@ import csv
 import hashlib
 import json
 import math
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,14 +166,32 @@ _JSON = st.recursive(
 _NUMBER = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
 
 
-def _object(schema, nested=None):
+def _object(schema, nested=None, number=_NUMBER, max_keys=None):
+    """Objects over the keys of ``schema``: any subset of them, or at most
+    ``max_keys`` of them."""
     nested = nested or {}
-    return st.fixed_dictionaries({}, optional={
-        k: nested.get(k, _NUMBER if schema[k] == _NUM else _JSON) for k in schema
+    values = {k: nested.get(k, number if schema[k] == _NUM else _JSON) for k in schema}
+    if max_keys is None:
+        return st.fixed_dictionaries({}, optional=values)
+    return st.lists(st.sampled_from(sorted(values)), max_size=max_keys, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({k: values[k] for k in keys})
+    )
+
+
+def _config(number, max_keys=None):
+    """/config documents whose numbers are drawn from ``number``."""
+    def obj(schema, nested=None):
+        return _object(schema, nested, number, max_keys)
+
+    dr = obj(_DR_KEYS, {"cavity": obj(_CAVITY_KEYS)})
+    return obj(_CONFIG_KEYS, {
+        "dr1": dr, "dr2": dr, "dr3": dr,
+        "filters": obj(_FILTER_KEYS),
+        "source": obj(_SOURCE_KEYS),
+        "detector": obj(_DETECTOR_KEYS),
     })
 
 
-_DR = _object(_DR_KEYS, {"cavity": _object(_CAVITY_KEYS)})
 _TOP_VALUES = {
     "experiment": st.sampled_from(sorted(EXPERIMENTS)),
     "schema_version": st.just(1),
@@ -180,12 +200,7 @@ _TOP_VALUES = {
     "sweep": st.fixed_dictionaries(
         {"start": _NUMBER, "stop": _NUMBER, "num": st.integers(2, 50)}
     ),
-    "config": _object(_CONFIG_KEYS, {
-        "dr1": _DR, "dr2": _DR, "dr3": _DR,
-        "filters": _object(_FILTER_KEYS),
-        "source": _object(_SOURCE_KEYS),
-        "detector": _object(_DETECTOR_KEYS),
-    }),
+    "config": _config(_NUMBER),
     "imperfections": st.lists(st.sampled_from(sorted(IMPERFECTION_NAMES)), max_size=3),
     "mode": st.sampled_from(["classical", "quantum"]),
     "basis": st.sampled_from(["both", "xz", "zx", "zz"]),
@@ -217,6 +232,67 @@ def test_fuzzed_manifest_parses_or_raises_manifest_error(doc, data):
         parse_manifest(json.dumps(doc))
     except ManifestError:
         pass
+
+
+# Whole-run fuzz: typed documents with nonnegative numbers of any size
+# (those in [0, 1], where most settings are valid, drawn often), at most
+# three keys per config object and a small sweep, run end to end.  Values
+# that parse but fail at run time must end in exit 2 or 3, never in an
+# exception.
+_RUN_NUMBER = (
+    st.floats(0.0, 1.0)
+    | st.integers(min_value=0)
+    | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+)
+_RUN_MANIFESTS = st.fixed_dictionaries(
+    {
+        "experiment": _TOP_VALUES["experiment"],
+        "sweep": st.fixed_dictionaries(
+            {"start": _RUN_NUMBER, "stop": _RUN_NUMBER, "num": st.integers(2, 5)}
+        ),
+    },
+    optional={
+        **{k: v for k, v in _TOP_VALUES.items()
+           if k not in ("experiment", "sweep", "output_dir")},
+        "config": _config(_RUN_NUMBER, max_keys=3),
+    },
+)
+
+
+def _run(doc, out):
+    manifest = out / "m.json"
+    manifest.write_text(json.dumps(doc))
+    return main(["run", str(manifest), "--out", str(out)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_RUN_MANIFESTS)
+def test_fuzzed_run_exits_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _run(doc, Path(tmp)) in (0, 2, 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    doc=st.fixed_dictionaries({
+        "experiment": _TOP_VALUES["experiment"],
+        "seed": _TOP_VALUES["seed"],
+        "imperfections": _TOP_VALUES["imperfections"],
+        "mode": _TOP_VALUES["mode"],
+        "basis": _TOP_VALUES["basis"],
+        # Inside (0, 1) for hom, and off the zeros of the entangled fringes.
+        "sweep": st.fixed_dictionaries({"start": st.floats(0.1, 0.4),
+                                        "stop": st.floats(0.6, 0.9),
+                                        "num": st.integers(2, 5)}),
+    })
+)
+def test_same_manifest_and_seed_give_identical_result_bytes(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp, "a"), Path(tmp, "b")
+        a.mkdir()
+        b.mkdir()
+        assert _run(doc, a) == _run(doc, b) == 0
+        assert (a / "result.json").read_bytes() == (b / "result.json").read_bytes()
 
 
 class TestListing:
@@ -314,6 +390,38 @@ class TestRunCommand:
         manifest.write_text(json.dumps(doc))
         assert main(["run", str(manifest), "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"experiment": "fmzi", "mode": "quantum", "imperfections": ["car"],
+          "config": {"detector": {"integration_s": 1e300}}}, "cannot draw counts"),
+        ({"experiment": "hom", "config": {"source": {"pair_rate_hz": 1e300}}},
+         "cannot draw counts"),
+        ({"experiment": "bell", "config": {"detector": {"dark_rate_hz": 1e300}}},
+         "cannot draw counts"),
+        ({"experiment": "cz", "imperfections": ["car"],
+          "config": {"source": {"car": 1.0000001}, "detector": {"integration_s": 1e20}}},
+         "cannot draw counts"),
+        ({"experiment": "cz", "allow_nonstandard": True, "imperfections": ["car", "eta"],
+          "config": {"global_efficiency": 1e-9}}, "no fidelity_counts in the xz basis"),
+        ({"experiment": "cz", "allow_nonstandard": True,
+          "config": {"r1_transmission": 5e-324}}, "no fidelity in the zx basis"),
+    ], ids=["fmzi-counts", "hom-counts", "bell-counts", "cz-counts", "gate-no-counts",
+            "gate-no-acceptance"])
+    def test_runs_that_ended_in_a_traceback(self, doc, message, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["run", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_integer_sweep_bound_past_int64(self, tmp_path):
+        # Made the sweep an object array: a numpy casting error and exit 1.
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"experiment": "spectroscopy", "target": "filters",
+                                        "sweep": {"start": 0, "stop": 10**20, "num": 3}}))
+        assert main(["run", str(manifest), "--out", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert payload["filters"]["sweep_values"] == [0.0, 5e19, 1e20]
 
     def test_bad_manifest_exit_code(self, tmp_path):
         manifest = tmp_path / "m.json"

@@ -16,7 +16,9 @@ from freqbin.errors import ValidationError
 from freqbin.experiments import (
     IMPERFECTION_NAMES,
     _coincidences,
+    _effective,
     _pair_amplitudes,
+    config_echo,
     default_chip_config,
     run_bell,
     run_cz,
@@ -91,6 +93,17 @@ def test_bell_matches_sequential_reference(chip, toggles):
     res = run_bell(chip, PHASES, imperfections=toggles)
     for name, col in ref.bell_curves(chip, PHASES, toggles).items():
         assert _gap(res.series[name], col) < TOL
+
+
+def test_effective_chip_sets_switched_off_imperfections_ideal(chip):
+    assert _effective(chip, IMPERFECTION_NAMES) == chip
+    ideal = _effective(chip, frozenset())
+    assert ideal.global_efficiency == 1.0
+    assert (ideal.source.car, ideal.source.indistinguishability) == (math.inf, 1.0)
+    for dr in (ideal.dr1, ideal.dr2, ideal.dr3):
+        assert (dr.fbs.efficiency_eta, dr.fbs.sideband_suppression_db) == (1.0, math.inf)
+    assert ideal.filters == chip.filters  # crosstalk is resolved at detection
+    assert run_hom(chip, [0.5]).config_echo == config_echo(chip)
 
 
 def test_batched_blocks_reject_non_finite_settings():

@@ -84,6 +84,17 @@ class TestSampling:
             estimates.append(visibility_minmax(counts).value)
         assert abs(np.mean(estimates) - v_true) / v_true < 0.005
 
+    @pytest.mark.parametrize("d, s", [
+        (DetectorSpec(integration_s=1e300), SourceSpec()),
+        (DetectorSpec(), SourceSpec(pair_rate_hz=1e300)),
+        (DetectorSpec(dark_rate_hz=1e300), SourceSpec()),
+        (DetectorSpec(integration_s=1e20), SourceSpec(car=1.0000001)),
+    ], ids=["integration", "pair-rate", "dark-rate", "accidentals"])
+    def test_mean_past_the_generator_range_is_a_domain_error(self, d, s):
+        # Used to escape as numpy's ValueError "lam value too large".
+        with pytest.raises(DomainError, match="cannot draw counts"):
+            sample_counts(0.5, d, s, seed=1)
+
     def test_record_json_field_order(self):
         rec = sample_counts(0.5, DetectorSpec(), SourceSpec(car=10.0), seed=1)
         keys = list(json.loads(rec.to_json()))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from freqbin.elements import fbs_transform
-from freqbin.errors import ConfigurationError, ValidationError
+from freqbin.errors import ConfigurationError, DomainError, ValidationError
 from freqbin.experiments import (
     CZ_CONTROL_BINS,
     CZ_TARGET_BINS,
@@ -146,6 +146,18 @@ class TestCz:
             for basis in ("zz", "xz"):
                 res = run_cz(lossy, basis, imperfections={"eta", "sideband", "crosstalk"})
                 assert max(res.series["success_probability"]) <= 1.0 / 9.0 + 1e-12
+
+    @pytest.mark.parametrize("sample, change, basis, reason", [
+        (True, {"global_efficiency": 1e-9}, "xz", "sampled truth-table row is empty"),
+        (False, {"r1_transmission": 5e-324}, "zx", "zero acceptance probability"),
+    ], ids=["no-counts", "no-acceptance"])
+    def test_bound_without_a_basis_fidelity_is_a_domain_error(
+        self, cfg, sample, change, basis, reason
+    ):
+        # Used to end in a KeyError on the missing fidelity metric.
+        chip = replace(cfg, source=replace(cfg.source, car=14.0), **change)
+        with pytest.raises(DomainError, match=f"{basis} basis: .*{reason}"):
+            run_cz_characterization(chip, {"car", "eta"}, 3, sample, allow_nonstandard=True)
 
     def test_wrong_splitting_rejected(self, cfg):
         bad = replace(
