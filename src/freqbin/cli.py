@@ -239,6 +239,7 @@ def parse_manifest(text: str) -> RunManifest:
         allow_nonstandard=raw.get("allow_nonstandard", False),
     )
     build_config(manifest)  # rejects out-of-range settings
+    _sweep_values(manifest)  # rejects a sweep span past the float range
     return manifest
 
 
@@ -295,9 +296,11 @@ def _sweep_values(manifest: RunManifest) -> np.ndarray:
         "spectroscopy": (-15.0, 15.0, 601),
     }
     if manifest.sweep:
-        s = manifest.sweep
         # float(): an integer past int64 would make linspace an object array.
-        return np.linspace(float(s["start"]), float(s["stop"]), s["num"])
+        start, stop = float(manifest.sweep["start"]), float(manifest.sweep["stop"])
+        if not math.isfinite(stop - start):
+            raise _err("sweep span stop - start must be a finite number", "/sweep")
+        return np.linspace(start, stop, manifest.sweep["num"])
     start, stop, num = defaults.get(manifest.experiment, (0.0, 1.0, 2))
     return np.linspace(start, stop, num)
 
@@ -429,7 +432,7 @@ def _cmd_run(args) -> int:
         print(f"error: cannot read manifest: {exc}", file=sys.stderr)
         return 2
     except ManifestError as exc:
-        print(f"manifest error: {exc}", file=sys.stderr)
+        print(f"error: manifest {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
         manifest.seed = args.seed
@@ -443,12 +446,9 @@ def _cmd_run(args) -> int:
     try:
         payload, rows, metrics = _execute(manifest)
         _write_outputs(out_dir, manifest, payload, rows, metrics)
-    except FitError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return 3
     except FreqbinError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, FitError) else 2
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
@@ -485,7 +485,7 @@ def _cmd_fit(args) -> int:
     try:
         fit = fit_doublet(np.asarray(detuning), np.asarray(transmission))
     except FreqbinError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     print(f"mode splitting 2g : {fit.two_g_ghz:.4f} GHz")
     print(f"linewidths        : {fit.linewidths_ghz[0]:.4f}, "

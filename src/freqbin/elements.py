@@ -97,6 +97,11 @@ def fbs_blocks(
               (transmissivity_T, phase_theta, efficiency_eta, sideband_suppression_db))
         )
     )
+    # Checked before any arithmetic, so bad settings raise without numpy
+    # warnings; an infinite suppression is the ideal, leakage-free splitter.
+    if not (np.all(np.isfinite(T) & np.isfinite(theta) & np.isfinite(eta))
+            and np.all((db == np.inf) | np.isfinite(db))):
+        raise ValidationError("beam-splitter matrix is not finite: not physical")
     t = np.sqrt(T)
     r = np.sqrt(1.0 - T)
     eps = np.sqrt((1.0 - T) * 10.0 ** (-db / 10.0))

@@ -436,10 +436,28 @@ def _coincidences(
     )
 
 
-def _avg_metric(parts: Sequence[MetricResult], method: str) -> MetricResult:
-    value = float(np.mean([m.value for m in parts]))
-    sigma = float(np.sqrt(np.sum([m.sigma**2 for m in parts]))) / len(parts)
-    return MetricResult(value, sigma, method)
+def _fringe_metrics(
+    fringes: np.ndarray, names: Sequence[str], method: str, warnings: list[str]
+) -> dict[str, MetricResult]:
+    """Visibility of each fringe curve (column of ``fringes``) and their
+    mean.  A curve that is zero throughout has no visibility: as for an
+    undefined gate fidelity, its metric and the mean are left out and a
+    warning says why."""
+    metrics = {}
+    for c, name in enumerate(names):
+        if not np.any(fringes[:, c]):
+            warnings.append(
+                f"visibility_{name} undefined: its fringe is zero at every sweep point"
+            )
+        else:
+            metrics[f"visibility_{name}"] = visibility_minmax(fringes[:, c])
+    if len(metrics) == len(names):
+        parts = list(metrics.values())
+        sigma = float(np.sqrt(np.sum([m.sigma**2 for m in parts]))) / len(parts)
+        metrics["visibility_avg"] = MetricResult(
+            float(np.mean([m.value for m in parts])), sigma, method
+        )
+    return metrics
 
 
 def _sample(
@@ -527,10 +545,7 @@ def run_fmzi(
             series[f"counts_{name}"] = fringes[:, c].tolist()
         method = "mean of four sampled fringe curves"
     if len(phases) >= 2:
-        per_curve = [visibility_minmax(fringes[:, c]) for c in range(4)]
-        for name, m in zip(names, per_curve):
-            metrics[f"visibility_{name}"] = m
-        metrics["visibility_avg"] = _avg_metric(per_curve, method)
+        metrics = _fringe_metrics(fringes, names, method, warnings)
 
     return ExperimentResult(
         experiment="fmzi",
@@ -912,10 +927,8 @@ def run_bell(
         for c, name in enumerate(curve_names):
             series[f"counts_{name[2:]}"] = fringes[:, c].tolist()
     if len(phases) >= 2:
-        per_curve = [visibility_minmax(fringes[:, c]) for c in range(4)]
-        for name, m in zip(curve_names, per_curve):
-            metrics[f"visibility_{name[2:]}"] = m
-        metrics["visibility_avg"] = _avg_metric(per_curve, "mean of four fringe curves")
+        metrics = _fringe_metrics(fringes, [name[2:] for name in curve_names],
+                                  "mean of four fringe curves", warnings)
 
     return ExperimentResult(
         experiment="bell",

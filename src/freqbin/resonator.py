@@ -155,21 +155,110 @@ def _dip_guesses(x: np.ndarray, y: np.ndarray) -> tuple[tuple[float, float], tup
     return tuple(sorted((first, second), key=lambda m: m[0]))
 
 
+#: Most model evaluations one doublet fit may spend.
+MAX_EVALUATIONS = 2000
+# Stopping rules of the Levenberg-Marquardt iteration (Moré 1978): relative
+# cost reduction, relative step length, and the cosine between the
+# residual and any Jacobian column.
+_FTOL = _XTOL = _GTOL = 1e-12
+
+
+def _through_jacobian(d: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Columns dt/dθ of `_through_field` at offsets d = x - x0 for
+    θ = (g, kappa1, kappa_ex, kappa2, thermal detune, center x0).
+
+    With I the inner denominator and D the outer one, t = 1 - kappa_ex / D,
+    so dt/dkappa_ex = -1/D and dt/dθ = kappa_ex / D^2 * dD/dθ otherwise.
+    """
+    g, k1, kex, k2, dt, _ = theta
+    inner = 1j * (d - dt) + k2 / 2.0
+    coupled = g * g / inner
+    denom = 1j * d + k1 / 2.0 + coupled
+    dd = np.zeros((d.size, 6), dtype=complex)
+    dd[:, 0] = 2.0 * g / inner
+    dd[:, 1] = 0.5
+    dd[:, 3] = -coupled / (2.0 * inner)
+    dd[:, 4] = 1j * coupled / inner
+    dd[:, 5] = -1j * (1.0 - coupled / inner)
+    jac = (kex / denom**2)[:, None] * dd
+    jac[:, 2] = -1.0 / denom
+    return jac
+
+
+def _levenberg_marquardt(x, y, start, lower, upper):
+    """Least-squares θ of |t(x - x0)|^2 against y inside the box
+    [lower, upper]; returns (θ, residuals).
+
+    Marquardt's damping lambda * diag(J^T J), with each diagonal entry
+    the largest seen so far (Moré 1978); lambda follows the ratio of
+    actual to predicted cost reduction (Nielsen 1999).  A parameter on a
+    bound that the gradient pushes outward is held there, and every step
+    is projected onto the box.
+    """
+
+    def evaluate(theta):
+        t = _through_field(x - theta[5], *theta[:5])
+        return t, np.abs(t) ** 2 - y
+
+    theta = start
+    t, r = evaluate(theta)
+    cost = r @ r
+    evaluations = 1
+    lam, growth = 1e-3, 2.0
+    scale = np.zeros_like(theta)
+    while True:
+        jac = 2.0 * (t.conj()[:, None] * _through_jacobian(x - theta[5], theta)).real
+        a = jac.T @ jac
+        grad = jac.T @ r
+        free = ~(((theta <= lower) & (grad > 0.0)) | ((theta >= upper) & (grad < 0.0)))
+        if np.all(np.abs(grad[free]) <= _GTOL * np.sqrt(np.diag(a)[free] * cost)):
+            return theta, r
+        scale = np.maximum(scale, np.diag(a))
+        a_free = a[np.ix_(free, free)]
+        damping = np.diag(np.maximum(scale[free], np.finfo(float).tiny))
+        while True:
+            if evaluations >= MAX_EVALUATIONS:
+                raise FitError(
+                    f"doublet fit did not converge in {MAX_EVALUATIONS} evaluations",
+                    residual=float(np.sqrt(cost / len(r))),
+                )
+            step = np.zeros_like(theta)
+            step[free] = np.linalg.solve(a_free + lam * damping, -grad[free])
+            trial = np.clip(theta + step, lower, upper)
+            step = trial - theta
+            predicted = -2.0 * step @ grad - step @ a @ step
+            t_trial, r_trial = evaluate(trial)
+            evaluations += 1
+            cost_trial = r_trial @ r_trial
+            small_step = np.linalg.norm(step) <= _XTOL * (_XTOL + np.linalg.norm(theta))
+            if cost_trial < cost:  # False for a NaN cost as well
+                reduced = cost - cost_trial
+                converged = small_step or (reduced <= _FTOL * cost and predicted <= _FTOL * cost)
+                gain = reduced / predicted if predicted > 0.0 else 1.0
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                growth = 2.0
+                theta, t, r, cost = trial, t_trial, r_trial, cost_trial
+                if converged:
+                    return theta, r
+                break
+            if small_step:  # no step inside the box lowers the cost
+                return theta, r
+            lam *= growth
+            growth *= 2.0
+
+
 def fit_doublet(detuning_ghz, transmission) -> DoubletFit:
     """Fit the coupled-resonator through model to a measured doublet.
 
-    Damped least squares (bounded trust-region) against the
-    `dr_through_spectrum` model with parameters (g, kappa1, kappa_ex,
-    kappa2, thermal detune, center offset).  Initial guesses come from
-    the two deepest local minima of the raw data.  Raises
-    `ValidationError` when the samples are mismatched, fewer than 50 or
-    not finite, and `FitError` when the data show no doublet or the
-    optimizer fails to converge.
+    Levenberg-Marquardt least squares with an analytic Jacobian against
+    the `dr_through_spectrum` model with parameters (g, kappa1,
+    kappa_ex, kappa2, thermal detune, center offset), bounded by
+    projecting each step onto a box.  Initial guesses come from the two
+    deepest local minima of the raw data.  Raises `ValidationError` when
+    the samples are mismatched, fewer than 50 or not finite, and
+    `FitError` when the data show no doublet or the fit does not
+    converge within `MAX_EVALUATIONS` model evaluations.
     """
-    # Imported here: scipy.optimize takes most of the package's import time
-    # and only this function needs it.
-    from scipy.optimize import least_squares
-
     x = np.asarray(detuning_ghz, dtype=float)
     y = np.asarray(transmission, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -188,29 +277,13 @@ def fit_doublet(detuning_ghz, transmission) -> DoubletFit:
     depth = 1.0 - min(ya, yb)
     kex0 = max(kappa0 * (1.0 - math.sqrt(max(1.0 - depth, 0.0))), 0.05)
 
-    def residuals(theta):
-        g, k1, kex, k2, dt, x0 = theta
-        model = np.abs(_through_field(x - x0, g, k1, kex, k2, dt)) ** 2
-        return model - y
+    lower = np.array([1e-3, 1e-3, 1e-4, 1e-3, -50.0, float(x.min())])
+    upper = np.array([np.inf, np.inf, np.inf, np.inf, 50.0, float(x.max())])
+    start = np.clip([g0, kappa0, kex0, kappa0, 0.0, center0], lower, upper)
+    theta, r = _levenberg_marquardt(x, y, start, lower, upper)
+    rms = float(np.sqrt(np.mean(r**2)))
 
-    lower = [1e-3, 1e-3, 1e-4, 1e-3, -50.0, float(x.min())]
-    upper = [np.inf, np.inf, np.inf, np.inf, 50.0, float(x.max())]
-    start = [g0, kappa0, kex0, kappa0, 0.0, center0]
-    start = [min(max(s, lo + 1e-6), hi - 1e-6 if np.isfinite(hi) else s) for s, lo, hi in zip(start, lower, upper)]
-    result = least_squares(
-        residuals,
-        start,
-        bounds=(lower, upper),
-        xtol=1e-12,
-        ftol=1e-12,
-        gtol=1e-12,
-        max_nfev=2000,
-    )
-    rms = float(np.sqrt(np.mean(result.fun**2)))
-    if not result.success:
-        raise FitError("doublet fit did not converge", residual=rms)
-
-    g, k1, kex, k2, dt, x0 = result.x
+    g, k1, kex, k2, dt, x0 = theta
     fitted = np.abs(_through_field(x - x0, g, k1, kex, k2, dt)) ** 2
     fit_minima = sorted(_local_minima(x, fitted), key=lambda m: m[1])[:2]
     if len(fit_minima) == 2:

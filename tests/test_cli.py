@@ -1,10 +1,13 @@
 """Command-line front end tests: strict parsing, outputs, determinism."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import tempfile
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -234,15 +237,16 @@ def test_fuzzed_manifest_parses_or_raises_manifest_error(doc, data):
         pass
 
 
-# Whole-run fuzz: typed documents with nonnegative numbers of any size
-# (those in [0, 1], where most settings are valid, drawn often), at most
-# three keys per config object and a small sweep, run end to end.  Values
-# that parse but fail at run time must end in exit 2 or 3, never in an
-# exception.
+# Whole-run fuzz: typed documents with signed numbers of any size (those
+# in [0, 1], where most settings are valid, drawn often), at most three
+# keys per config object and a small sweep, run end to end.  Values that
+# parse but fail at run time must end in exit 2 or 3, never in an
+# exception, a Python warning or a stderr line that is not an error or a
+# warning of the run.
 _RUN_NUMBER = (
     st.floats(0.0, 1.0)
-    | st.integers(min_value=0)
-    | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
 )
 _RUN_MANIFESTS = st.fixed_dictionaries(
     {
@@ -265,11 +269,26 @@ def _run(doc, out):
     return main(["run", str(manifest), "--out", str(out)])
 
 
+def _checked_run(doc, out) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of a run that must raise no Python
+    warning and print only error and warning lines on stderr."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = _run(doc, out)
+    assert [str(w.message) for w in caught] == []
+    lines = stderr.getvalue().splitlines()
+    assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
+    return code, lines
+
+
 @settings(max_examples=300, deadline=None)
 @given(doc=_RUN_MANIFESTS)
 def test_fuzzed_run_exits_cleanly(doc):
     with tempfile.TemporaryDirectory() as tmp:
-        assert _run(doc, Path(tmp)) in (0, 2, 3)
+        code, _ = _checked_run(doc, Path(tmp))
+        assert code in (0, 2, 3)
 
 
 @settings(max_examples=20, deadline=None)
@@ -280,9 +299,9 @@ def test_fuzzed_run_exits_cleanly(doc):
         "imperfections": _TOP_VALUES["imperfections"],
         "mode": _TOP_VALUES["mode"],
         "basis": _TOP_VALUES["basis"],
-        # Inside (0, 1) for hom, and off the zeros of the entangled fringes.
-        "sweep": st.fixed_dictionaries({"start": st.floats(0.1, 0.4),
-                                        "stop": st.floats(0.6, 0.9),
+        # Inside [0, 1] for hom; an all-zero fringe leaves its visibility out.
+        "sweep": st.fixed_dictionaries({"start": st.floats(0.0, 1.0),
+                                        "stop": st.floats(0.0, 1.0),
                                         "num": st.integers(2, 5)}),
     })
 )
@@ -414,6 +433,38 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("doc", [
+        {"experiment": "bell", "sweep": {"start": -1.7e308, "stop": 1.7e308, "num": 3}},
+        {"experiment": "fmzi", "sweep": {"start": -1e308, "stop": 1e308, "num": 3}},
+    ], ids=["bell", "fmzi"])
+    def test_sweep_span_past_the_float_range(self, doc, tmp_path):
+        # Printed numpy RuntimeWarnings, then a run-time error instead of a
+        # manifest error.
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(json.dumps(doc))
+        assert err.value.location == "/sweep"
+        code, lines = _checked_run(doc, tmp_path)
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "/sweep" in lines[0]
+
+    @pytest.mark.parametrize("doc, undefined", [
+        ({"experiment": "bell", "sweep": {"start": 0, "stop": 0, "num": 2}}, ["pm", "mp"]),
+        ({"experiment": "fmzi", "sweep": {"start": 0, "stop": 3, "num": 4},
+          "config": {"dr1": {"transmissivity_T": 1}, "dr3": {"transmissivity_T": 1}}},
+         ["in1_port2", "in2_port1"]),
+    ], ids=["bell", "fmzi"])
+    def test_all_zero_fringe_leaves_its_visibility_out(self, doc, undefined, tmp_path):
+        # Exited 2 with "all-zero fringe" and wrote no files.
+        code, lines = _checked_run(doc, tmp_path)
+        assert code == 0
+        assert all((tmp_path / name).exists()
+                   for name in ("result.json", "sweep.csv", "report.txt"))
+        result = json.loads((tmp_path / "result.json").read_text())["result"]
+        missing = [f"visibility_{name}" for name in undefined]
+        assert not set(result["metrics"]) & {"visibility_avg", *missing}
+        assert [w.split(" ")[0] for w in result["warnings"] if "undefined" in w] == missing
+        assert lines == [f"warning: {w}" for w in result["warnings"]]
+
     def test_integer_sweep_bound_past_int64(self, tmp_path):
         # Made the sweep an object array: a numpy casting error and exit 1.
         manifest = tmp_path / "m.json"
@@ -449,6 +500,20 @@ class TestFitCommand:
         assert main(["fit", str(path)]) == 0
         out = capsys.readouterr().out
         assert "13.49" in out
+
+    def test_fit_dips_closer_than_the_splitting_bound(self, tmp_path, capsys):
+        # The start value of g fell below its bound of 1e-3 GHz and the
+        # optimizer raised a bare ValueError: a traceback.
+        x = np.linspace(-0.005, 0.005, 101)
+        y = dr_through_spectrum(
+            DRParams(g_ghz=4e-4, kappa1_ghz=2e-4, kappa_ex_ghz=1e-4, kappa2_ghz=2e-4), x)
+        path = tmp_path / "spec.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["detuning_ghz", "transmission"])
+            writer.writerows(zip(x, y))
+        assert main(["fit", str(path)]) in (0, 3)
+        assert all(line.startswith("error: ") for line in capsys.readouterr().err.splitlines())
 
     def test_fit_requires_expected_header(self, tmp_path):
         path = tmp_path / "spec.csv"

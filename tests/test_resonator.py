@@ -7,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freqbin
+from freqbin import resonator
 from freqbin.errors import FitError, ValidationError
 from freqbin.resonator import (
     CalibCurve,
@@ -151,6 +154,13 @@ class TestDoubletFit:
         with pytest.raises(ValidationError):
             fit_doublet(x, dr_through_spectrum(self.GEN, x))
 
+    def test_evaluation_budget_running_out_is_a_fit_error(self, monkeypatch):
+        x, y = self.grid_and_spectrum()
+        monkeypatch.setattr(resonator, "MAX_EVALUATIONS", 3)
+        with pytest.raises(FitError, match="3 evaluations") as err:
+            fit_doublet(x, y)
+        assert err.value.residual > 0.0
+
     def test_noisy_roundtrip_many_seeds(self):
         x, y = self.grid_and_spectrum()
         worst = 0.0
@@ -162,13 +172,50 @@ class TestDoubletFit:
         assert worst < 0.2
 
 
-def test_package_import_leaves_scipy_unloaded():
-    # scipy.optimize is imported by fit_doublet on first use, so plain
-    # `import freqbin` alone does not pay for it.
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.floats(3.0, 9.0),
+    kappa1=st.floats(0.5, 3.0),
+    coupling_share=st.floats(0.05, 0.5),
+    kappa2=st.floats(0.5, 3.0),
+    detune=st.floats(-1.0, 1.0),
+)
+def test_clean_scan_of_a_resolved_doublet_recovers_the_rates(
+    g, kappa1, coupling_share, kappa2, detune
+):
+    # Resolved: the splitting 2g is at least twice either linewidth.  The
+    # bus coupling stays at or below critical (kappa_ex <= kappa1 / 2),
+    # the branch the fit's start value is taken on.
+    p = DRParams(g_ghz=g, kappa1_ghz=kappa1, kappa_ex_ghz=coupling_share * kappa1,
+                 kappa2_ghz=kappa2, thermal_detune_ghz=detune)
+    x = np.linspace(-15.0, 15.0, 601)
+    fit = fit_doublet(x, dr_through_spectrum(p, x))
+    assert fit.two_g_ghz / 2.0 == pytest.approx(g, abs=1e-9)
+    assert fit.linewidths_ghz[0] == pytest.approx(kappa1, abs=1e-9)
+    assert fit.kappa_ex_ghz == pytest.approx(p.kappa_ex_ghz, abs=1e-9)
+    assert fit.linewidths_ghz[1] == pytest.approx(kappa2, abs=1e-9)
+
+
+def _scipy_modules_after(code: str) -> str:
+    """Sorted scipy modules loaded after running ``code`` in a fresh
+    interpreter that imports this checkout's freqbin."""
     src = str(Path(freqbin.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = "import sys, freqbin; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    code += "\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip().splitlines()[-1]
+
+
+def test_package_import_leaves_scipy_unloaded():
+    assert _scipy_modules_after("import sys, freqbin") == "[]"
+
+
+def test_spectroscopy_run_leaves_scipy_unloaded(tmp_path):
+    # The doublet fit is numpy only, so a run that fits all three double
+    # resonators does not pay for importing scipy.
+    manifest = tmp_path / "m.json"
+    manifest.write_text('{"experiment": "spectroscopy", "target": "all"}')
+    code = ("import sys\nfrom freqbin.cli import main\n"
+            f"assert main(['run', {str(manifest)!r}, '--out', {str(tmp_path)!r}]) == 0")
+    assert _scipy_modules_after(code) == "[]"
