@@ -17,11 +17,9 @@ from .counting import (
 from .elements import (
     FbsSpec,
     FilterParams,
-    attenuator_transform,
     fbs_blocks,
     fbs_transform,
     filter_response,
-    phase_transform,
 )
 from .errors import (
     ConfigurationError,

@@ -427,8 +427,8 @@ def list_experiments() -> str:
 
 def _cmd_run(args) -> int:
     try:
-        manifest = parse_manifest(Path(args.manifest).read_text())
-    except OSError as exc:
+        manifest = parse_manifest(Path(args.manifest).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read manifest: {exc}", file=sys.stderr)
         return 2
     except ManifestError as exc:
@@ -467,19 +467,23 @@ def _cmd_run(args) -> int:
 def _cmd_fit(args) -> int:
     path = Path(args.spectrum)
     try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != ["detuning_ghz", "transmission"]:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != ["detuning_ghz", "transmission"]:
                 print(
                     "error: expected CSV header detuning_ghz,transmission",
                     file=sys.stderr,
                 )
                 return 2
             detuning, transmission = [], []
-            for row in reader:
-                detuning.append(float(row["detuning_ghz"]))
-                transmission.append(float(row["transmission"]))
-    except (OSError, ValueError) as exc:
+            for row in filter(None, reader):  # blank lines hold no sample
+                if len(row) != 2:
+                    raise ValueError(
+                        f"line {reader.line_num}: expected 2 fields, got {len(row)}"
+                    )
+                detuning.append(float(row[0]))
+                transmission.append(float(row[1]))
+    except (OSError, ValueError, csv.Error) as exc:
         print(f"error: cannot read spectrum: {exc}", file=sys.stderr)
         return 2
     try:

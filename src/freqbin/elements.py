@@ -1,5 +1,5 @@
-"""Physical element constructors: frequency beam splitters, microring
-filters, attenuators, and phase shifts.
+"""Physical element constructors: frequency beam splitters and microring
+filters.
 
 A frequency beam splitter couples two bins through a microwave-driven
 coupled double resonator.  `FbsSpec` holds its settings only;
@@ -164,16 +164,3 @@ def filter_response(p: FilterParams, detuning_ghz):
         return complex(drop), complex(through)
     return drop, through
 
-
-def attenuator_transform(mode: int, power_transmission: float) -> ModeTransform:
-    """Single-mode attenuator; field amplitude sqrt(power_transmission)."""
-    if not 0.0 <= power_transmission <= 1.0:
-        raise ValidationError("power transmission must lie in [0, 1]")
-    return ModeTransform(
-        (mode,), np.array([[math.sqrt(power_transmission)]], dtype=complex)
-    )
-
-
-def phase_transform(mode: int, phi: float) -> ModeTransform:
-    """Single-mode phase shift e^{i phi}."""
-    return ModeTransform((mode,), np.array([[np.exp(1j * phi)]], dtype=complex))

@@ -14,15 +14,17 @@ Conventions, documented once here:
 * A runner resolves its imperfection toggles once (`_effective`): each
   imperfection whose toggle is off takes its ideal value, and the runner
   reads only that chip.  Crosstalk alone is decided at detection.
-* Every pipeline is linear optics, so it is evaluated as one
-  single-photon matrix U[out, in] on the working grid, composed from its
-  elements and stacked over the sweep points as (n_points, n, n).
-  Outcomes follow in closed form: a photon injected at i reaches grid
-  mode p with probability |U[p, i]|^2, and two photons injected at
+* Every pipeline is linear optics.  A runner describes its experiment
+  as one `Circuit` (`_circuit`): its elements, in order of application,
+  compose to one single-photon matrix U[out, in] on the working grid,
+  stacked over the sweep points as (n_points, n, n), and it names its
+  detector groups.  One evaluator turns any circuit into outcomes in
+  closed form: a photon injected at i reaches grid mode p with
+  probability |U[p, i]|^2 (`_singles`), and two photons injected at
   i != j leave one photon at p and one at q != p with amplitude
-  U[p, i] U[q, j] + U[q, i] U[p, j] (the 2x2 permanent).  The Fock
-  engine and the permanent of `freqbin.fock` are the oracles the tests
-  check this against.
+  U[p, i] U[q, j] + U[q, i] U[p, j] (the 2x2 permanent, `_pair`), which
+  `_coincidences` detects.  The Fock engine and the permanent of
+  `freqbin.fock` are the oracles the tests check this against.
 * Element efficiency is applied as frequency-uniform insertion loss:
   an element's matrix carries sqrt(eta) on every mode it does not
   couple, so every photon picks up sqrt(eta) of that element, whether or
@@ -38,10 +40,11 @@ Conventions, documented once here:
   of every upstream filter.  Crosstalk therefore flows one way along the
   cascade.  Single-photon detection probabilities are W |U[:, i]|^2;
   coincidences contract the two-photon probabilities with W on both
-  photons (`_coincidences`).
+  photons.
 * Sampled runs draw counts in `_sample` only: the probability p[k, c]
   of sweep point or truth-table row k and curve or outcome c becomes one
-  count record with seed derive_seed(seed, k, c).
+  count record with seed derive_seed(seed, k, c).  The fringes of fmzi
+  and bell share their series, sampling and visibilities (`_fringes`).
 * Hadamard preparation and analysis use a beam splitter with T = 1/2 and
   theta = 0.  Injecting the |1> bin prepares |+>; after an analysis
   splitter, the lower-index bin detector reads "+".
@@ -292,27 +295,40 @@ def _effective(cfg: ChipConfig, toggles: frozenset[str]) -> ChipConfig:
 
 
 # ---------------------------------------------------------------------------
-# Circuit assembly helpers.
+# Circuits: what an experiment builds.
 
 
-def _working_grid(cfg: ChipConfig, n_fbs: int) -> tuple[BinGrid, list[tuple[int, int]]]:
-    """Computational grid plus dedicated sideband modes per beam splitter."""
-    comp = list(cfg.grid.bins)
-    start = max(b.index for b in comp) + 1
-    sidebands: list[tuple[int, int]] = []
-    extra = []
-    for k in range(n_fbs):
-        lo = start + 2 * k
-        hi = start + 2 * k + 1
-        sidebands.append((lo, hi))
-        extra.append(Bin(lo, "sideband"))
-        extra.append(Bin(hi, "sideband"))
-    grid = BinGrid(
-        tuple(comp) + tuple(extra),
-        bin_spacing_ghz=cfg.grid.bin_spacing_ghz,
-        anchor_thz=cfg.grid.anchor_thz,
+def _splitter(dr: DrConfig, bins: tuple[int, int], transmissivity=None, theta=None) -> tuple:
+    """The beam-splitter stage of ``dr`` on ``bins`` over the settings
+    that ``transmissivity`` and ``theta`` (scalars or arrays, by default
+    the configured ones) broadcast to."""
+    blocks = fbs_blocks(
+        dr.fbs.transmissivity_T if transmissivity is None else transmissivity,
+        dr.fbs.phase_theta if theta is None else theta,
+        dr.fbs.efficiency_eta,
+        dr.fbs.sideband_suppression_db,
     )
-    return grid, sidebands
+    return bins, blocks, dr.fbs.efficiency_eta
+
+
+@dataclass(frozen=True, eq=False)
+class Circuit:
+    """One experiment on the chip, ready for detection.
+
+    ``u`` is the single-photon matrix U[k, out, in] of sweep point k on
+    ``grid``, the chip-wide amplitude sqrt(global_efficiency) included.
+    Detector group A sits on the bins ``group_a``, group B on
+    ``group_b``; ``weights`` holds their routing rows W[d, p], A first.
+    """
+
+    grid: BinGrid
+    u: np.ndarray
+    group_a: tuple[int, ...]
+    group_b: tuple[int, ...]
+    weights: np.ndarray
+
+    def positions(self, bins: Iterable[int]) -> list[int]:
+        return [self.grid.position(b) for b in bins]
 
 
 def _embed(
@@ -332,49 +348,41 @@ def _embed(
     return out
 
 
-def _fbs_element(
-    dr: DrConfig,
-    grid: BinGrid,
-    bins: tuple[int, int],
-    sidebands: tuple[int, int],
-    transmissivity=None,
-    theta=None,
-) -> np.ndarray:
-    """One beam splitter with its insertion loss, over the settings that
-    ``transmissivity`` and ``theta`` (scalars or arrays) broadcast to."""
-    blocks = fbs_blocks(
-        dr.fbs.transmissivity_T if transmissivity is None else transmissivity,
-        dr.fbs.phase_theta if theta is None else theta,
-        dr.fbs.efficiency_eta,
-        dr.fbs.sideband_suppression_db,
-    )
-    return _embed(grid, (*bins, *sidebands), blocks, dr.fbs.efficiency_eta)
+def _circuit(
+    chip: ChipConfig,
+    toggles: frozenset[str],
+    stages: Sequence[tuple[tuple[int, ...], np.ndarray, float]],
+    group_a: tuple[int, ...],
+    group_b: tuple[int, ...] = (),
+) -> Circuit:
+    """The circuit of ``stages``, listed in order of application.
 
-
-def _compose(global_eta: float, *elements: np.ndarray) -> np.ndarray:
-    """Circuit matrix U[..., out, in] of elements listed in order of
-    application, broadcast over sweep points, times the chip-wide
-    amplitude sqrt(global_eta)."""
-    u = elements[0]
-    for e in elements[1:]:
-        u = e @ u
-    return math.sqrt(global_eta) * u
-
-
-def _pair_amplitudes(u: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Two-photon output S[..., p, q] = U[p, i] U[q, j] + U[q, i] U[p, j]
-    for one photon injected at each of the distinct positions i and j.
-
-    For p != q this is the amplitude of one photon at p and one at q (the
-    2x2 permanent); S[p, p] is sqrt(2) times the amplitude of both at p,
-    so the mean photon number at p is sum_q |S[p, q]|^2.
+    A stage (bins, blocks, eta) holds matrices blocks (k, m, m) over k
+    settings on ``bins`` and the insertion loss eta on every other mode.
+    A beam splitter's blocks act on two modes more than its bins: the
+    next pair of sideband modes, which the working grid appends to the
+    chip's bins.  U is the product of the embedded stages, broadcast
+    over sweep points, times sqrt(global_efficiency); the routing rows
+    come from `_detector_weights`.
     """
-    outer = u[..., :, i, None] * u[..., None, :, j]
-    return outer + np.swapaxes(outer, -1, -2)
+    n_fbs = sum(blocks.shape[-1] > len(bins) for bins, blocks, _ in stages)
+    start = max(b.index for b in chip.grid.bins) + 1
+    sidebands = range(start, start + 2 * n_fbs)
+    grid = replace(chip.grid, bins=chip.grid.bins + tuple(Bin(i, "sideband") for i in sidebands))
+    free = iter(sidebands)
+    u = None
+    for bins, blocks, eta in stages:
+        modes = bins if blocks.shape[-1] == len(bins) else (*bins, next(free), next(free))
+        element = _embed(grid, modes, blocks, eta)
+        u = element if u is None else element @ u
+    weights = _detector_weights(
+        grid, (*group_a, *group_b), chip.filters, "crosstalk" in toggles
+    )
+    return Circuit(grid, math.sqrt(chip.global_efficiency) * u, group_a, group_b, weights)
 
 
 # ---------------------------------------------------------------------------
-# Detection.
+# Detection: the one evaluator of every circuit.
 
 
 def _detector_weights(
@@ -407,20 +415,32 @@ def _detector_weights(
     return weights
 
 
-def _coincidences(
-    s: np.ndarray,
-    w_a: np.ndarray,
-    w_b: np.ndarray,
-    pos_a: Sequence[int],
-    pos_b: Sequence[int],
-) -> np.ndarray:
+def _singles(circuit: Circuit, bins: Sequence[int]) -> np.ndarray:
+    """P[k, d, i]: detector d (group A, then B) fires for one photon
+    injected at bins[i], W |U[:, i]|^2."""
+    return circuit.weights @ np.abs(circuit.u[:, :, circuit.positions(bins)]) ** 2
+
+
+def _pair(circuit: Circuit, i: int, j: int) -> np.ndarray:
+    """Two-photon output S[k, p, q] = U[p, i] U[q, j] + U[q, i] U[p, j]
+    for one photon injected at each of the distinct bins i and j.
+
+    For p != q this is the amplitude of one photon at p and one at q (the
+    2x2 permanent); S[p, p] is sqrt(2) times the amplitude of both at p,
+    so the mean photon number at p is sum_q |S[p, q]|^2.
+    """
+    i, j = circuit.positions((i, j))
+    outer = circuit.u[..., :, i, None] * circuit.u[..., None, :, j]
+    return outer + np.swapaxes(outer, -1, -2)
+
+
+def _coincidences(circuit: Circuit, s: np.ndarray) -> np.ndarray:
     """Probability P[..., x, y] that detector x of group A and detector y
-    of group B both fire, for two-photon amplitudes ``s`` (`_pair_amplitudes`).
+    of group B both fire, for two-photon amplitudes ``s`` (`_pair`).
 
     The frequency demux measures bin occupations first, so only
-    occupations with exactly one photon on the group-A bins ``pos_a`` and
-    one on the group-B bins ``pos_b`` are routed onto detectors, with
-    routing rows ``w_a``/``w_b``:
+    occupations with exactly one photon on the group-A bins and one on
+    the group-B bins are routed onto detectors, with routing rows W:
 
         P[x, y] = sum_ab |S[a, b]|^2 (W[x, a] W[y, b] + W[y, a] W[x, b])
 
@@ -429,35 +449,14 @@ def _coincidences(
     fake pattern is a background contribution left to the accidental
     model.
     """
+    pos_a = circuit.positions(circuit.group_a)
+    pos_b = circuit.positions(circuit.group_b)
+    w_a, w_b = np.split(circuit.weights, [len(pos_a)])
     q = np.abs(s[..., pos_a, :][..., pos_b]) ** 2
     return (
         w_a[:, pos_a] @ q @ w_b[:, pos_b].T
         + w_a[:, pos_b] @ np.swapaxes(q, -1, -2) @ w_b[:, pos_a].T
     )
-
-
-def _fringe_metrics(
-    fringes: np.ndarray, names: Sequence[str], method: str, warnings: list[str]
-) -> dict[str, MetricResult]:
-    """Visibility of each fringe curve (column of ``fringes``) and their
-    mean.  A curve that is zero throughout has no visibility: as for an
-    undefined gate fidelity, its metric and the mean are left out and a
-    warning says why."""
-    metrics = {}
-    for c, name in enumerate(names):
-        if not np.any(fringes[:, c]):
-            warnings.append(
-                f"visibility_{name} undefined: its fringe is zero at every sweep point"
-            )
-        else:
-            metrics[f"visibility_{name}"] = visibility_minmax(fringes[:, c])
-    if len(metrics) == len(names):
-        parts = list(metrics.values())
-        sigma = float(np.sqrt(np.sum([m.sigma**2 for m in parts]))) / len(parts)
-        metrics["visibility_avg"] = MetricResult(
-            float(np.mean([m.value for m in parts])), sigma, method
-        )
-    return metrics
 
 
 def _sample(
@@ -479,6 +478,60 @@ def _sample(
     ]
     totals = [[rec.total_coincidences for rec in row] for row in records]
     return records, np.array(totals, dtype=int).reshape(p.shape)
+
+
+def _fringes(
+    chip: ChipConfig,
+    phases: list[float],
+    p: np.ndarray,
+    names: Sequence[str],
+    record_keys: Sequence[str],
+    accidental_share: float,
+    methods: tuple[str, str],
+    sample: bool,
+    seed: int,
+    warnings: list[str],
+) -> tuple[dict, dict[str, MetricResult], list[dict[str, CountRecord]] | None]:
+    """Series, visibility metrics and count records of the fringe curves
+    p[k, c] over ``phases``.
+
+    Curve c is the series p_{names[c]}; sampled, it also gives count
+    records keyed by record_keys[c], with accidental weight
+    ``accidental_share`` times the largest probability, and the series
+    counts_{names[c]}, and the visibilities are taken from the counts
+    (method ``methods[1]``) instead of the probabilities
+    (``methods[0]``).  A curve that is zero
+    throughout has no visibility: as for an undefined gate fidelity, its
+    metric and the mean are left out and a warning says why.
+    """
+    series = {"phase_rad": phases}
+    for c, name in enumerate(names):
+        series[f"p_{name}"] = p[:, c].tolist()
+    counts = None
+    fringes, method = p, methods[0]
+    if sample:
+        records, fringes = _sample(chip, p, p.max() * accidental_share, seed)
+        counts = [dict(zip(record_keys, row)) for row in records]
+        for c, name in enumerate(names):
+            series[f"counts_{name}"] = fringes[:, c].tolist()
+        method = methods[1]
+    metrics: dict[str, MetricResult] = {}
+    if len(phases) < 2:
+        return series, metrics, counts
+    for c, name in enumerate(names):
+        if not np.any(fringes[:, c]):
+            warnings.append(
+                f"visibility_{name} undefined: its fringe is zero at every sweep point"
+            )
+        else:
+            metrics[f"visibility_{name}"] = visibility_minmax(fringes[:, c])
+    if len(metrics) == len(names):
+        parts = list(metrics.values())
+        sigma = float(np.sqrt(np.sum([m.sigma**2 for m in parts]))) / len(parts)
+        metrics["visibility_avg"] = MetricResult(
+            float(np.mean([m.value for m in parts])), sigma, method
+        )
+    return series, metrics, counts
 
 
 # ---------------------------------------------------------------------------
@@ -517,35 +570,20 @@ def run_fmzi(
     phases = [float(p) for p in phases]
     if not all(math.isfinite(p) for p in phases):
         raise ValidationError("phases must be finite")
-    grid, sb = _working_grid(chip, 2)
     bins = (0, 1)
-    u = _compose(
-        chip.global_efficiency,
-        _fbs_element(chip.dr1, grid, bins, sb[0]),
-        _embed(grid, (1,), np.exp(1j * np.asarray(phases))[:, None, None]),
-        _fbs_element(chip.dr3, grid, bins, sb[1]),
-    )
-    weights = _detector_weights(grid, bins, chip.filters, "crosstalk" in toggles)
+    circuit = _circuit(chip, toggles, [
+        _splitter(chip.dr1, bins),
+        ((1,), np.exp(1j * np.asarray(phases))[:, None, None], 1.0),
+        _splitter(chip.dr3, bins),
+    ], bins)
     # p[k, c]: detector d fires for the photon injected at bin i, c = 2 i + d.
-    probs = weights @ np.abs(u[:, :, [grid.position(b) for b in bins]]) ** 2
-    p = np.swapaxes(probs, 1, 2).reshape(len(phases), 4)
+    p = np.swapaxes(_singles(circuit, bins), 1, 2).reshape(len(phases), 4)
     names = [f"in{i + 1}_port{d + 1}" for i in bins for d in bins]
-
-    series = {"phase_rad": phases}
-    for c, name in enumerate(names):
-        series[f"p_{name}"] = p[:, c].tolist()
-
-    metrics: dict[str, MetricResult] = {}
-    counts_per_point: list[dict[str, CountRecord]] | None = None
-    fringes, method = p, "mean of four fringe curves"
-    if sample:
-        records, fringes = _sample(chip, p, p.max(), seed)
-        counts_per_point = [dict(zip(names, row)) for row in records]
-        for c, name in enumerate(names):
-            series[f"counts_{name}"] = fringes[:, c].tolist()
-        method = "mean of four sampled fringe curves"
-    if len(phases) >= 2:
-        metrics = _fringe_metrics(fringes, names, method, warnings)
+    series, metrics, counts_per_point = _fringes(
+        chip, phases, p, names, record_keys=names, accidental_share=1.0,
+        methods=("mean of four fringe curves", "mean of four sampled fringe curves"),
+        sample=sample, seed=seed, warnings=warnings,
+    )
 
     return ExperimentResult(
         experiment="fmzi",
@@ -588,24 +626,16 @@ def run_hom(
     if not 0.0 <= v_indist <= 1.0:
         raise ValidationError("indistinguishability must lie in [0, 1]")
 
-    grid, sb = _working_grid(chip, 1)
-    bins = (0, 1)
-    weights = _detector_weights(grid, bins, chip.filters, "crosstalk" in toggles)
-
     reflectivities = [float(r) for r in reflectivities]
     rs = np.asarray(reflectivities)
     if not np.all((rs >= 0.0) & (rs <= 1.0)):
         raise ValidationError("reflectivities must lie in [0, 1]")
-    u = _compose(
-        chip.global_efficiency,
-        _fbs_element(chip.dr3, grid, bins, sb[0], transmissivity=1.0 - rs),
-    )
-    pos = [grid.position(b) for b in bins]
-    s = _pair_amplitudes(u, *pos)
-    p_ind = _coincidences(s, weights[:1], weights[1:], pos[:1], pos[1:])[:, 0, 0]
+    circuit = _circuit(chip, toggles, [_splitter(chip.dr3, (0, 1), transmissivity=1.0 - rs)],
+                       (0,), (1,))
+    p_ind = _coincidences(circuit, _pair(circuit, 0, 1))[:, 0, 0]
     # Distinguishable photons: independent single-photon routing,
     # marg[k, d, i] for the photon injected at bin i.
-    marg = weights @ np.abs(u[:, :, pos]) ** 2
+    marg = _singles(circuit, (0, 1))
     p_dist = marg[:, 0, 0] * marg[:, 1, 1] + marg[:, 1, 0] * marg[:, 0, 1]
     p_cc = indistinguishability_mix(p_ind, p_dist, v_indist)
     vis = np.divide(p_dist - p_cc, p_dist, out=np.zeros_like(p_dist), where=p_dist != 0.0)
@@ -661,11 +691,13 @@ def run_hom(
 
 _CZ_BASES = ("xz", "zx", "zz")
 
-# Input labels per basis, in row order of the truth tables.
+# Input label -> (control bin, target bin) receiving its two photons, per
+# basis in row order of the truth tables (control |0>/|1> on bins 0/2,
+# target on bins 1/3).  A Hadamard prepares |+> from the |1> bin.
 _CZ_INPUTS = {
-    "xz": ("+0", "+1", "-0", "-1"),
-    "zx": ("0+", "0-", "1+", "1-"),
-    "zz": ("00", "01", "10", "11"),
+    "xz": {"+0": (2, 1), "+1": (2, 3), "-0": (0, 1), "-1": (0, 3)},
+    "zx": {"0+": (0, 3), "0-": (0, 1), "1+": (2, 3), "1-": (2, 1)},
+    "zz": {"00": (0, 1), "01": (0, 3), "10": (2, 1), "11": (2, 3)},
 }
 
 # Ideal row -> column permutation per basis (phase flip on control 1,
@@ -682,23 +714,6 @@ def cz_ideal_table(basis: str) -> np.ndarray:
     for row, col in enumerate(_CZ_IDEAL_PERM[basis]):
         table[row, col] = 1.0
     return table
-
-
-def _cz_injection(basis: str, label: str) -> tuple[int, int]:
-    """Bins receiving the two photons for one labeled input state."""
-    c0, c1 = CZ_CONTROL_BINS
-    t0, t1 = CZ_TARGET_BINS
-    c_char, t_char = label
-    if basis == "xz":
-        control = c1 if c_char == "+" else c0  # |1> bin through H gives |+>
-        target = t0 if t_char == "0" else t1
-    elif basis == "zx":
-        control = c0 if c_char == "0" else c1
-        target = t1 if t_char == "+" else t0  # |1> bin through H gives |+>
-    else:
-        control = c0 if c_char == "0" else c1
-        target = t0 if t_char == "0" else t1
-    return control, target
 
 
 def run_cz(
@@ -735,40 +750,35 @@ def run_cz(
                     f"gate requires {name} = 1/3; pass allow_nonstandard to override"
                 )
 
-    grid, sb = _working_grid(chip, 3)
     c0, c1 = CZ_CONTROL_BINS
     t0, t1 = CZ_TARGET_BINS
-    elements = [
-        _embed(grid, (c0,), np.full((1, 1, 1), math.sqrt(chip.r1_transmission))),
-        _embed(grid, (t1,), np.full((1, 1, 1), math.sqrt(chip.r2_transmission))),
-        _fbs_element(chip.dr2, grid, (t0, c1), sb[1]),
+    stages = [
+        ((c0,), np.full((1, 1, 1), math.sqrt(chip.r1_transmission)), 1.0),
+        ((t1,), np.full((1, 1, 1), math.sqrt(chip.r2_transmission)), 1.0),
+        _splitter(chip.dr2, (t0, c1)),
     ]
     if basis != "zz":
         h_bins = (c0, c1) if basis == "xz" else (t0, t1)
-        prep = _fbs_element(chip.dr1, grid, h_bins, sb[0], transmissivity=0.5, theta=0.0)
-        analysis = _fbs_element(chip.dr3, grid, h_bins, sb[2], transmissivity=0.5, theta=0.0)
-        elements = [prep, *elements, analysis]
-    u = _compose(chip.global_efficiency, *elements)[0]
-    dets = (c0, c1, t0, t1)
-    weights = _detector_weights(grid, dets, chip.filters, "crosstalk" in toggles)
-    pos = [grid.position(d) for d in dets]
+        stages = [
+            _splitter(chip.dr1, h_bins, transmissivity=0.5, theta=0.0),
+            *stages,
+            _splitter(chip.dr3, h_bins, transmissivity=0.5, theta=0.0),
+        ]
+    circuit = _circuit(chip, toggles, stages, CZ_CONTROL_BINS, CZ_TARGET_BINS)
 
-    labels = _CZ_INPUTS[basis]
-    s = np.stack([
-        _pair_amplitudes(u, *(grid.position(b) for b in _cz_injection(basis, label)))
-        for label in labels
-    ])
+    inputs = _CZ_INPUTS[basis]
+    labels = list(inputs)
+    s = np.concatenate([_pair(circuit, *bins) for bins in inputs.values()])
     # Outcome columns (c0 t0, c0 t1, c1 t0, c1 t1) share their order with
     # the input labels.
-    exact = _coincidences(s, weights[:2], weights[2:], pos[:2], pos[2:]).reshape(4, 4)
+    exact = _coincidences(circuit, s).reshape(4, 4)
     success = exact.sum(axis=1)
     # Expected singles flux per detector and input row over the full state.
-    singles_rows = (np.abs(s) ** 2).sum(axis=-1) @ weights.T
+    singles_rows = (np.abs(s) ** 2).sum(axis=-1) @ circuit.weights.T
 
     row_sums = success[:, None]
     warnings = []
-    with np.errstate(invalid="ignore"):
-        exact_normalized = np.where(row_sums > 0.0, exact / np.where(row_sums > 0, row_sums, 1.0), 0.0)
+    exact_normalized = np.where(row_sums > 0.0, exact / np.where(row_sums > 0, row_sums, 1.0), 0.0)
     metrics = {
         "success_probability_max": MetricResult(float(success.max()), 0.0, "exact"),
         "success_probability_min": MetricResult(float(success.min()), 0.0, "exact"),
@@ -820,8 +830,8 @@ def run_cz(
         counts=counts_per_point,
         extras={
             "basis": basis,
-            "input_labels": list(labels),
-            "outcome_labels": list(_CZ_INPUTS[basis]),
+            "input_labels": labels,
+            "outcome_labels": list(labels),
             "table_exact": exact.tolist(),
             "table_normalized": exact_normalized.tolist(),
             "table_counts": None if counts_table is None else counts_table.tolist(),
@@ -888,47 +898,31 @@ def run_bell(
                 f"{name} transmissivity {dr.fbs.transmissivity_T} is not balanced"
             )
 
-    grid, sb = _working_grid(chip, 2)
     f1, f2, f3, f4 = BELL_BINS
-    v = chip.source.indistinguishability
-    weights = _detector_weights(grid, BELL_BINS, chip.filters, "crosstalk" in toggles)
-    # Outcomes (f1 f3, f1 f4, f2 f3, f2 f4) in the order of the curves.
-    curve_names = ("p_pp", "p_pm", "p_mp", "p_mm")
-
     phases = [float(p) for p in phases]
-    u = _compose(
-        chip.global_efficiency,
-        _fbs_element(chip.dr1, grid, (f1, f2), sb[0], transmissivity=0.5, theta=0.0),
-        _fbs_element(chip.dr2, grid, (f3, f4), sb[1], transmissivity=0.5,
-                     theta=np.asarray(phases)),
-    )
-    p1, p2, p3, p4 = (grid.position(b) for b in BELL_BINS)
+    circuit = _circuit(chip, toggles, [
+        _splitter(chip.dr1, (f1, f2), transmissivity=0.5, theta=0.0),
+        _splitter(chip.dr2, (f3, f4), transmissivity=0.5, theta=np.asarray(phases)),
+    ], (f1, f2), (f3, f4))
 
     def detect(s: np.ndarray) -> np.ndarray:
-        return _coincidences(s, weights[:2], weights[2:], (p1, p2), (p3, p4)).reshape(-1, 4)
+        # Outcomes (f1 f3, f1 f4, f2 f3, f2 f4) in the order of the curves.
+        return _coincidences(circuit, s).reshape(-1, 4)
 
     # The source state (|f1 f4> + |f2 f3>) / sqrt(2) and, as the dephased
     # reference, the equal mixture of its two product components.
-    s00 = _pair_amplitudes(u, p1, p4)
-    s11 = _pair_amplitudes(u, p2, p3)
+    v = chip.source.indistinguishability
+    s00 = _pair(circuit, f1, f4)
+    s11 = _pair(circuit, f2, f3)
     coherent = detect((s00 + s11) / math.sqrt(2.0))
     incoherent = 0.5 * (detect(s00) + detect(s11))
     mixed = indistinguishability_mix(coherent, incoherent, v)
-
-    series = {"phase_rad": phases}
-    for c, name in enumerate(curve_names):
-        series[name] = mixed[:, c].tolist()
-    metrics: dict[str, MetricResult] = {}
-    counts_per_point: list[dict[str, CountRecord]] | None = None
-    fringes = mixed
-    if sample:
-        records, fringes = _sample(chip, mixed, mixed.max() / 4.0, seed)
-        counts_per_point = [dict(zip(curve_names, row)) for row in records]
-        for c, name in enumerate(curve_names):
-            series[f"counts_{name[2:]}"] = fringes[:, c].tolist()
-    if len(phases) >= 2:
-        metrics = _fringe_metrics(fringes, [name[2:] for name in curve_names],
-                                  "mean of four fringe curves", warnings)
+    names = ("pp", "pm", "mp", "mm")
+    series, metrics, counts_per_point = _fringes(
+        chip, phases, mixed, names, record_keys=[f"p_{name}" for name in names],
+        accidental_share=0.25, methods=("mean of four fringe curves",) * 2,
+        sample=sample, seed=seed, warnings=warnings,
+    )
 
     return ExperimentResult(
         experiment="bell",

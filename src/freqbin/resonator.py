@@ -128,12 +128,11 @@ class DoubletFit:
 
 
 def _local_minima(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
-    """Interior local minima of a sampled curve as (position, value)."""
-    out = []
-    for i in range(1, len(y) - 1):
-        if y[i] <= y[i - 1] and y[i] <= y[i + 1] and (y[i] < y[i - 1] or y[i] < y[i + 1]):
-            out.append((float(x[i]), float(y[i])))
-    return out
+    """Interior local minima of a sampled curve as (position, value): no
+    neighbour lower, and at least one higher."""
+    mid, left, right = y[1:-1], y[:-2], y[2:]
+    below = (mid <= left) & (mid <= right) & ((mid < left) | (mid < right))
+    return [(float(x[i]), float(y[i])) for i in np.flatnonzero(below) + 1]
 
 
 def _dip_guesses(x: np.ndarray, y: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -1,0 +1,143 @@
+"""Byte-identity check of two freqbin source trees.
+
+    python tests/output_identity.py PARENT_SRC CHANGE_SRC
+
+Runs one fixed set of inputs against each tree, every input in a fresh
+interpreter with PYTHONPATH set to that tree, and compares what each run
+leaves behind: result.json, sweep.csv and report.txt of a `freqbin run`,
+and the stdout, stderr and exit code of every process.  The inputs:
+
+* the five benchmark manifests (`perfbench/common.py`) at seeds 1 and 2;
+* fmzi classical and quantum, hom, bell and cz in the bases xz, zx, zz
+  and both, each under six imperfection toggle sets;
+* a nonstandard gate, an unbalanced interferometer, a bell sweep whose
+  fringes are zero throughout, and a default spectroscopy run;
+* `ExperimentResult.to_json` of each runner, in process, with sampling on
+  and off;
+* the demos 01-06 next to each tree.
+
+Prints one line per difference and exits 1 if there is any, else prints
+the number of compared runs and exits 0.  pytest does not collect this
+file; it takes about a minute on two cores.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import common  # noqa: E402  (standard library only)
+
+TOGGLE_SETS = (
+    [],
+    ["eta"],
+    ["eta", "sideband"],
+    ["crosstalk"],
+    ["car", "distinguishability"],
+    sorted(common.ALL_IMPERFECTIONS),
+)
+OUTPUT_FILES = ("result.json", "sweep.csv", "report.txt")
+
+IN_PROCESS = """
+from dataclasses import replace
+from freqbin.experiments import (default_chip_config, run_bell, run_cz, run_fmzi,
+                                 run_hom, run_spectroscopy)
+cfg = default_chip_config()
+cfg = replace(cfg, source=replace(cfg.source, car=14.0, indistinguishability=0.95))
+bell_cfg = replace(cfg, dr2=replace(cfg.dr2, fbs=replace(cfg.dr2.fbs, transmissivity_T=0.5)))
+everything = {"eta", "sideband", "crosstalk", "car", "distinguishability"}
+phases = [0.1 * k for k in range(9)]
+for sample in (False, True):
+    for toggles in (set(), everything):
+        print(run_fmzi(cfg, phases, imperfections=toggles, sample=sample).to_json())
+        print(run_hom(cfg, [0.1 * k for k in range(11)], imperfections=toggles,
+                      sample=sample).to_json())
+        print(run_bell(bell_cfg, phases, imperfections=toggles, sample=sample).to_json())
+        for basis in ("xz", "zx", "zz"):
+            print(run_cz(cfg, basis, toggles, seed=3, sample=sample).to_json())
+for target in ("dr1", "filters"):
+    print(run_spectroscopy(cfg, [0.05 * k - 15.0 for k in range(601)], target).to_json())
+"""
+
+
+def manifests() -> dict[str, dict]:
+    cases = {}
+    for seed in (1, 2):
+        for name, doc in common.manifests(seed).items():
+            cases[f"bench-{name}-seed{seed}"] = doc
+    runs = [("fmzi-classical", {"experiment": "fmzi"}),
+            ("fmzi-quantum", {"experiment": "fmzi", "mode": "quantum"}),
+            ("hom", {"experiment": "hom"}),
+            ("bell", {"experiment": "bell"})]
+    runs += [(f"cz-{basis}", {"experiment": "cz", "basis": basis})
+             for basis in ("xz", "zx", "zz", "both")]
+    for label, doc in runs:
+        for toggles in TOGGLE_SETS:
+            cases[f"{label}-{'+'.join(toggles) or 'ideal'}"] = {**doc, "imperfections": toggles}
+    cases["cz-nonstandard"] = {"experiment": "cz", "basis": "zz", "allow_nonstandard": True,
+                               "config": {"dr2": {"transmissivity_T": 0.5}},
+                               "imperfections": ["eta", "crosstalk"]}
+    cases["fmzi-unbalanced"] = {"experiment": "fmzi", "mode": "quantum",
+                                "config": {"dr1": {"transmissivity_T": 0.4}}}
+    cases["bell-zero-fringe"] = {"experiment": "bell",
+                                 "sweep": {"start": 0, "stop": 0, "num": 2}}
+    cases["spectroscopy"] = {"experiment": "spectroscopy"}
+    return cases
+
+
+def _process(src: Path, argv: list[str], cwd: Path) -> dict[str, str]:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("FREQBIN_OUTPUT_DIR", None)
+    done = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    return {"stdout": done.stdout, "stderr": done.stderr, "exit": str(done.returncode)}
+
+
+def outputs(src: Path, work: Path) -> dict[str, dict[str, str]]:
+    """Every compared output of one tree, by run name."""
+    found = {}
+    for name, doc in manifests().items():
+        case = work / name
+        case.mkdir()
+        (case / "m.json").write_text(json.dumps(doc))
+        run = _process(src, ["-m", "freqbin.cli", "run", "m.json", "--out", "out"], case)
+        for file in OUTPUT_FILES:
+            path = case / "out" / file
+            run[file] = path.read_text() if path.exists() else "<missing>"
+        found[f"run {name}"] = run
+    found["in-process to_json"] = _process(src, ["-c", IN_PROCESS], work)
+    for demo in sorted((src.parent / "demos").glob("0[1-6]_*.py")):
+        found[f"demo {demo.name}"] = _process(src, [str(demo)], work)
+    return found
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    trees = [Path(a).resolve() for a in argv]
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = []
+        for k, src in enumerate(trees):
+            (Path(tmp) / str(k)).mkdir()
+            runs.append(outputs(src, Path(tmp) / str(k)))
+    parent, change = runs
+    diffs = [f"{name}: {part} differs"
+             for name in sorted(set(parent) | set(change))
+             for part in sorted(set(parent.get(name, {})) | set(change.get(name, {})))
+             if parent.get(name, {}).get(part) != change.get(name, {}).get(part)]
+    for line in diffs:
+        print(line)
+    if diffs:
+        return 1
+    print(f"identical: {len(parent)} runs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -6,8 +6,10 @@ photon outside its mode set, and detection enumerates every photon's
 destination (each detector or loss) one occupation at a time.  It is
 slow and shares no composition or detection code with
 `freqbin.experiments`, whose compiled pipelines the tests check against
-it.  The element matrices, the working grid and the routing weights are
-the model's inputs and are taken from the package.
+it.  Each pipeline gives every beam splitter its own pair of sideband
+modes, three for the gate in every basis.  The element matrices, the
+routing weights and the gate's input bins are the model's inputs and are
+taken from the package.
 """
 
 from __future__ import annotations
@@ -16,17 +18,26 @@ import math
 
 import numpy as np
 
-from freqbin.elements import FbsSpec, attenuator_transform, fbs_transform, phase_transform
+from freqbin.elements import FbsSpec, fbs_transform
 from freqbin.experiments import (
     BELL_BINS,
     CZ_CONTROL_BINS,
     CZ_TARGET_BINS,
-    _cz_injection,
     _CZ_INPUTS,
     _detector_weights,
-    _working_grid,
 )
-from freqbin.fock import PureState, apply_transform, fock_state
+from freqbin.fock import ModeTransform, PureState, apply_transform, fock_state, grid_from_indices
+
+
+def _grid(cfg, n_fbs):
+    """The chip's bins plus two sideband modes per beam splitter, and
+    those pairs in order."""
+    bins = [b.index for b in cfg.grid.bins]
+    start = max(bins) + 1
+    sidebands = [(start + 2 * k, start + 2 * k + 1) for k in range(n_fbs)]
+    grid = grid_from_indices(bins, [m for pair in sidebands for m in pair],
+                             cfg.grid.bin_spacing_ghz)
+    return grid, sidebands
 
 
 def _fbs(dr, bins, sidebands, toggles, transmissivity=None, theta=None):
@@ -127,7 +138,7 @@ def _global_eta(cfg, toggles):
 
 def fmzi_curves(cfg, phases, toggles):
     """The four fringe curves p_in{i}_port{d}."""
-    grid, sb = _working_grid(cfg, 2)
+    grid, sb = _grid(cfg, 2)
     bins = (0, 1)
     bs1, eta1 = _fbs(cfg.dr1, bins, sb[0], toggles)
     bs3, eta3 = _fbs(cfg.dr3, bins, sb[1], toggles)
@@ -136,7 +147,7 @@ def fmzi_curves(cfg, phases, toggles):
     for phi in phases:
         for i in bins:
             psi = _apply_with_insertion(fock_state(grid, {i: 1}), bs1, eta1)
-            psi = apply_transform(psi, phase_transform(1, phi))
+            psi = apply_transform(psi, ModeTransform((1,), [[np.exp(1j * phi)]]))
             psi = _apply_with_insertion(psi, bs3, eta3)
             probs = _single_photon_probs(_scale_uniform(psi, _global_eta(cfg, toggles)), weights)
             for d in bins:
@@ -146,7 +157,7 @@ def fmzi_curves(cfg, phases, toggles):
 
 def hom_columns(cfg, reflectivities, toggles, v_indist):
     """p_cc, the distinguishable reference and the visibility per point."""
-    grid, sb = _working_grid(cfg, 1)
+    grid, sb = _grid(cfg, 1)
     bins = (0, 1)
     weights = _weights(grid, bins, cfg, toggles)
     p_cc_col, p_dist_col, vis_col = [], [], []
@@ -171,7 +182,7 @@ def hom_columns(cfg, reflectivities, toggles, v_indist):
 def cz_tables(cfg, basis, toggles):
     """Exact truth table, success per row, and the accidental weight of
     every outcome (max success times the normalized singles product)."""
-    grid, sb = _working_grid(cfg, 3)
+    grid, sb = _grid(cfg, 3)
     c0, c1 = CZ_CONTROL_BINS
     t0, t1 = CZ_TARGET_BINS
     h_bins = (c0, c1) if basis == "xz" else (t0, t1)
@@ -183,12 +194,12 @@ def cz_tables(cfg, basis, toggles):
     exact = np.zeros((4, 4))
     success = np.zeros(4)
     singles_rows = []
-    for row, label in enumerate(_CZ_INPUTS[basis]):
-        psi = fock_state(grid, {b: 1 for b in _cz_injection(basis, label)})
+    for row, bins in enumerate(_CZ_INPUTS[basis].values()):
+        psi = fock_state(grid, {b: 1 for b in bins})
         if basis != "zz":
             psi = _apply_with_insertion(psi, prep, eta1)
-        psi = apply_transform(psi, attenuator_transform(c0, cfg.r1_transmission))
-        psi = apply_transform(psi, attenuator_transform(t1, cfg.r2_transmission))
+        psi = apply_transform(psi, ModeTransform((c0,), [[math.sqrt(cfg.r1_transmission)]]))
+        psi = apply_transform(psi, ModeTransform((t1,), [[math.sqrt(cfg.r2_transmission)]]))
         psi = _apply_with_insertion(psi, gate, eta2)
         if basis != "zz":
             psi = _apply_with_insertion(psi, analysis, eta3)
@@ -209,7 +220,7 @@ def cz_tables(cfg, basis, toggles):
 
 def bell_curves(cfg, phases, toggles):
     """The four fringe curves p_pp, p_pm, p_mp, p_mm."""
-    grid, sb = _working_grid(cfg, 2)
+    grid, sb = _grid(cfg, 2)
     f1, f2, f3, f4 = BELL_BINS
     v = cfg.source.indistinguishability if "distinguishability" in toggles else 1.0
     weights = _weights(grid, BELL_BINS, cfg, toggles)

@@ -291,6 +291,80 @@ def test_fuzzed_run_exits_cleanly(doc):
         assert code in (0, 2, 3)
 
 
+# Run fuzz over manifests that parse: every number lies inside the range
+# its settings dataclass accepts, cross-field rules included (kappa_ex,
+# drawn or its default of 1 GHz, at most any kappa1; filter linewidths
+# below any free spectral range; all four bins inside the coupler
+# window), so every example reaches run time.  There a run may still fail
+# (a gate off its 1/3 splitting, a Poisson mean too large to draw) with
+# exit 2.
+_IN_RANGE = {
+    "global_efficiency": st.floats(0.05, 1.0),
+    "r1_transmission": st.floats(0.05, 1.0),
+    "r2_transmission": st.floats(0.05, 1.0),
+    "bin_spacing_ghz": st.floats(1.0, 200.0),
+    "transmissivity_T": st.floats(0.0, 1.0),
+    "phase_theta": st.floats(-10.0, 10.0),
+    "efficiency_eta": st.floats(0.05, 1.0),
+    "sideband_suppression_db": st.floats(0.0, 60.0),
+    "g_ghz": st.floats(0.5, 20.0),
+    "kappa1_ghz": st.floats(1.0, 5.0),
+    "kappa_ex_ghz": st.floats(0.05, 0.5),
+    "kappa2_ghz": st.floats(0.5, 5.0),
+    "eo_coeff_ghz_per_v": st.floats(0.01, 1.0),
+    "thermal_detune_ghz": st.floats(-5.0, 5.0),
+    "resonance_offset_ghz": st.floats(-5.0, 5.0),
+    "linewidth_fwhm_ghz": st.floats(0.5, 20.0),
+    "fsr_ghz": st.floats(25.0, 400.0),
+    "drop_efficiency": st.floats(0.05, 1.0),
+    "photon_linewidth_mhz": st.floats(1.0, 1000.0),
+    "pair_rate_hz": st.floats(1e3, 1e7),
+    "car": st.floats(1.5, 1e4),
+    "indistinguishability": st.floats(0.0, 1.0),
+    "efficiency": st.floats(0.05, 1.0),
+    "dark_rate_hz": st.floats(0.0, 1e4),
+    "coincidence_window_ps": st.floats(10.0, 2000.0),
+    "integration_s": st.floats(0.1, 100.0),
+    "insertion_loss": st.floats(0.05, 1.0),
+}
+
+
+def _in_range(schema, nested=None):
+    nested = nested or {}
+    return st.fixed_dictionaries(
+        {}, optional={k: nested[k] if k in nested else _IN_RANGE[k] for k in schema}
+    )
+
+
+_VALID_DR = _in_range(_DR_KEYS, {"cavity": _in_range(_CAVITY_KEYS)})
+_VALID_MANIFESTS = st.fixed_dictionaries(
+    {
+        "experiment": _TOP_VALUES["experiment"],
+        # Inside [0, 1], where a sweep of reflectivities is valid too.
+        "sweep": st.fixed_dictionaries({"start": st.floats(0.0, 1.0),
+                                        "stop": st.floats(0.0, 1.0),
+                                        "num": st.integers(2, 5)}),
+        "config": _in_range(_CONFIG_KEYS, {
+            "dr1": _VALID_DR, "dr2": _VALID_DR, "dr3": _VALID_DR,
+            "filters": _in_range(_FILTER_KEYS),
+            "source": _in_range(_SOURCE_KEYS),
+            "detector": _in_range(_DETECTOR_KEYS),
+        }),
+    },
+    optional={k: _TOP_VALUES[k]
+              for k in ("seed", "imperfections", "mode", "basis", "target", "allow_nonstandard")},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_VALID_MANIFESTS)
+def test_fuzzed_valid_manifest_reaches_run_time(doc):
+    parse_manifest(json.dumps(doc))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _ = _checked_run(doc, Path(tmp))
+        assert code in (0, 2)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     doc=st.fixed_dictionaries({
@@ -474,6 +548,13 @@ class TestRunCommand:
         payload = json.loads((tmp_path / "out" / "result.json").read_text())
         assert payload["filters"]["sweep_values"] == [0.0, 5e19, 1e20]
 
+    def test_manifest_that_is_not_utf8(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(b'{"experiment": "hom", "output_dir": "\xff"}')
+        assert main(["run", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot read manifest")
+
     def test_bad_manifest_exit_code(self, tmp_path):
         manifest = tmp_path / "m.json"
         manifest.write_text('{"experiment": "nope"}')
@@ -543,3 +624,43 @@ class TestFitCommand:
             writer.writerows(rows)
         assert main(["fit", str(path)]) == 3
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("detuning_ghz,transmission\n1.0\n", "line 2: expected 2 fields, got 1"),
+        ("detuning_ghz,transmission\n1.0,0.5\n\n2.0,0.5,7\n",
+         "line 4: expected 2 fields, got 3"),
+        ("detuning_ghz,transmission\n%s,0.5\n" % ("1" * 200_000), "field limit"),
+    ], ids=["fewer-fields", "more-fields", "field-past-the-csv-limit"])
+    def test_fit_row_with_wrong_field_count(self, text, message, tmp_path, capsys):
+        path = tmp_path / "spec.csv"
+        path.write_text(text)
+        assert main(["fit", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot read spectrum: ")
+        assert message in err[0]
+
+
+# Fit fuzz: a CSV of fewer than 50 rows, so no fit runs, with the expected
+# header or any other, and rows of any fields that hold no line break.
+_CSV_FIELD = (
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+            max_size=8)
+    | st.floats().map(repr)
+    | st.integers().map(str)
+)
+_CSV_ROW = st.lists(_CSV_FIELD, max_size=4).map(",".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=st.just("detuning_ghz,transmission") | _CSV_ROW,
+       rows=st.lists(_CSV_ROW, max_size=49))
+def test_fuzzed_fit_csv_exits_cleanly(header, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "spec.csv")
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["fit", str(path)])
+    assert code in (2, 3)
+    lines = stderr.getvalue().splitlines()
+    assert lines and all(line.startswith("error: ") for line in lines), lines

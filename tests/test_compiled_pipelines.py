@@ -15,9 +15,10 @@ from freqbin.elements import fbs_blocks
 from freqbin.errors import ValidationError
 from freqbin.experiments import (
     IMPERFECTION_NAMES,
+    Circuit,
     _coincidences,
     _effective,
-    _pair_amplitudes,
+    _pair,
     config_echo,
     default_chip_config,
     run_bell,
@@ -25,6 +26,7 @@ from freqbin.experiments import (
     run_fmzi,
     run_hom,
 )
+from freqbin.fock import grid_from_indices
 
 TOL = 1e-12
 PHASES = np.linspace(0.0, 2.0 * math.pi, 7)
@@ -125,19 +127,20 @@ def test_batched_blocks_match_one_at_a_time():
 def test_bell_source_coincidences():
     # (|f1 f4> + |f2 f3>) / sqrt(2) through the identity: qubit B mirrors
     # qubit A, and exactly one photon reaches each qubit's pair of bins.
-    u = np.eye(4, dtype=complex)
-    s = (_pair_amplitudes(u, 0, 3) + _pair_amplitudes(u, 1, 2)) / math.sqrt(2.0)
-    p = _coincidences(s, np.eye(4)[:2], np.eye(4)[2:], (0, 1), (2, 3))
-    assert _gap(p, [[0.0, 0.5], [0.5, 0.0]]) < TOL
+    identity = Circuit(grid_from_indices(range(4)), np.eye(4, dtype=complex)[None],
+                       (0, 1), (2, 3), np.eye(4))
+    s = (_pair(identity, 0, 3) + _pair(identity, 1, 2)) / math.sqrt(2.0)
+    p = _coincidences(identity, s)
+    assert _gap(p, [[[0.0, 0.5], [0.5, 0.0]]]) < TOL
 
 
 def test_sideband_photon_gives_no_coincidence():
     # One photon in bin 0 and one in a sideband mode (position 2), which
     # no detector sees: the (0, 1) coincidence never fires.
-    u = np.eye(3, dtype=complex)
-    weights = np.eye(3)[:2]
-    p = _coincidences(_pair_amplitudes(u, 0, 2), weights[:1], weights[1:], (0,), (1,))
-    assert p.shape == (1, 1) and p[0, 0] == 0.0
+    identity = Circuit(grid_from_indices([0, 1], sideband=[2]),
+                       np.eye(3, dtype=complex)[None], (0,), (1,), np.eye(3)[:2])
+    p = _coincidences(identity, _pair(identity, 0, 2))
+    assert p.shape == (1, 1, 1) and p[0, 0, 0] == 0.0
 
 
 # ---------------------------------------------------------------------------

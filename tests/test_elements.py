@@ -1,20 +1,16 @@
-"""Element constructor tests: beam splitter, filter, attenuator, phase."""
+"""Element tests: beam splitter and filter constructors, and the
+single-mode attenuators and phase shifts of the compiled circuits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from freqbin.elements import (
-    FbsSpec,
-    FilterParams,
-    attenuator_transform,
-    fbs_transform,
-    filter_response,
-    phase_transform,
-)
+from freqbin.elements import FbsSpec, FilterParams, fbs_transform, filter_response
 from freqbin.errors import ValidationError
-from freqbin.fock import apply_transform, fock_state, grid_from_indices
+from freqbin.experiments import _embed, default_chip_config
+from freqbin.fock import ModeTransform, apply_transform, fock_state, grid_from_indices
 
 
 #: Bins 1 and 2 with their grid neighbors as the sideband modes.
@@ -153,35 +149,39 @@ class TestFilter:
 
 
 class TestAttenuatorAndPhase:
+    # Attenuators enter the compiled circuits as one-mode blocks of
+    # amplitude sqrt(power) placed by `_embed`.
+    GRID = grid_from_indices([0, 1])
+
+    def attenuator(self, power):
+        return _embed(self.GRID, (0,), np.full((1, 1, 1), math.sqrt(power)))
+
     def test_unit_transmission_is_identity(self):
-        t = attenuator_transform(0, 1.0)
-        assert t.matrix[0, 0] == pytest.approx(1.0)
+        assert np.array_equal(self.attenuator(1.0)[0], np.eye(2))
 
     def test_two_thirds_attenuation(self):
         # Attenuation of 2/3 means transmitted power 1/3.
-        t = attenuator_transform(0, 1.0 / 3.0)
-        assert abs(t.matrix[0, 0]) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
-        assert abs(t.matrix[0, 0]) == pytest.approx(0.5774, abs=1e-4)
+        t = self.attenuator(1.0 / 3.0)[0]
+        assert abs(t[0, 0]) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
+        assert abs(t[0, 0]) == pytest.approx(0.5774, abs=1e-4)
+        assert t[1, 1] == 1.0 and t[0, 1] == t[1, 0] == 0.0
 
     def test_cascade_multiplies_power(self):
-        grid = grid_from_indices([0, 1])
-        state = fock_state(grid, {0: 1})
-        att = attenuator_transform(0, 1.0 / 3.0)
-        out = apply_transform(apply_transform(state, att), att)
-        assert out.norm_squared() == pytest.approx(1.0 / 9.0, abs=1e-12)
+        att = self.attenuator(1.0 / 3.0)
+        assert abs((att @ att)[0, 0, 0]) ** 2 == pytest.approx(1.0 / 9.0, abs=1e-12)
 
     def test_attenuator_range(self):
-        with pytest.raises(ValidationError):
-            attenuator_transform(0, 1.5)
+        cfg = default_chip_config()
+        for power in (0.0, 1.5):
+            with pytest.raises(ValidationError):
+                replace(cfg, r1_transmission=power)
 
     def test_phase_identity_and_period(self):
-        assert phase_transform(0, 0.0).matrix[0, 0] == pytest.approx(1.0)
+        assert ModeTransform((0,), [[np.exp(0j)]]).matrix[0, 0] == pytest.approx(1.0)
         grid = grid_from_indices([0, 1])
         state = fock_state(grid, {0: 1})
-        out = apply_transform(
-            apply_transform(state, phase_transform(0, math.pi)),
-            phase_transform(0, math.pi),
-        )
+        flip = ModeTransform((0,), [[np.exp(1j * math.pi)]])
+        out = apply_transform(apply_transform(state, flip), flip)
         assert out.amplitude((1, 0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_wave_gives_balanced_ports(self):
@@ -199,7 +199,7 @@ class TestAttenuatorAndPhase:
         occ_a = tuple(1 if k == grid.position(0) else 0 for k in range(n))
         occ_b = tuple(1 if k == grid.position(1) else 0 for k in range(n))
         psi = PureState(grid, {occ_a: s, occ_b: s})
-        psi = apply_transform(psi, phase_transform(1, math.pi / 2))
+        psi = apply_transform(psi, ModeTransform((1,), [[np.exp(1j * math.pi / 2)]]))
         psi = apply_transform(
             psi,
             fbs_transform(

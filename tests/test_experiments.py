@@ -184,14 +184,14 @@ class TestCz:
                     full[mi, mj] = t.matrix[i, j]
             return full
 
-        from freqbin.elements import FbsSpec, attenuator_transform
+        from freqbin.elements import FbsSpec
 
         h_prep = fbs_transform(FbsSpec(0.5, sideband_suppression_db=math.inf),
                                (c0, c1, 4, 5))
         gate = fbs_transform(FbsSpec(1.0 / 3.0, sideband_suppression_db=math.inf),
                              (t0, c1, 6, 7))
-        att1 = attenuator_transform(c0, 1.0 / 3.0)
-        att2 = attenuator_transform(t1, 1.0 / 3.0)
+        att1 = ModeTransform((c0,), [[1.0 / math.sqrt(3.0)]])
+        att2 = ModeTransform((t1,), [[1.0 / math.sqrt(3.0)]])
 
         composed = embed(gate) @ embed(att2) @ embed(att1) @ embed(h_prep)
         big = ModeTransform(modes, composed)

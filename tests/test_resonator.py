@@ -196,6 +196,32 @@ def test_clean_scan_of_a_resolved_doublet_recovers_the_rates(
     assert fit.linewidths_ghz[1] == pytest.approx(kappa2, abs=1e-9)
 
 
+def _loop_local_minima(x, y):
+    """Per-sample loop of the minima rule: the reference `_local_minima`
+    must equal."""
+    out = []
+    for i in range(1, len(y) - 1):
+        if y[i] <= y[i - 1] and y[i] <= y[i + 1] and (y[i] < y[i - 1] or y[i] < y[i + 1]):
+            out.append((float(x[i]), float(y[i])))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=st.lists(st.integers(0, 3).map(float) | st.floats(-2.0, 2.0), max_size=80))
+def test_local_minima_match_the_loop(y):
+    # Few distinct levels make plateaus and ties with a neighbour common.
+    y = np.asarray(y, dtype=float)
+    x = np.linspace(-15.0, 15.0, len(y))
+    assert resonator._local_minima(x, y) == _loop_local_minima(x, y)
+
+
+def test_local_minima_of_the_dr1_scan_match_the_loop():
+    x = np.linspace(-15.0, 15.0, 6001)
+    y = dr_through_spectrum(DRParams(), x)
+    minima = resonator._local_minima(x, y)
+    assert len(minima) == 2 and minima == _loop_local_minima(x, y)
+
+
 def _scipy_modules_after(code: str) -> str:
     """Sorted scipy modules loaded after running ``code`` in a fresh
     interpreter that imports this checkout's freqbin."""
