@@ -27,10 +27,13 @@ for r, p, v in zip(res.series["reflectivity"], res.series["p_cc"],
 
 # Partially distinguishable photons cap the dip: at the recorded
 # indistinguishability the balanced-point visibility is 94.9%.
-sampled_cfg = replace(cfg, detector=replace(cfg.detector, integration_s=5.0))
+sampled_cfg = replace(
+    cfg, detector=replace(cfg.detector, integration_s=5.0),
+    source=replace(cfg.source, indistinguishability=HOM_INDISTINGUISHABILITY),
+)
 sampled = run_hom(
     sampled_cfg, np.linspace(0.0, 1.0, 41),
-    v_indist=HOM_INDISTINGUISHABILITY, seed=7, sample=True,
+    seed=7, imperfections={"distinguishability"}, sample=True,
 )
 vis = sampled.metrics["visibility_at_balanced"]
 print(f"\nbalanced visibility with v = {HOM_INDISTINGUISHABILITY}: "

@@ -13,6 +13,13 @@ manifest and seed always produce byte-identical result.json.  ``fit``
 reads a two-column CSV with header
 ``detuning_ghz,transmission`` and fits the coupled-resonator doublet.
 
+A manifest's ``config`` mirrors the chip's settings dataclasses
+(`ChipConfig` and its parts): a number for each number field, an object
+for each nested settings object.  Two exceptions: a double resonator's
+beam-splitter keys sit beside its ``cavity``, and the bin grid is set
+only by ``bin_spacing_ghz``.  Every manifest error names its JSON-pointer
+location; a setting out of range names the object that rejects it.
+
 The default output directory comes from the FREQBIN_OUTPUT_DIR
 environment variable, falling back to the current directory.  CSV column
 sets per experiment are listed in schemas/cli_csv_schema.json shipped
@@ -27,17 +34,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments as xp
-from .counting import DetectorSpec, SourceSpec
-from .elements import FbsSpec, FilterParams
+from .elements import FbsSpec
 from .errors import FitError, FreqbinError, ManifestError
-from .experiments import ChipConfig, default_chip_config
-from .resonator import DRParams, fit_doublet
+from .experiments import ChipConfig, DrConfig, default_chip_config
+from .resonator import fit_doublet
 
 SCHEMA_VERSION = 1
 ENV_OUTPUT_DIR = "FREQBIN_OUTPUT_DIR"
@@ -86,10 +92,6 @@ class RunManifest:
         return json.dumps(asdict(self), sort_keys=False, indent=2)
 
 
-def _err(msg: str, loc: str) -> ManifestError:
-    return ManifestError(msg, loc)
-
-
 def _expect_keys(obj: dict, allowed: dict[str, type | tuple], loc: str) -> None:
     """Reject unknown keys, values of the wrong type, booleans where a
     number is expected, and numbers that are no finite float (JSON NaN,
@@ -97,47 +99,23 @@ def _expect_keys(obj: dict, allowed: dict[str, type | tuple], loc: str) -> None:
     zeros)."""
     for key in obj:
         if key not in allowed:
-            raise _err(f"unknown key {key!r}", f"{loc}/{key}")
+            raise ManifestError(f"unknown key {key!r}", f"{loc}/{key}")
     for key, types in allowed.items():
         if key not in obj:
             continue
         value = obj[key]
         if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-            raise _err(f"expected {types} value", f"{loc}/{key}")
+            raise ManifestError(f"expected {types} value", f"{loc}/{key}")
         if isinstance(value, (int, float)):
             try:
                 finite = math.isfinite(value)
             except OverflowError:  # an integer past the float range
                 finite = False
             if not finite:
-                raise _err("expected a finite number", f"{loc}/{key}")
+                raise ManifestError("expected a finite number", f"{loc}/{key}")
 
 
 _NUM = (int, float)
-
-
-def _numeric_keys(settings) -> dict[str, tuple]:
-    """Manifest keys of a settings dataclass: its fields, all numbers."""
-    return {f.name: _NUM for f in fields(settings)}
-
-
-_DR_KEYS = {**_numeric_keys(FbsSpec), "cavity": dict}
-_CAVITY_KEYS = _numeric_keys(DRParams)
-_FILTER_KEYS = _numeric_keys(FilterParams)
-_SOURCE_KEYS = _numeric_keys(SourceSpec)
-_DETECTOR_KEYS = _numeric_keys(DetectorSpec)
-_CONFIG_KEYS = {
-    "global_efficiency": _NUM,
-    "r1_transmission": _NUM,
-    "r2_transmission": _NUM,
-    "bin_spacing_ghz": _NUM,
-    "dr1": dict,
-    "dr2": dict,
-    "dr3": dict,
-    "filters": dict,
-    "source": dict,
-    "detector": dict,
-}
 _SWEEP_KEYS = {"start": _NUM, "stop": _NUM, "num": int}
 #: Most sweep points a manifest may ask for.
 MAX_SWEEP_NUM = 10_000
@@ -155,6 +133,43 @@ _TOP_KEYS = {
     "allow_nonstandard": bool,
 }
 
+# The two exceptions to the mirror of the settings dataclasses (see the
+# module docstring), per class: part -> its fields that are keys of the
+# class's own object.
+_LIFTED = {
+    DrConfig: {"fbs": tuple(f.name for f in fields(FbsSpec))},
+    ChipConfig: {"grid": ("bin_spacing_ghz",)},
+}
+
+
+def _overlay(settings, doc: dict, loc: str):
+    """``settings`` with the manifest object ``doc``, found at ``loc``,
+    laid over it.
+
+    Each key is checked against the fields of ``settings`` (`_expect_keys`),
+    nested objects recursively.  Each changed dataclass is rebuilt once
+    with all of its overrides, so its ``__post_init__`` is the range check
+    and its error is raised at the location of its object.
+    """
+    lifted = _LIFTED.get(type(settings), {})
+    # Key -> the part of ``settings`` whose field it sets (None: its own).
+    owner = {f.name: None for f in fields(settings) if f.name not in lifted}
+    owner.update({name: part for part, names in lifted.items() for name in names})
+    current = {k: getattr(getattr(settings, p) if p else settings, k) for k, p in owner.items()}
+    _expect_keys(doc, {k: dict if is_dataclass(v) else _NUM for k, v in current.items()}, loc)
+    changes: dict[str | None, dict] = {}
+    for key, value in doc.items():
+        if is_dataclass(current[key]):
+            value = _overlay(current[key], value, f"{loc}/{key}")
+        changes.setdefault(owner[key], {})[key] = value
+    own = changes.pop(None, {})
+    try:
+        for part, over in changes.items():
+            own[part] = replace(getattr(settings, part), **over)
+        return replace(settings, **own)
+    except FreqbinError as exc:
+        raise ManifestError(str(exc), loc)
+
 
 def parse_manifest(text: str) -> RunManifest:
     """Strictly parse and validate a manifest document."""
@@ -163,129 +178,55 @@ def parse_manifest(text: str) -> RunManifest:
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and integer literals past
         # Python's digit limit; RecursionError, nesting too deep to parse.
-        raise _err(f"malformed JSON: {exc}", "/")
+        raise ManifestError(f"malformed JSON: {exc}", "/")
     if not isinstance(raw, dict):
-        raise _err("manifest must be a JSON object", "/")
+        raise ManifestError("manifest must be a JSON object", "/")
     _expect_keys(raw, _TOP_KEYS, "")
     if "experiment" not in raw:
-        raise _err("missing experiment name", "/experiment")
-    experiment = raw["experiment"]
-    if experiment not in EXPERIMENTS:
-        raise _err(
-            f"unknown experiment {experiment!r}; known: {sorted(EXPERIMENTS)}",
-            "/experiment",
-        )
-    version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise _err(f"unsupported schema_version {version}", "/schema_version")
+        raise ManifestError("missing experiment name", "/experiment")
+    manifest = RunManifest(**raw)
+    choices = {
+        "experiment": tuple(EXPERIMENTS),
+        "schema_version": (SCHEMA_VERSION,),
+        "mode": xp.FMZI_MODES,
+        "basis": ("both", *xp.CZ_BASES),
+        "target": ("all", *xp.SPECTROSCOPY_TARGETS),
+    }
+    for key, allowed in choices.items():
+        if getattr(manifest, key) not in allowed:
+            raise ManifestError(f"{key} must be one of {allowed}", f"/{key}")
 
-    config = raw.get("config", {})
-    _expect_keys(config, _CONFIG_KEYS, "/config")
-    for name in ("dr1", "dr2", "dr3"):
-        if name in config:
-            _expect_keys(config[name], _DR_KEYS, f"/config/{name}")
-            if "cavity" in config[name]:
-                _expect_keys(
-                    config[name]["cavity"], _CAVITY_KEYS, f"/config/{name}/cavity"
-                )
-    if "filters" in config:
-        _expect_keys(config["filters"], _FILTER_KEYS, "/config/filters")
-    if "source" in config:
-        _expect_keys(config["source"], _SOURCE_KEYS, "/config/source")
-    if "detector" in config:
-        _expect_keys(config["detector"], _DETECTOR_KEYS, "/config/detector")
-
-    sweep = raw.get("sweep", {})
+    sweep = manifest.sweep
     _expect_keys(sweep, _SWEEP_KEYS, "/sweep")
     if sweep and any(k not in sweep for k in ("start", "stop", "num")):
-        raise _err("sweep needs start, stop, and num", "/sweep")
+        raise ManifestError("sweep needs start, stop, and num", "/sweep")
     if sweep and not 2 <= sweep["num"] <= MAX_SWEEP_NUM:
-        raise _err(f"sweep num must lie in [2, {MAX_SWEEP_NUM}]", "/sweep/num")
+        raise ManifestError(f"sweep num must lie in [2, {MAX_SWEEP_NUM}]", "/sweep/num")
 
-    imperfections = raw.get("imperfections", [])
-    for k, name in enumerate(imperfections):
+    for k, name in enumerate(manifest.imperfections):
         if not isinstance(name, str):
-            raise _err(f"expected a string, got {name!r}", f"/imperfections/{k}")
+            raise ManifestError(f"expected a string, got {name!r}", f"/imperfections/{k}")
         if name not in xp.IMPERFECTION_NAMES:
-            raise _err(
+            raise ManifestError(
                 f"unknown imperfection {name!r}; known: {sorted(xp.IMPERFECTION_NAMES)}",
                 f"/imperfections/{k}",
             )
 
-    mode = raw.get("mode", "classical")
-    if mode not in ("classical", "quantum"):
-        raise _err("mode must be classical or quantum", "/mode")
-    basis = raw.get("basis", "both")
-    if basis not in ("both", "xz", "zx", "zz"):
-        raise _err("basis must be both, xz, zx, or zz", "/basis")
-    output_dir = raw.get("output_dir")
-    if output_dir is not None and "\0" in output_dir:
-        raise _err("output_dir contains a NUL character", "/output_dir")
-    target = raw.get("target", "all")
-    if target not in ("all", "dr1", "dr2", "dr3", "filters"):
-        raise _err("target must be all, dr1, dr2, dr3, or filters", "/target")
+    if manifest.output_dir is not None and "\0" in manifest.output_dir:
+        raise ManifestError("output_dir contains a NUL character", "/output_dir")
 
-    manifest = RunManifest(
-        experiment=experiment,
-        schema_version=version,
-        seed=raw.get("seed", 12345),
-        output_dir=output_dir,
-        sweep=sweep,
-        config=config,
-        imperfections=list(imperfections),
-        mode=mode,
-        basis=basis,
-        target=target,
-        allow_nonstandard=raw.get("allow_nonstandard", False),
-    )
-    build_config(manifest)  # rejects out-of-range settings
+    build_config(manifest)  # rejects bad /config keys and out-of-range settings
     _sweep_values(manifest)  # rejects a sweep span past the float range
     return manifest
 
 
 def build_config(manifest: RunManifest) -> ChipConfig:
-    """Resolve the manifest's overrides against the device defaults."""
+    """Resolve the manifest's /config against the device defaults."""
     cfg = default_chip_config()
-    c = manifest.config
-    try:
-        if manifest.experiment == "bell" and "dr2" not in c:
-            # Entanglement analysis runs DR2 balanced.
-            cfg = replace(
-                cfg, dr2=replace(cfg.dr2, fbs=replace(cfg.dr2.fbs, transmissivity_T=0.5))
-            )
-        for name in ("dr1", "dr2", "dr3"):
-            if name not in c:
-                continue
-            dr = getattr(cfg, name)
-            fbs_over = {k: v for k, v in c[name].items() if k != "cavity"}
-            fbs = replace(dr.fbs, **fbs_over) if fbs_over else dr.fbs
-            cavity = (
-                replace(dr.cavity, **c[name]["cavity"])
-                if "cavity" in c[name]
-                else dr.cavity
-            )
-            cfg = replace(cfg, **{name: replace(dr, fbs=fbs, cavity=cavity)})
-        if "filters" in c:
-            cfg = replace(cfg, filters=replace(cfg.filters, **c["filters"]))
-        if "source" in c:
-            cfg = replace(cfg, source=replace(cfg.source, **c["source"]))
-        if "detector" in c:
-            cfg = replace(cfg, detector=replace(cfg.detector, **c["detector"]))
-        scalars = {
-            k: c[k]
-            for k in ("global_efficiency", "r1_transmission", "r2_transmission")
-            if k in c
-        }
-        if scalars:
-            cfg = replace(cfg, **scalars)
-        if "bin_spacing_ghz" in c:
-            cfg = replace(
-                cfg,
-                grid=replace(cfg.grid, bin_spacing_ghz=c["bin_spacing_ghz"]),
-            )
-    except FreqbinError as exc:
-        raise ManifestError(str(exc), "/config")
-    return cfg
+    if manifest.experiment == "bell" and "dr2" not in manifest.config:
+        # Entanglement analysis runs DR2 balanced.
+        cfg = replace(cfg, dr2=replace(cfg.dr2, fbs=replace(cfg.dr2.fbs, transmissivity_T=0.5)))
+    return _overlay(cfg, manifest.config, "/config")
 
 
 def _sweep_values(manifest: RunManifest) -> np.ndarray:
@@ -299,8 +240,12 @@ def _sweep_values(manifest: RunManifest) -> np.ndarray:
         # float(): an integer past int64 would make linspace an object array.
         start, stop = float(manifest.sweep["start"]), float(manifest.sweep["stop"])
         if not math.isfinite(stop - start):
-            raise _err("sweep span stop - start must be a finite number", "/sweep")
-        return np.linspace(start, stop, manifest.sweep["num"])
+            raise ManifestError("sweep span stop - start must be a finite number", "/sweep")
+        # A finite span near the float limit can overflow the step times
+        # the last index; linspace then sets the last point to stop, so
+        # every value stays finite and the overflow warning is noise.
+        with np.errstate(over="ignore"):
+            return np.linspace(start, stop, manifest.sweep["num"])
     start, stop, num = defaults.get(manifest.experiment, (0.0, 1.0, 2))
     return np.linspace(start, stop, num)
 
@@ -325,9 +270,7 @@ def _execute(manifest: RunManifest) -> tuple[dict, list[dict], dict]:
         return payload, rows, metrics
 
     if exp == "spectroscopy":
-        targets = ("dr1", "dr2", "dr3", "filters") if manifest.target == "all" else (
-            manifest.target,
-        )
+        targets = xp.SPECTROSCOPY_TARGETS if manifest.target == "all" else [manifest.target]
         payload = {"experiment": exp}
         rows: list[dict] = []
         metrics: dict[str, float] = {}

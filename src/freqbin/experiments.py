@@ -109,6 +109,12 @@ HOM_INDISTINGUISHABILITY = 0.949
 IMPERFECTION_NAMES = frozenset(
     {"eta", "sideband", "crosstalk", "car", "distinguishability"}
 )
+#: Interferometer modes of `run_fmzi`.
+FMZI_MODES = ("classical", "quantum")
+#: Gate bases of `run_cz`.
+CZ_BASES = ("xz", "zx", "zz")
+#: What `run_spectroscopy` scans: a double resonator or the filter bank.
+SPECTROSCOPY_TARGETS = ("dr1", "dr2", "dr3", "filters")
 
 #: Logical bin maps (grid indices 0..3 of the computational bins).
 CZ_CONTROL_BINS = (0, 2)
@@ -553,7 +559,7 @@ def run_fmzi(
     returns normalized intensities; ``quantum`` mode samples heralded
     single-photon coincidences per phase point.
     """
-    if mode not in ("classical", "quantum"):
+    if mode not in FMZI_MODES:
         raise ConfigurationError(f"unknown interferometer mode {mode!r}")
     toggles = _check_toggles(imperfections)
     chip = _effective(cfg, toggles)
@@ -606,7 +612,6 @@ def run_fmzi(
 def run_hom(
     cfg: ChipConfig,
     reflectivities: Sequence[float],
-    v_indist: float | None = None,
     seed: int = 12345,
     imperfections: Iterable[str] = frozenset(),
     sample: bool = False,
@@ -621,10 +626,7 @@ def run_hom(
     """
     toggles = _check_toggles(imperfections)
     chip = _effective(cfg, toggles)
-    if v_indist is None:
-        v_indist = chip.source.indistinguishability
-    if not 0.0 <= v_indist <= 1.0:
-        raise ValidationError("indistinguishability must lie in [0, 1]")
+    v_indist = chip.source.indistinguishability
 
     reflectivities = [float(r) for r in reflectivities]
     rs = np.asarray(reflectivities)
@@ -689,8 +691,6 @@ def run_hom(
 # Controlled-phase gate.
 
 
-_CZ_BASES = ("xz", "zx", "zz")
-
 # Input label -> (control bin, target bin) receiving its two photons, per
 # basis in row order of the truth tables (control |0>/|1> on bins 0/2,
 # target on bins 1/3).  A Hadamard prepares |+> from the |1> bin.
@@ -732,8 +732,8 @@ def run_cz(
     level) is always computed; with ``sample`` the table is also drawn as
     counts, including accidentals at the configured ratio.
     """
-    if basis not in _CZ_BASES:
-        raise ConfigurationError(f"basis must be one of {_CZ_BASES}")
+    if basis not in CZ_BASES:
+        raise ConfigurationError(f"basis must be one of {CZ_BASES}")
     toggles = _check_toggles(imperfections)
     chip = _effective(cfg, toggles)
     if not allow_nonstandard:
@@ -886,18 +886,13 @@ def run_bell(
     projection phase on DR2.
 
     Qubit A is analyzed by DR1 at a fixed balanced splitting, qubit B by
-    DR2 whose microwave phase is swept.  Outcome labels: the lower-index
-    detector of each pair reads "+".
+    DR2 whose microwave phase is swept; both analyzers run at T = 1/2,
+    whatever transmissivity the chip configures.  Outcome labels: the
+    lower-index detector of each pair reads "+".
     """
     toggles = _check_toggles(imperfections)
     chip = _effective(cfg, toggles)
-    warnings = []
-    for name, dr in (("dr1", chip.dr1), ("dr2", chip.dr2)):
-        if abs(dr.fbs.transmissivity_T - 0.5) > 1e-9:
-            warnings.append(
-                f"{name} transmissivity {dr.fbs.transmissivity_T} is not balanced"
-            )
-
+    warnings: list[str] = []
     f1, f2, f3, f4 = BELL_BINS
     phases = [float(p) for p in phases]
     circuit = _circuit(chip, toggles, [
@@ -948,8 +943,10 @@ def run_spectroscopy(
     target: str = "dr1",
 ) -> ExperimentResult:
     """Laser-scan characterization of one resonator or the filter bank."""
+    if target not in SPECTROSCOPY_TARGETS:
+        raise ConfigurationError(f"target must be one of {SPECTROSCOPY_TARGETS}")
     scan = np.asarray(list(scan_ghz), dtype=float)
-    if target in ("dr1", "dr2", "dr3"):
+    if target != "filters":
         cavity: DRParams = getattr(cfg, target).cavity
         transmission = dr_through_spectrum(cavity, scan)
         series = {
@@ -985,31 +982,29 @@ def run_spectroscopy(
             extras=extras,
             config_echo=config_echo(cfg),
         )
-    if target == "filters":
-        drop, through = filter_response(cfg.filters, scan)
-        drop_peak, _ = filter_response(cfg.filters, 0.0)
-        drop_adjacent, _ = filter_response(cfg.filters, cfg.grid.bin_spacing_ghz)
-        crosstalk = abs(drop_adjacent) ** 2 / abs(drop_peak) ** 2
-        series = {
-            "detuning_ghz": scan.tolist(),
-            "drop_power": (np.abs(drop) ** 2).tolist(),
-            "through_power": (np.abs(through) ** 2).tolist(),
-        }
-        metrics = {
-            "nearest_bin_crosstalk": MetricResult(
-                float(crosstalk), 0.0, "relative drop power one spacing away"
-            ),
-            "drop_peak_power": MetricResult(
-                float(abs(drop_peak) ** 2), 0.0, "drop power on resonance"
-            ),
-        }
-        return ExperimentResult(
-            experiment="spectroscopy",
-            sweep_name="detuning_ghz",
-            sweep_values=scan.tolist(),
-            series=series,
-            metrics=metrics,
-            extras={"target": target},
-            config_echo=config_echo(cfg),
-        )
-    raise ConfigurationError("target must be dr1, dr2, dr3, or filters")
+    drop, through = filter_response(cfg.filters, scan)
+    drop_peak, _ = filter_response(cfg.filters, 0.0)
+    drop_adjacent, _ = filter_response(cfg.filters, cfg.grid.bin_spacing_ghz)
+    crosstalk = abs(drop_adjacent) ** 2 / abs(drop_peak) ** 2
+    series = {
+        "detuning_ghz": scan.tolist(),
+        "drop_power": (np.abs(drop) ** 2).tolist(),
+        "through_power": (np.abs(through) ** 2).tolist(),
+    }
+    metrics = {
+        "nearest_bin_crosstalk": MetricResult(
+            float(crosstalk), 0.0, "relative drop power one spacing away"
+        ),
+        "drop_peak_power": MetricResult(
+            float(abs(drop_peak) ** 2), 0.0, "drop power on resonance"
+        ),
+    }
+    return ExperimentResult(
+        experiment="spectroscopy",
+        sweep_name="detuning_ghz",
+        sweep_values=scan.tolist(),
+        series=series,
+        metrics=metrics,
+        extras={"target": target},
+        config_echo=config_echo(cfg),
+    )

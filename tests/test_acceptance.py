@@ -121,9 +121,12 @@ def test_criterion_3_hom_visibility():
     assert worst < 1e-10
     assert vis[50] == pytest.approx(1.0, abs=1e-12)
 
-    sampled_cfg = replace(cfg, detector=replace(cfg.detector, integration_s=5.0))
+    sampled_cfg = replace(
+        cfg, detector=replace(cfg.detector, integration_s=5.0),
+        source=replace(cfg.source, indistinguishability=HOM_INDISTINGUISHABILITY),
+    )
     sampled = run_hom(
-        sampled_cfg, rs, v_indist=HOM_INDISTINGUISHABILITY, seed=7, sample=True
+        sampled_cfg, rs, seed=7, imperfections={"distinguishability"}, sample=True
     )
     v_balanced = sampled.metrics["visibility_at_balanced"].value
     assert v_balanced == pytest.approx(0.949, abs=0.002)

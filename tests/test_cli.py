@@ -8,7 +8,7 @@ import json
 import math
 import tempfile
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqbin.cli import (
-    _CAVITY_KEYS,
-    _CONFIG_KEYS,
-    _DETECTOR_KEYS,
-    _DR_KEYS,
-    _FILTER_KEYS,
-    _NUM,
-    _SOURCE_KEYS,
-    _TOP_KEYS,
     EXPERIMENTS,
+    RunManifest,
     build_config,
     list_experiments,
     main,
@@ -155,6 +148,73 @@ class TestParsing:
                 '{"experiment": "hom", "config": {"global_efficiency": 2.0}}'
             )
 
+    @pytest.mark.parametrize("value", [{}, 1.0], ids=["object", "number"])
+    @pytest.mark.parametrize("container", [(), ("dr2",)], ids=["config", "dr2"])
+    @pytest.mark.parametrize("key", ["grid", "anchor_thz", "bins", "label", "fbs"])
+    def test_settings_fields_that_are_no_manifest_keys(self, key, container, value):
+        # The grid is set only by bin_spacing_ghz, and a double resonator's
+        # beam-splitter keys sit beside its cavity, not in an "fbs" object.
+        config = doc = {}
+        for name in container:
+            doc = doc.setdefault(name, {})
+        doc[key] = value
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(json.dumps({"experiment": "hom", "config": config}))
+        assert err.value.location == "/".join(["/config", *container, key])
+        assert "unknown key" in str(err.value)
+
+    @pytest.mark.parametrize("config, location", [
+        ({"dr1": {"cavity": {"kappa_ex_ghz": 3.0}}}, "/config/dr1/cavity"),
+        ({"dr3": {"transmissivity_T": 1.5}}, "/config/dr3"),
+        ({"filters": {"linewidth_fwhm_ghz": 150.0}}, "/config/filters"),
+        ({"source": {"indistinguishability": 2.0}}, "/config/source"),
+        ({"detector": {"dark_rate_hz": -1.0}}, "/config/detector"),
+        ({"global_efficiency": 2.0}, "/config"),
+        ({"bin_spacing_ghz": 0.0}, "/config"),
+    ], ids=["cavity", "splitter", "filters", "source", "detector", "chip", "grid"])
+    def test_range_error_names_its_object(self, config, location):
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(json.dumps({"experiment": "hom", "config": config}))
+        assert err.value.location == location
+
+    @pytest.mark.parametrize("config, path", [
+        ({"dr1": {"cavity": {"kappa_ex_ghz": 3, "kappa1_ghz": 4}}}, ("dr1", "cavity")),
+        ({"filters": {"linewidth_fwhm_ghz": 150, "fsr_ghz": 300}}, ("filters",)),
+    ], ids=["cavity", "filters"])
+    def test_joint_overrides_parse(self, config, path):
+        # The first key alone is out of range against the default of the second.
+        settings = build_config(parse_manifest(json.dumps({"experiment": "hom", "config": config})))
+        doc = config
+        for name in path:
+            settings, doc = getattr(settings, name), doc[name]
+        assert {k: getattr(settings, k) for k in doc} == doc
+
+
+# The /config format, written out here rather than read from the cli:
+# NUM marks a number, a nested table an object.  It mirrors the settings
+# dataclasses except that a double resonator's beam-splitter keys sit
+# beside its cavity and the grid is set only by bin_spacing_ghz.
+NUM = "number"
+_DR = {
+    **dict.fromkeys(["transmissivity_T", "phase_theta", "efficiency_eta",
+                     "sideband_suppression_db"], NUM),
+    "cavity": dict.fromkeys(["g_ghz", "kappa1_ghz", "kappa_ex_ghz", "kappa2_ghz",
+                             "eo_coeff_ghz_per_v", "thermal_detune_ghz"], NUM),
+}
+CONFIG_FORMAT = {
+    **dict.fromkeys(["global_efficiency", "r1_transmission", "r2_transmission",
+                     "bin_spacing_ghz"], NUM),
+    "dr1": _DR,
+    "dr2": _DR,
+    "dr3": _DR,
+    "filters": dict.fromkeys(["resonance_offset_ghz", "linewidth_fwhm_ghz", "fsr_ghz",
+                              "drop_efficiency"], NUM),
+    "source": dict.fromkeys(["photon_linewidth_mhz", "pair_rate_hz", "car",
+                             "indistinguishability"], NUM),
+    "detector": dict.fromkeys(["efficiency", "dark_rate_hz", "coincidence_window_ps",
+                               "integration_s", "insertion_loss"], NUM),
+}
+
 
 # Manifest fuzz: a document over the known keys with every value of its
 # expected kind, then one value, at any depth, replaced by any JSON value
@@ -169,30 +229,17 @@ _JSON = st.recursive(
 _NUMBER = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
 
 
-def _object(schema, nested=None, number=_NUMBER, max_keys=None):
-    """Objects over the keys of ``schema``: any subset of them, or at most
+def _config(number, max_keys=None, schema=CONFIG_FORMAT):
+    """/config documents, or objects over ``schema``, whose numbers are
+    drawn from ``number``: any subset of their keys, or at most
     ``max_keys`` of them."""
-    nested = nested or {}
-    values = {k: nested.get(k, number if schema[k] == _NUM else _JSON) for k in schema}
+    values = {k: _config(number, max_keys, v) if isinstance(v, dict) else number
+              for k, v in schema.items()}
     if max_keys is None:
         return st.fixed_dictionaries({}, optional=values)
     return st.lists(st.sampled_from(sorted(values)), max_size=max_keys, unique=True).flatmap(
         lambda keys: st.fixed_dictionaries({k: values[k] for k in keys})
     )
-
-
-def _config(number, max_keys=None):
-    """/config documents whose numbers are drawn from ``number``."""
-    def obj(schema, nested=None):
-        return _object(schema, nested, number, max_keys)
-
-    dr = obj(_DR_KEYS, {"cavity": obj(_CAVITY_KEYS)})
-    return obj(_CONFIG_KEYS, {
-        "dr1": dr, "dr2": dr, "dr3": dr,
-        "filters": obj(_FILTER_KEYS),
-        "source": obj(_SOURCE_KEYS),
-        "detector": obj(_DETECTOR_KEYS),
-    })
 
 
 _TOP_VALUES = {
@@ -210,7 +257,7 @@ _TOP_VALUES = {
     "target": st.sampled_from(["all", "dr1", "dr2", "dr3", "filters"]),
     "allow_nonstandard": st.booleans(),
 }
-assert set(_TOP_VALUES) == set(_TOP_KEYS)
+assert set(_TOP_VALUES) == {f.name for f in fields(RunManifest)}
 _TYPED_MANIFESTS = st.fixed_dictionaries(
     {"experiment": _TOP_VALUES["experiment"]},
     optional={k: v for k, v in _TOP_VALUES.items() if k != "experiment"},
@@ -329,14 +376,12 @@ _IN_RANGE = {
 }
 
 
-def _in_range(schema, nested=None):
-    nested = nested or {}
-    return st.fixed_dictionaries(
-        {}, optional={k: nested[k] if k in nested else _IN_RANGE[k] for k in schema}
-    )
+def _in_range(schema):
+    return st.fixed_dictionaries({}, optional={
+        k: _in_range(v) if isinstance(v, dict) else _IN_RANGE[k] for k, v in schema.items()
+    })
 
 
-_VALID_DR = _in_range(_DR_KEYS, {"cavity": _in_range(_CAVITY_KEYS)})
 _VALID_MANIFESTS = st.fixed_dictionaries(
     {
         "experiment": _TOP_VALUES["experiment"],
@@ -344,12 +389,7 @@ _VALID_MANIFESTS = st.fixed_dictionaries(
         "sweep": st.fixed_dictionaries({"start": st.floats(0.0, 1.0),
                                         "stop": st.floats(0.0, 1.0),
                                         "num": st.integers(2, 5)}),
-        "config": _in_range(_CONFIG_KEYS, {
-            "dr1": _VALID_DR, "dr2": _VALID_DR, "dr3": _VALID_DR,
-            "filters": _in_range(_FILTER_KEYS),
-            "source": _in_range(_SOURCE_KEYS),
-            "detector": _in_range(_DETECTOR_KEYS),
-        }),
+        "config": _in_range(CONFIG_FORMAT),
     },
     optional={k: _TOP_VALUES[k]
               for k in ("seed", "imperfections", "mode", "basis", "target", "allow_nonstandard")},
@@ -520,6 +560,33 @@ class TestRunCommand:
         code, lines = _checked_run(doc, tmp_path)
         assert code == 2
         assert len(lines) == 1 and lines[0].startswith("error: ") and "/sweep" in lines[0]
+
+    def test_sweep_span_near_the_float_limit(self, tmp_path):
+        # linspace printed a numpy overflow warning on stderr.
+        doc = {"experiment": "bell",
+               "sweep": {"start": -1116205, "stop": 1.7976931348623157e308, "num": 31}}
+        code, lines = _checked_run(doc, tmp_path)
+        assert (code, lines) == (0, [])
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            phases = [float(row["phase_rad"]) for row in csv.DictReader(fh)]
+        assert phases[-1] == 1.7976931348623157e308
+        assert all(math.isfinite(x) for x in phases)
+
+    @pytest.mark.parametrize("config", [
+        {"dr2": {"phase_theta": 1.0}},
+        {"dr1": {"transmissivity_T": 0.3}, "dr2": {"transmissivity_T": 0.2}},
+    ], ids=["dr2-phase", "dr1-dr2-splitting"])
+    def test_bell_ignores_configured_analyzer_splitting(self, config, tmp_path):
+        # Both analyzers run at T = 1/2: a configured splitting changes no
+        # fringe and is no reason for a "not balanced" warning.
+        doc = {"experiment": "bell", "seed": 3,
+               "sweep": {"start": 0, "stop": 6.28, "num": 7}}
+        default, overridden = tmp_path / "default", tmp_path / "overridden"
+        default.mkdir()
+        overridden.mkdir()
+        assert _checked_run(doc, default) == (0, [])
+        assert _checked_run({**doc, "config": config}, overridden) == (0, [])
+        assert (overridden / "sweep.csv").read_bytes() == (default / "sweep.csv").read_bytes()
 
     @pytest.mark.parametrize("doc, undefined", [
         ({"experiment": "bell", "sweep": {"start": 0, "stop": 0, "num": 2}}, ["pm", "mp"]),

@@ -218,6 +218,8 @@ def test_hom_visibility_law(r, eta, global_eta, v, lossy):
     # Uniform insertion loss cancels in the post-selected visibility, and
     # partial indistinguishability scales it: V = v 2RT / (R^2 + T^2).
     cfg = _random_chip(0.5, 1.0 / 3.0, 0.5, 0.0, (eta, eta, eta), global_eta)
-    res = run_hom(cfg, [r], v_indist=v, imperfections={"eta"} if lossy else set())
+    cfg = replace(cfg, source=replace(cfg.source, indistinguishability=v))
+    toggles = {"distinguishability", "eta"} if lossy else {"distinguishability"}
+    res = run_hom(cfg, [r], imperfections=toggles)
     law = 2.0 * r * (1.0 - r) / (r**2 + (1.0 - r) ** 2)
     assert res.series["visibility"][0] == pytest.approx(v * law, abs=1e-10)

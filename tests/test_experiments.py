@@ -102,7 +102,8 @@ class TestHom:
         assert res.series["visibility"][0] == pytest.approx(0.32 / 0.68, abs=1e-12)
 
     def test_partial_indistinguishability(self, cfg):
-        res = run_hom(cfg, [0.5], v_indist=0.949)
+        cfg = replace(cfg, source=replace(cfg.source, indistinguishability=0.949))
+        res = run_hom(cfg, [0.5], imperfections={"distinguishability"})
         assert res.series["visibility"][0] == pytest.approx(0.949, abs=1e-12)
 
 
