@@ -6,11 +6,12 @@ Subcommands:
     freqbin list
     freqbin fit SPECTRUM.csv
 
-``run`` parses a strict JSON manifest, executes the named experiment,
-writes result.json, sweep.csv, and report.txt into the output
-directory, and prints each warning of the run on stderr.  The same
-manifest and seed always produce byte-identical result.json.  ``fit``
-reads a two-column CSV with header
+``run`` parses a strict JSON manifest and executes the named
+experiment.  Its results (one, the two gate bases, or one per
+spectroscopy target) give all it writes: result.json, sweep.csv and
+report.txt into the output directory, and each warning of the run on
+stderr.  The same manifest and seed always produce byte-identical
+result.json.  ``fit`` reads a two-column CSV with header
 ``detuning_ghz,transmission`` and fits the coupled-resonator doublet.
 
 A manifest's ``config`` mirrors the chip's settings dataclasses
@@ -18,7 +19,8 @@ A manifest's ``config`` mirrors the chip's settings dataclasses
 for each nested settings object.  Two exceptions: a double resonator's
 beam-splitter keys sit beside its ``cavity``, and the bin grid is set
 only by ``bin_spacing_ghz``.  Every manifest error names its JSON-pointer
-location; a setting out of range names the object that rejects it.
+location; a value of the wrong type, the kind expected ("a number", "an
+object"); a setting out of range, the object that rejects it.
 
 The default output directory comes from the FREQBIN_OUTPUT_DIR
 environment variable, falling back to the current directory.  CSV column
@@ -105,7 +107,7 @@ def _expect_keys(obj: dict, allowed: dict[str, type | tuple], loc: str) -> None:
             continue
         value = obj[key]
         if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-            raise ManifestError(f"expected {types} value", f"{loc}/{key}")
+            raise ManifestError(f"expected {_KINDS[types]}", f"{loc}/{key}")
         if isinstance(value, (int, float)):
             try:
                 finite = math.isfinite(value)
@@ -116,6 +118,9 @@ def _expect_keys(obj: dict, allowed: dict[str, type | tuple], loc: str) -> None:
 
 
 _NUM = (int, float)
+# What an error message calls each JSON value `_expect_keys` may expect.
+_KINDS = {_NUM: "a number", int: "an integer", bool: "true or false", str: "a string",
+          (str, type(None)): "a string or null", dict: "an object", list: "a list"}
 _SWEEP_KEYS = {"start": _NUM, "stop": _NUM, "num": int}
 #: Most sweep points a manifest may ask for.
 MAX_SWEEP_NUM = 10_000
@@ -250,8 +255,10 @@ def _sweep_values(manifest: RunManifest) -> np.ndarray:
     return np.linspace(start, stop, num)
 
 
-def _execute(manifest: RunManifest) -> tuple[dict, list[dict], dict]:
-    """Run the experiment; return (result payload, CSV rows, metrics)."""
+def _execute(manifest: RunManifest) -> tuple[dict[str, xp.ExperimentResult], dict]:
+    """Run the experiment; return its results by result.json key ("result",
+    the bases "xz" and "zx", or each spectroscopy target) and, for a gate
+    run in both bases, the two fidelities and the bound."""
     cfg = build_config(manifest)
     toggles = frozenset(manifest.imperfections)
     values = _sweep_values(manifest)
@@ -259,98 +266,83 @@ def _execute(manifest: RunManifest) -> tuple[dict, list[dict], dict]:
     sample = "car" in toggles
 
     if exp == "cz" and manifest.basis == "both":
-        char = xp.run_cz_characterization(
+        numbers = xp.run_cz_characterization(
             cfg, toggles, manifest.seed, sample, manifest.allow_nonstandard
         )
-        payload = {"experiment": exp, **char}
-        for basis in ("xz", "zx"):
-            payload[basis] = char[basis].to_jsonable()
-        rows = _cz_rows(char["xz"]) + _cz_rows(char["zx"])
-        metrics = {k: char[k] for k in ("f_xz", "f_zx", "hofmann_bound")}
-        return payload, rows, metrics
-
+        return {basis: numbers.pop(basis) for basis in ("xz", "zx")}, numbers
     if exp == "spectroscopy":
         targets = xp.SPECTROSCOPY_TARGETS if manifest.target == "all" else [manifest.target]
-        payload = {"experiment": exp}
-        rows: list[dict] = []
-        metrics: dict[str, float] = {}
-        for target in targets:
-            res = xp.run_spectroscopy(cfg, values, target=target)
-            payload[target] = res.to_jsonable()
-            for name, m in res.metrics.items():
-                metrics[f"{target}_{name}"] = m.value
-            for row in _series_rows(res.series):
-                rows.append({"target": target, **row})
-        if manifest.target != "all":
-            metrics = {k.split("_", 1)[1]: v for k, v in metrics.items()}
-        return payload, rows, metrics
-
+        return {t: xp.run_spectroscopy(cfg, values, target=t) for t in targets}, {}
     if exp == "fmzi":
         res = xp.run_fmzi(cfg, values, mode=manifest.mode, seed=manifest.seed,
                           imperfections=toggles)
     elif exp == "hom":
-        res = xp.run_hom(cfg, values, seed=manifest.seed, imperfections=toggles,
-                         sample=True)
+        res = xp.run_hom(cfg, values, seed=manifest.seed, imperfections=toggles, sample=True)
     elif exp == "bell":
-        res = xp.run_bell(cfg, values, seed=manifest.seed, imperfections=toggles,
-                          sample=True)
+        res = xp.run_bell(cfg, values, seed=manifest.seed, imperfections=toggles, sample=True)
     else:
         res = xp.run_cz(cfg, manifest.basis, toggles, manifest.seed, sample,
                         manifest.allow_nonstandard)
-    payload = {"experiment": exp, "result": res.to_jsonable()}
-    rows = _cz_rows(res) if exp == "cz" else _series_rows(res.series)
-    return payload, rows, _metric_map(res)
+    return {"result": res}, {}
 
 
-def _cz_rows(res) -> list[dict]:
-    """One row per input state of a gate truth table, in the column order
-    of the schema: basis, input label, p_out0..3, success probability."""
+def _rows(results: dict[str, xp.ExperimentResult]) -> list[dict]:
+    """The rows of sweep.csv, one per sweep point of each result: its
+    series, led by the target in a spectroscopy run.  A gate row is in
+    the schema's column order: basis, input label, p_out0..3, success
+    probability."""
     rows = []
-    table = res.extras["table_normalized"]
-    for r, label in enumerate(res.extras["input_labels"]):
-        row = {"basis": res.extras["basis"], "input": label}
-        for c_idx in range(4):
-            row[f"p_out{c_idx}"] = table[r][c_idx]
-        row["success_probability"] = res.series["success_probability"][r]
-        rows.append(row)
+    for key, res in results.items():
+        for i in range(len(res.sweep_values)):
+            row = {name: column[i] for name, column in res.series.items()}
+            if res.experiment == "spectroscopy":
+                row = {"target": key, **row}
+            elif res.experiment == "cz":
+                labels = res.extras["input_labels"]
+                # "input" keeps its place after "basis" and takes the label.
+                row = {"basis": res.extras["basis"], **row, "input": labels[i]}
+                row["success_probability"] = row.pop("success_probability")
+            rows.append(row)
     return rows
 
 
-def _series_rows(series: dict) -> list[dict]:
-    names = list(series)
-    length = len(series[names[0]]) if names else 0
-    return [{n: series[n][i] for n in names} for i in range(length)]
+def _metrics(results: dict[str, xp.ExperimentResult], numbers: dict) -> dict[str, float]:
+    """A gate run in both bases reports its two fidelities and the bound;
+    any other run each metric of its results, prefixed by the result key
+    when there are several."""
+    if numbers:
+        return {k: numbers[k] for k in ("f_xz", "f_zx", "hofmann_bound")}
+    several = len(results) > 1
+    return {f"{key}_{name}" if several else name: m.value
+            for key, res in results.items() for name, m in res.metrics.items()}
 
 
-def _metric_map(res) -> dict[str, float]:
-    return {name: m.value for name, m in res.metrics.items()}
-
-
-def _write_outputs(out_dir: Path, manifest: RunManifest, payload: dict,
-                   rows: list[dict], metrics: dict) -> None:
+def _write_outputs(out_dir: Path, manifest: RunManifest, results: dict, numbers: dict) -> dict:
+    """Write result.json, sweep.csv and report.txt; return the metrics reported."""
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "manifest": asdict(manifest),
-        **payload,
+        "experiment": manifest.experiment,
+        **{key: res.to_jsonable() for key, res in results.items()},
+        **numbers,
     }
     (out_dir / "result.json").write_text(
         json.dumps(payload, sort_keys=False, indent=2) + "\n"
     )
 
-    if rows:
-        fieldnames: list[str] = []
-        for row in rows:
-            for key, value in row.items():
-                if key not in fieldnames:
-                    fieldnames.append(key)
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise FreqbinError(f"non-finite value in CSV column {key!r}")
-        with open(out_dir / "sweep.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
-            writer.writeheader()
-            writer.writerows(rows)
+    rows = _rows(results)
+    for row in rows:
+        for key, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise FreqbinError(f"non-finite value in CSV column {key!r}")
+    with open(out_dir / "sweep.csv", "w", newline="") as fh:
+        fieldnames = list(dict.fromkeys(key for row in rows for key in row))
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
 
+    metrics = _metrics(results, numbers)
     targets = REFERENCE_TARGETS.get(manifest.experiment, {})
     lines = [f"experiment: {manifest.experiment}", f"seed: {manifest.seed}", ""]
     lines.append(f"{'metric':<34}{'simulated':>14}{'reference':>12}")
@@ -361,6 +353,7 @@ def _write_outputs(out_dir: Path, manifest: RunManifest, payload: dict,
         ref_text = f"{ref:.4f}" if ref is not None else "-"
         lines.append(f"{name:<34}{value:>14.6f}{ref_text:>12}")
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
+    return metrics
 
 
 def list_experiments() -> str:
@@ -381,27 +374,21 @@ def _cmd_run(args) -> int:
         manifest.seed = args.seed
     if args.allow_nonstandard:
         manifest.allow_nonstandard = True
-    out_dir = Path(
-        args.out
-        or manifest.output_dir
-        or os.environ.get(ENV_OUTPUT_DIR, ".")
-    )
+    out_dir = Path(args.out or manifest.output_dir or os.environ.get(ENV_OUTPUT_DIR, "."))
     try:
-        payload, rows, metrics = _execute(manifest)
-        _write_outputs(out_dir, manifest, payload, rows, metrics)
+        results, numbers = _execute(manifest)
+        metrics = _write_outputs(out_dir, manifest, results, numbers)
     except FreqbinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, FitError) else 2
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
-    for result in payload.values():  # the single result, xz/zx, or each target
-        if isinstance(result, dict):
-            for text in result["warnings"]:
-                print(f"warning: {text}", file=sys.stderr)
-    print(f"wrote {out_dir / 'result.json'}")
-    print(f"wrote {out_dir / 'sweep.csv'}")
-    print(f"wrote {out_dir / 'report.txt'}")
+    for res in results.values():
+        for text in res.warnings:
+            print(f"warning: {text}", file=sys.stderr)
+    for name in ("result.json", "sweep.csv", "report.txt"):
+        print(f"wrote {out_dir / name}")
     for name, value in metrics.items():
         print(f"  {name} = {value:.6f}")
     return 0

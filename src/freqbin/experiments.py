@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -217,46 +217,33 @@ class ExperimentResult:
                 raise ValidationError(f"series {name!r} length mismatch")
 
     def to_jsonable(self) -> dict:
-        payload = {
-            "experiment": self.experiment,
-            "sweep_name": self.sweep_name,
-            "sweep_values": list(self.sweep_values),
-            "series": {k: list(v) for k, v in self.series.items()},
-            "metrics": {k: asdict(v) for k, v in self.metrics.items()},
-            "counts": None
-            if self.counts is None
-            else [{k: asdict(rec) for k, rec in point.items()} for point in self.counts],
-            "extras": self.extras,
-            "config_echo": self.config_echo,
-            "warnings": list(self.warnings),
-            "seed": self.seed,
-        }
-        return _jsonable(payload)
+        return _jsonable(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable(), sort_keys=False, indent=2)
 
 
 def _jsonable(obj):
-    """Recursively convert to JSON-safe types; infinities become strings."""
+    """Recursively convert to JSON-safe types: a dataclass becomes the dict
+    of its fields, and infinities and NaN become strings."""
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return x if math.isfinite(x) else repr(x)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if math.isinf(x) or math.isnan(x):
-            return repr(x)
-        return x
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 
 def config_echo(cfg: ChipConfig) -> dict:
-    return _jsonable(asdict(cfg))
+    return _jsonable(cfg)
 
 
 def _check_toggles(imperfections: Iterable[str]) -> frozenset[str]:
@@ -550,7 +537,6 @@ def run_fmzi(
     mode: str = "classical",
     seed: int = 12345,
     imperfections: Iterable[str] = frozenset(),
-    sample: bool | None = None,
 ) -> ExperimentResult:
     """Two balanced beam splitters with a swept phase between them.
 
@@ -563,8 +549,6 @@ def run_fmzi(
         raise ConfigurationError(f"unknown interferometer mode {mode!r}")
     toggles = _check_toggles(imperfections)
     chip = _effective(cfg, toggles)
-    if sample is None:
-        sample = mode == "quantum"
     warnings = []
     for name, dr in (("dr1", chip.dr1), ("dr3", chip.dr3)):
         if abs(dr.fbs.transmissivity_T - 0.5) > 1e-9:
@@ -588,7 +572,7 @@ def run_fmzi(
     series, metrics, counts_per_point = _fringes(
         chip, phases, p, names, record_keys=names, accidental_share=1.0,
         methods=("mean of four fringe curves", "mean of four sampled fringe curves"),
-        sample=sample, seed=seed, warnings=warnings,
+        sample=mode == "quantum", seed=seed, warnings=warnings,
     )
 
     return ExperimentResult(
@@ -946,19 +930,17 @@ def run_spectroscopy(
     if target not in SPECTROSCOPY_TARGETS:
         raise ConfigurationError(f"target must be one of {SPECTROSCOPY_TARGETS}")
     scan = np.asarray(list(scan_ghz), dtype=float)
+    series = {"detuning_ghz": scan.tolist()}
+    extras: dict = {"target": target}
     if target != "filters":
         cavity: DRParams = getattr(cfg, target).cavity
         transmission = dr_through_spectrum(cavity, scan)
-        series = {
-            "detuning_ghz": scan.tolist(),
-            "transmission": transmission.tolist(),
-        }
+        series["transmission"] = transmission.tolist()
         metrics: dict[str, MetricResult] = {
             "eo_response_ghz_per_v": MetricResult(
                 cavity.eo_coeff_ghz_per_v, 0.0, "configured slope"
             )
         }
-        extras: dict = {"target": target}
         try:
             fit = fit_doublet(scan, transmission)
             metrics["fitted_splitting_ghz"] = MetricResult(
@@ -973,38 +955,27 @@ def run_spectroscopy(
             extras["fit"] = asdict(fit)
         except (FitError, ValidationError) as exc:  # odd or short scans
             extras["fit_error"] = str(exc)
-        return ExperimentResult(
-            experiment="spectroscopy",
-            sweep_name="detuning_ghz",
-            sweep_values=scan.tolist(),
-            series=series,
-            metrics=metrics,
-            extras=extras,
-            config_echo=config_echo(cfg),
-        )
-    drop, through = filter_response(cfg.filters, scan)
-    drop_peak, _ = filter_response(cfg.filters, 0.0)
-    drop_adjacent, _ = filter_response(cfg.filters, cfg.grid.bin_spacing_ghz)
-    crosstalk = abs(drop_adjacent) ** 2 / abs(drop_peak) ** 2
-    series = {
-        "detuning_ghz": scan.tolist(),
-        "drop_power": (np.abs(drop) ** 2).tolist(),
-        "through_power": (np.abs(through) ** 2).tolist(),
-    }
-    metrics = {
-        "nearest_bin_crosstalk": MetricResult(
-            float(crosstalk), 0.0, "relative drop power one spacing away"
-        ),
-        "drop_peak_power": MetricResult(
-            float(abs(drop_peak) ** 2), 0.0, "drop power on resonance"
-        ),
-    }
+    else:
+        drop, through = filter_response(cfg.filters, scan)
+        drop_peak, _ = filter_response(cfg.filters, 0.0)
+        drop_adjacent, _ = filter_response(cfg.filters, cfg.grid.bin_spacing_ghz)
+        crosstalk = abs(drop_adjacent) ** 2 / abs(drop_peak) ** 2
+        series["drop_power"] = (np.abs(drop) ** 2).tolist()
+        series["through_power"] = (np.abs(through) ** 2).tolist()
+        metrics = {
+            "nearest_bin_crosstalk": MetricResult(
+                float(crosstalk), 0.0, "relative drop power one spacing away"
+            ),
+            "drop_peak_power": MetricResult(
+                float(abs(drop_peak) ** 2), 0.0, "drop power on resonance"
+            ),
+        }
     return ExperimentResult(
         experiment="spectroscopy",
         sweep_name="detuning_ghz",
         sweep_values=scan.tolist(),
         series=series,
         metrics=metrics,
-        extras={"target": target},
+        extras=extras,
         config_echo=config_echo(cfg),
     )

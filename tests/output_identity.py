@@ -11,7 +11,8 @@ and the stdout, stderr and exit code of every process.  The inputs:
 * fmzi classical and quantum, hom, bell and cz in the bases xz, zx, zz
   and both, each under six imperfection toggle sets;
 * a nonstandard gate, an unbalanced interferometer, a bell sweep whose
-  fringes are zero throughout, and a default spectroscopy run;
+  fringes are zero throughout, a hom run with its own sweep, and
+  spectroscopy of all targets, of dr1 alone and of the filters alone;
 * `ExperimentResult.to_json` of each runner, in process, with sampling on
   and off;
 * the demos 01-06 next to each tree.
@@ -54,7 +55,8 @@ everything = {"eta", "sideband", "crosstalk", "car", "distinguishability"}
 phases = [0.1 * k for k in range(9)]
 for sample in (False, True):
     for toggles in (set(), everything):
-        print(run_fmzi(cfg, phases, imperfections=toggles, sample=sample).to_json())
+        print(run_fmzi(cfg, phases, mode="quantum" if sample else "classical",
+                       imperfections=toggles).to_json())
         print(run_hom(cfg, [0.1 * k for k in range(11)], imperfections=toggles,
                       sample=sample).to_json())
         print(run_bell(bell_cfg, phases, imperfections=toggles, sample=sample).to_json())
@@ -87,6 +89,10 @@ def manifests() -> dict[str, dict]:
     cases["bell-zero-fringe"] = {"experiment": "bell",
                                  "sweep": {"start": 0, "stop": 0, "num": 2}}
     cases["spectroscopy"] = {"experiment": "spectroscopy"}
+    for target in ("dr1", "filters"):
+        cases[f"spectroscopy-{target}"] = {"experiment": "spectroscopy", "target": target}
+    cases["hom-custom-sweep"] = {"experiment": "hom", "imperfections": ["eta", "car"],
+                                 "sweep": {"start": 0.2, "stop": 0.8, "num": 7}}
     return cases
 
 

@@ -142,6 +142,33 @@ class TestParsing:
         assert main(["run", str(manifest), "--out", str(tmp_path / "out")]) == 2
         assert "/config/dr1/cavity/omega0_thz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, error", [
+        ({"config": {"dr1": {"phase_theta": []}}},
+         "/config/dr1/phase_theta: expected a number"),
+        ({"config": {"dr1": 1}}, "/config/dr1: expected an object"),
+        ({"seed": "1"}, "/seed: expected an integer"),
+        ({"allow_nonstandard": 1}, "/allow_nonstandard: expected true or false"),
+        ({"mode": None}, "/mode: expected a string"),
+        ({"output_dir": 1}, "/output_dir: expected a string or null"),
+        ({"imperfections": "eta"}, "/imperfections: expected a list"),
+    ], ids=["number", "object", "integer", "boolean", "string", "string-or-null", "list"])
+    def test_type_error_names_the_expected_kind(self, doc, error, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"experiment": "hom", **doc}))
+        assert main(["run", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: manifest {error}"]
+
+    @pytest.mark.parametrize("text, error", [
+        ("[1]", "/: manifest must be a JSON object"),
+        ('{"experiment": "hom", "sweep": {"start": 0, "stop": 1}}',
+         "/sweep: sweep needs start, stop, and num"),
+    ], ids=["not-an-object", "sweep-without-num"])
+    def test_manifest_shape_rejected(self, text, error, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(text)
+        assert main(["run", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: manifest {error}"]
+
     def test_out_of_range_value(self):
         with pytest.raises(ManifestError):
             parse_manifest(
@@ -318,7 +345,8 @@ def _run(doc, out):
 
 def _checked_run(doc, out) -> tuple[int, list[str]]:
     """Exit code and stderr lines of a run that must raise no Python
-    warning and print only error and warning lines on stderr."""
+    warning and print only error and warning lines on stderr, none of
+    them with a Python type repr such as <class 'dict'>."""
     stderr = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
@@ -327,6 +355,7 @@ def _checked_run(doc, out) -> tuple[int, list[str]]:
     assert [str(w.message) for w in caught] == []
     lines = stderr.getvalue().splitlines()
     assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
+    assert not any("<class" in line for line in lines), lines
     return code, lines
 
 
