@@ -1,6 +1,6 @@
 """Sequential reference evaluation of the experiment pipelines.
 
-Each state is evolved element by element with the dict-based Fock engine
+Each state is evolved element by element with the Fock engine
 (`apply_transform`), every element's insertion loss is applied per
 photon outside its mode set, and detection enumerates every photon's
 destination (each detector or loss) one occupation at a time.  It is

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqbin import fock
 from freqbin.errors import ConfigurationError, DomainError, ValidationError
 from freqbin.fock import (
     AMPLITUDE_PRUNE,
@@ -45,6 +46,10 @@ def occupations(n_modes, n_photons):
         for m in combo:
             occ[m] += 1
         yield tuple(occ)
+
+
+def state_keys(state):
+    return [occ for occ, _ in state.items()]
 
 
 def brute_force_permanent(a):
@@ -98,6 +103,8 @@ class TestApplyTransform:
         bs = ModeTransform((0, 1), beam_splitter(0.5))
         out = apply_transform(fock_state(grid, {0: 1, 1: 1}), bs)
         assert out.amplitude((1, 1)) == 0.0
+        # The exactly cancelling term is pruned, not kept as a zero.
+        assert sorted(state_keys(out)) == [(0, 2), (2, 0)]
 
     def test_one_third_splitting_survival(self):
         # Oracle: permanent of the repeated-column matrix, and the closed
@@ -121,11 +128,79 @@ class TestApplyTransform:
         with pytest.raises(ValidationError):
             ModeTransform((0, 1), 1.2 * np.eye(2))
 
+    def test_wide_grid_blocks_past_mode_27(self):
+        # A base-5 key of a 40-mode, 4-photon occupation needs 5^40 > 2^64;
+        # the outputs of the first block put up to 4 photons on modes
+        # 28-39, and the second block leaves rests there, two of which
+        # differ only below mode 17, where a float64 key would round them
+        # together.
+        n_modes = 40
+        grid = grid_from_indices(range(n_modes))
+        rng = np.random.default_rng(27)
+        terms = {}
+        for spots in ([39, 39, 39, 39], [28, 31, 36, 39], [2, 30, 33, 39],
+                      [5, 9, 29, 38], [0, 1, 3, 35], [7, 7, 12, 20],
+                      [3, 5, 39, 39], [4, 5, 39, 39]):
+            occ = [0] * n_modes
+            for m in spots:
+                occ[m] += 1
+            terms[tuple(occ)] = complex(*rng.normal(size=2))
+        norm = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
+        state = PureState(grid, {o: a / norm for o, a in terms.items()})
+        for subset in ((39, 28, 33, 36, 31, 30), (5, 0, 9, 2, 12, 27)):
+            block = haar_unitary(len(subset), rng) * math.sqrt(0.9)
+            out = apply_transform(state, ModeTransform(subset, block))
+            full = np.eye(n_modes, dtype=complex)
+            full[np.ix_(subset, subset)] = block
+            oracle = ModeTransform(tuple(range(n_modes)), full)
+            reachable = set()
+            for occ in state_keys(state):
+                rest = [0 if m in subset else c for m, c in enumerate(occ)]
+                for sub in occupations(len(subset), sum(occ[m] for m in subset)):
+                    new = list(rest)
+                    for m, c in zip(subset, sub):
+                        new[m] += c
+                    reachable.add(tuple(new))
+            assert set(state_keys(out)) <= reachable
+            for occ_out in reachable:
+                expected = sum(amp * transition_amplitude(oracle, occ_in, occ_out)
+                               for occ_in, amp in state.items())
+                assert abs(out.amplitude(occ_out) - expected) < 1e-10
+
+    def test_grid_too_wide_for_an_int64_key(self):
+        grid = grid_from_indices(range(60_000))
+        state = fock_state(grid, {0: 1, 59_999: 3})
+        with pytest.raises(DomainError, match="int64 key"):
+            apply_transform(state, ModeTransform((0, 1), np.eye(2)))
+
     def test_subunitary_norm_decreases(self):
         grid = grid_from_indices([0, 1])
         att = ModeTransform((0,), np.array([[math.sqrt(0.5)]]))
         out = apply_transform(fock_state(grid, {0: 1, 1: 1}), att)
         assert out.norm_squared() == pytest.approx(0.5)
+
+
+def test_engine_never_calls_the_oracle(monkeypatch):
+    # The permanent checks the engine, so the engine must not use it.
+    grid = grid_from_indices(range(5))
+    rng = np.random.default_rng(11)
+    t = ModeTransform((3, 0, 4, 1), haar_unitary(4, rng) * math.sqrt(0.8))
+    state = PureState(grid, {(1, 0, 2, 0, 1): 0.6, (0, 1, 0, 2, 1): 0.8j})
+    embed = np.eye(5, dtype=complex)
+    embed[np.ix_(t.mode_subset, t.mode_subset)] = t.matrix
+    oracle = ModeTransform(tuple(range(5)), embed)
+    expected = {occ: sum(amp * transition_amplitude(oracle, occ_in, occ)
+                         for occ_in, amp in state.items())
+                for occ in occupations(5, 4)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine called its oracle")
+
+    monkeypatch.setattr(fock, "permanent", refuse)
+    monkeypatch.setattr(fock, "transition_amplitude", refuse)
+    out = fock.apply_transform(state, t)
+    for occ, amp in expected.items():
+        assert abs(out.amplitude(occ) - amp) < 1e-12
 
 
 class TestPermanentOracle:
@@ -294,6 +369,47 @@ def test_expansion_matches_permanent_oracle(case):
     grid = grid_from_indices(list(range(N_GRID_MODES)))
     out = apply_transform(PureState(grid, terms), ModeTransform(subset, block))
     # The oracle sees the block embedded in the whole grid.
+    full = np.eye(N_GRID_MODES, dtype=complex)
+    full[np.ix_(subset, subset)] = block
+    oracle = ModeTransform(tuple(range(N_GRID_MODES)), full)
+    n = sum(next(iter(terms)))
+    for occ_out in occupations(N_GRID_MODES, n):
+        expected = sum(amp * transition_amplitude(oracle, occ_in, occ_out)
+                       for occ_in, amp in terms.items())
+        assert abs(out.amplitude(occ_out) - expected) < 1e-10
+
+
+@st.composite
+def every_sector_and_block(draw):
+    """A state of n photons on a 6-mode grid with terms holding each photon
+    count 0..n on a permuted mode subset, and a subunitary block on it."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(N_GRID_MODES)))
+    size = draw(st.integers(1, N_GRID_MODES - 1))
+    subset, outside = order[:size], order[size:]
+    keys = set()
+    for k in range(n + 1):
+        for _ in range(draw(st.integers(1, 2))):
+            occ = [0] * N_GRID_MODES
+            for m in draw(st.lists(st.sampled_from(subset), min_size=k, max_size=k)):
+                occ[m] += 1
+            for m in draw(st.lists(st.sampled_from(outside), min_size=n - k,
+                                   max_size=n - k)):
+                occ[m] += 1
+            keys.add(tuple(occ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    amps *= rng.uniform(0.3, 1.0) / np.linalg.norm(amps)
+    block = haar_unitary(size, rng) * math.sqrt(rng.uniform(0.5, 1.0))
+    return dict(zip(sorted(keys), amps)), tuple(subset), block
+
+
+@settings(max_examples=40, deadline=None)
+@given(every_sector_and_block())
+def test_every_sector_in_one_call_matches_permanent_oracle(case):
+    terms, subset, block = case
+    grid = grid_from_indices(list(range(N_GRID_MODES)))
+    out = apply_transform(PureState(grid, terms), ModeTransform(subset, block))
     full = np.eye(N_GRID_MODES, dtype=complex)
     full[np.ix_(subset, subset)] = block
     oracle = ModeTransform(tuple(range(N_GRID_MODES)), full)
