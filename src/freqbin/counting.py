@@ -11,18 +11,24 @@ the accidental mean is lambda_ref / car scaled by a caller-supplied
 weight, where lambda_ref is the same rate formula at p_true = 1.
 Experiments pass weights that combine the operating-point true rate with
 normalized singles products, so the documented CAR values refer to the
-experiment's maximal true-coincidence rate, as quoted in practice.  They
-draw one record per sweep point (or truth-table row) and curve (or
-outcome), each from its own seed; a mean too large to draw is a
-`DomainError`.
+experiment's maximal true-coincidence rate, as quoted in practice.
+
+Experiments draw one record per sweep point (or truth-table row) k and
+curve (or outcome) c, all of a run's records in one `sample_grid` call.
+Record (k, c) is exactly the stream of
+np.random.default_rng(derive_seed(seed, k, c)): four Poisson draws, true,
+accidental, singles A, singles B.  The batch hashes every seed in one
+numpy pass and reseeds one generator to each record's state, so the
+counts do not depend on how the records are batched.  A mean too large
+to draw is a `DomainError`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from dataclasses import asdict, dataclass, replace
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -115,6 +121,143 @@ def indistinguishability_mix(p_indist: float, p_dist: float, v: float) -> float:
     return v * p_indist + (1.0 - v) * p_dist
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the
+# PCG64 multiplier (numpy/random/src/pcg64/pcg64.h): `_seed_words` and
+# `_pcg64_states` reproduce what np.random.default_rng does with a seed.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) of every uint64 seed s,
+    as an (n, 4) uint64 array, in one uint32 numpy pass over all seeds.
+
+    A seed enters the pool of four words as its low and high 32-bit
+    halves followed by zeros (a seed below 2**32 is one entropy word, and
+    the hash runs out over the rest of the pool with zeros, which is the
+    same).  The hash constants advance the same way for every seed, so
+    they are Python ints stepped alongside the arrays.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+    shift = np.uint32(16)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> shift)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> shift)
+
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    hash_const = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        out.append((value ^ (value >> shift)).astype(np.uint64))
+    return np.stack([out[i] | (out[i + 1] << np.uint64(32)) for i in range(0, 8, 2)], axis=1)
+
+
+def _pcg64_states(words: np.ndarray) -> Iterator[dict]:
+    """`bit_generator.state` of PCG64 seeded with each row of four uint64
+    seed words: the 128-bit state and increment after PCG64's seeding,
+    which is one LCG step from (increment + initial state).  Yielded one
+    at a time, so a large grid never holds all of them."""
+    for w0, w1, w2, w3 in words.tolist():
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
+def sample_grid(
+    p,
+    d: DetectorSpec,
+    s: SourceSpec,
+    seeds,
+    accidental_weight=1.0,
+) -> list[list[CountRecord]]:
+    """Count records[k][c] of the detection probabilities p[k, c], record
+    (k, c) drawn with the uint64 seed seeds[k, c] and accidental weight
+    w[k, c] (``accidental_weight`` broadcast to p).
+
+    Record (k, c) is exactly four draws of np.random.default_rng(seeds[k, c]):
+    true, accidental, singles A and singles B counts, Poisson with the
+    means of the module docstring.  One generator serves the whole grid:
+    the seeds are hashed in one numpy pass (`_seed_words`), and the
+    generator is reseeded to each record's PCG64 state before its draws.
+    Raises `DomainError` at the first record, in row-major order, whose
+    p_true is outside [0, 1] or whose Poisson mean the generator cannot
+    draw (NaN, or too large for a 64-bit count).
+    """
+    p = np.asarray(p, dtype=float)
+    arm = d.efficiency * d.insertion_loss
+    exposure = s.pair_rate_hz * d.integration_s
+    lam_ref = exposure * arm * arm
+    # Elementwise as in Python floats: an overflow or 0 * inf is left to
+    # the draw, which rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_true = exposure * p * arm * arm
+        if math.isinf(s.car):
+            lam_acc = np.zeros(p.shape)
+        else:
+            lam_acc = lam_ref / s.car * np.broadcast_to(accidental_weight, p.shape)
+    lam_single = exposure * arm + d.dark_rate_hz * d.integration_s
+
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    # Seeded here only to avoid reading OS entropy; every record replaces
+    # its state.
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator, poisson = rng.bit_generator, rng.poisson
+    records = []
+    for p_true, lam_t, lam_a, seed, state in zip(
+        p.ravel().tolist(), lam_true.ravel().tolist(), lam_acc.ravel().tolist(),
+        seeds.ravel().tolist(), _pcg64_states(_seed_words(seeds)), strict=True,
+    ):
+        if not 0.0 <= p_true <= 1.0 + 1e-12:
+            raise DomainError("p_true must lie in [0, 1]")
+        bit_generator.state = state
+        try:
+            true_c, acc_c, singles_a, singles_b = [
+                int(poisson(lam)) for lam in (lam_t, lam_a, lam_single, lam_single)
+            ]
+        except ValueError as exc:
+            raise DomainError(
+                f"cannot draw counts ({exc}): expected true {lam_t:.3g}, accidental"
+                f" {lam_a:.3g}, singles {lam_single:.3g}"
+            ) from exc
+        records.append(CountRecord(
+            true_coincidences=true_c,
+            accidental_coincidences=acc_c,
+            singles_a=singles_a,
+            singles_b=singles_b,
+            expected_true=lam_t,
+            expected_accidental=lam_a,
+            p_true=p_true,
+            seed=seed,
+        ))
+    n = p.shape[1]
+    return [records[k * n:(k + 1) * n] for k in range(p.shape[0])]
+
+
 def sample_counts(
     p_true: float,
     d: DetectorSpec,
@@ -124,42 +267,16 @@ def sample_counts(
 ) -> CountRecord:
     """Draw one CountRecord; deterministic for a given seed.
 
-    ``accidental_weight`` scales the accidental mean relative to the
-    p_true = 1 reference rate divided by the CAR.  Callers that quote CAR
-    at an operating point fold the operating true rate and the normalized
-    singles product for the outcome into this weight.  Raises
-    `DomainError` when a Poisson mean is outside what the generator can
-    draw (NaN, or too large for a 64-bit count).
+    The record of `sample_grid` on a 1x1 grid with seed ``seed`` modulo
+    2**64; its ``seed`` field is ``seed`` itself.  ``accidental_weight``
+    scales the accidental mean relative to the p_true = 1 reference rate
+    divided by the CAR.  Callers that quote CAR at an operating point fold
+    the operating true rate and the normalized singles product for the
+    outcome into this weight.  Raises `DomainError` as `sample_grid` does.
     """
-    if not 0.0 <= p_true <= 1.0 + 1e-12:
-        raise DomainError("p_true must lie in [0, 1]")
-    arm = d.efficiency * d.insertion_loss
-    exposure = s.pair_rate_hz * d.integration_s
-    lam_true = exposure * p_true * arm * arm
-    lam_ref = exposure * arm * arm
-    lam_acc = 0.0 if math.isinf(s.car) else lam_ref / s.car * accidental_weight
-    lam_single = exposure * arm + d.dark_rate_hz * d.integration_s
-
-    rng = np.random.default_rng(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    try:
-        true_c, acc_c, singles_a, singles_b = [
-            int(rng.poisson(lam)) for lam in (lam_true, lam_acc, lam_single, lam_single)
-        ]
-    except ValueError as exc:
-        raise DomainError(
-            f"cannot draw counts ({exc}): expected true {lam_true:.3g}, accidental"
-            f" {lam_acc:.3g}, singles {lam_single:.3g}"
-        ) from exc
-    return CountRecord(
-        true_coincidences=true_c,
-        accidental_coincidences=acc_c,
-        singles_a=singles_a,
-        singles_b=singles_b,
-        expected_true=lam_true,
-        expected_accidental=lam_acc,
-        p_true=float(p_true),
-        seed=int(seed),
-    )
+    seeds = np.array([[int(seed) & _MASK64]], dtype=np.uint64)
+    record = sample_grid([[p_true]], d, s, seeds, accidental_weight)[0][0]
+    return replace(record, seed=int(seed))
 
 
 def g2_histogram(tau_grid_ps, linewidth_mhz: float, window_ps: float) -> np.ndarray:

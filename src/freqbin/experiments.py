@@ -80,7 +80,7 @@ from .counting import (
     g2_histogram,
     hofmann_bound,
     indistinguishability_mix,
-    sample_counts,
+    sample_grid,
     truth_table_fidelity,
     visibility_hom,
     visibility_minmax,
@@ -124,15 +124,27 @@ BELL_BINS = (0, 1, 2, 3)
 _SEED_MASK = (1 << 64) - 1
 
 
+def _splitmix(base_seed: int, *indices):
+    """splitmix64 of ``base_seed`` stepped once per index; the indices are
+    uint64 scalars or arrays, which broadcast."""
+    s = np.uint64(int(base_seed) & _SEED_MASK)
+    with np.errstate(over="ignore"):
+        for k in indices:
+            s = s + np.uint64(0x9E3779B97F4A7C15) + k
+            s = (s ^ (s >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            s = (s ^ (s >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            s = s ^ (s >> np.uint64(31))
+    return s
+
+
 def derive_seed(base_seed: int, *indices: int) -> int:
     """Stable 64-bit seed for a sweep point, independent of schedule."""
-    s = base_seed & _SEED_MASK
-    for k in indices:
-        s = (s + 0x9E3779B97F4A7C15 + (int(k) & _SEED_MASK)) & _SEED_MASK
-        s = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _SEED_MASK
-        s = ((s ^ (s >> 27)) * 0x94D049BB133111EB) & _SEED_MASK
-        s ^= s >> 31
-    return s
+    return int(_splitmix(base_seed, *(np.uint64(int(k) & _SEED_MASK) for k in indices)))
+
+
+def _grid_seeds(base_seed: int, shape: tuple[int, int]) -> np.ndarray:
+    """uint64 array of derive_seed(base_seed, k, c) over a (k, c) grid."""
+    return _splitmix(base_seed, *np.indices(shape, dtype=np.uint64))
 
 
 @dataclass(frozen=True)
@@ -460,15 +472,8 @@ def _sample(
     with seed derive_seed(seed, k, c) and accidental weight w[k, c]
     (``accidental_weight`` broadcast to p), plus the int array of their
     total coincidences."""
-    w = np.broadcast_to(accidental_weight, p.shape).tolist()
-    records = [
-        [
-            sample_counts(p_kc, cfg.detector, cfg.source, derive_seed(seed, k, c),
-                          accidental_weight=w_kc)
-            for c, (p_kc, w_kc) in enumerate(zip(p_k, w_k))
-        ]
-        for k, (p_k, w_k) in enumerate(zip(p.tolist(), w))
-    ]
+    records = sample_grid(p, cfg.detector, cfg.source, _grid_seeds(seed, p.shape),
+                          accidental_weight)
     totals = [[rec.total_coincidences for rec in row] for row in records]
     return records, np.array(totals, dtype=int).reshape(p.shape)
 

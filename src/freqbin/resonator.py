@@ -156,6 +156,10 @@ def _dip_guesses(x: np.ndarray, y: np.ndarray) -> tuple[tuple[float, float], tup
 
 #: Most model evaluations one doublet fit may spend.
 MAX_EVALUATIONS = 2000
+#: Largest residual RMS, as a share of the mean fitted dip depth, of a fit
+#: that explains its data.  Uniform noise fits at 0.48 and above; a real
+#: doublet with 1% noise at about 0.1 or below.
+MAX_RESIDUAL_PER_DEPTH = 0.25
 # Stopping rules of the Levenberg-Marquardt iteration (Moré 1978): relative
 # cost reduction, relative step length, and the cosine between the
 # residual and any Jacobian column.
@@ -255,8 +259,11 @@ def fit_doublet(detuning_ghz, transmission) -> DoubletFit:
     projecting each step onto a box.  Initial guesses come from the two
     deepest local minima of the raw data.  Raises `ValidationError` when
     the samples are mismatched, fewer than 50 or not finite, and
-    `FitError` when the data show no doublet or the fit does not
-    converge within `MAX_EVALUATIONS` model evaluations.
+    `FitError` when the data show no doublet, the fit does not
+    converge within `MAX_EVALUATIONS` model evaluations, or the fit does
+    not explain the data: a fitted kappa_ex above kappa1 (which `DRParams`
+    rejects), or a residual RMS above `MAX_RESIDUAL_PER_DEPTH` times the
+    mean fitted dip depth.
     """
     x = np.asarray(detuning_ghz, dtype=float)
     y = np.asarray(transmission, dtype=float)
@@ -289,6 +296,19 @@ def fit_doublet(detuning_ghz, transmission) -> DoubletFit:
         depths = tuple(1.0 - v for _, v in sorted(fit_minima, key=lambda m: m[0]))
     else:
         depths = (1.0 - float(fitted.min()), 1.0 - float(fitted.min()))
+    if kex > k1:
+        raise FitError(
+            f"no doublet found: fitted bus coupling {kex:.3g} GHz exceeds the"
+            f" linewidth {k1:.3g} GHz",
+            residual=rms,
+        )
+    mean_depth = (depths[0] + depths[1]) / 2.0
+    if rms > MAX_RESIDUAL_PER_DEPTH * mean_depth:
+        raise FitError(
+            f"no doublet found: residual RMS {rms:.3g} exceeds"
+            f" {MAX_RESIDUAL_PER_DEPTH} of the mean fitted dip depth {mean_depth:.3g}",
+            residual=rms,
+        )
     return DoubletFit(
         two_g_ghz=float(2.0 * g),
         linewidths_ghz=(float(k1), float(k2)),

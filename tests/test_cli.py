@@ -470,6 +470,34 @@ def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+#: sha256 of result.json of the sampled manifests below at seed 7 with
+#: every imperfection on.  They pin every sampled count: a change to the
+#: seed derivation, the seed hash or the draw order moves them.
+_PINNED_RESULTS = {
+    "fmzi": ({"mode": "quantum", "config": {"source": {"car": 300.0},
+                                            "detector": {"integration_s": 50.0}}},
+             "06d4c57888f73c35cf3a484bc52879ab02f87b90fa1aa393611b7a7b117c0242"),
+    "hom": ({"config": {"source": {"indistinguishability": 0.949},
+                        "detector": {"integration_s": 5.0}}},
+            "01a98d5b9f5ba4b945b00b5cbd713518a37039bc9dc21ad1a37aca468d40dcca"),
+    "cz": ({"basis": "both", "config": {"source": {"car": 14.0},
+                                        "detector": {"integration_s": 1000.0}}},
+           "02ee1512ba55638b29c16f8b1b78f2bab08c6f73f5c7bf01d28ffc7846a101f3"),
+    "bell": ({"config": {"source": {"car": 300.0, "indistinguishability": 0.97},
+                         "detector": {"integration_s": 50.0}}},
+             "e45374c7c09990b7eacd377ee251497a8d51e26e857c587af5b92997f8048788"),
+}
+
+
+@pytest.mark.parametrize("experiment", list(_PINNED_RESULTS))
+def test_sampled_result_bytes_are_pinned(experiment, tmp_path):
+    extra, digest = _PINNED_RESULTS[experiment]
+    doc = {"experiment": experiment, "seed": 7,
+           "imperfections": sorted(IMPERFECTION_NAMES), **extra}
+    assert _run(doc, tmp_path) == 0
+    assert _sha(tmp_path / "result.json") == digest
+
+
 class TestRunCommand:
     def test_hom_outputs(self, tmp_path):
         manifest = tmp_path / "m.json"
@@ -720,6 +748,21 @@ class TestFitCommand:
             writer.writerows(rows)
         assert main(["fit", str(path)]) == 3
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fit_uniform_noise_fails_with_fit_exit(self, seed, tmp_path, capsys):
+        # Noise used to fit: seed 0 printed 2g = 109.9 GHz with kappa_ex
+        # above kappa1, the others residuals of about half the dip depth.
+        x = np.linspace(-15.0, 15.0, 601)
+        y = np.random.default_rng(seed).uniform(0.0, 1.0, x.shape)
+        path = tmp_path / "noise.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["detuning_ghz", "transmission"])
+            writer.writerows(zip(x, y))
+        assert main(["fit", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     @pytest.mark.parametrize("text, message", [
         ("detuning_ghz,transmission\n1.0\n", "line 2: expected 2 fields, got 1"),

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from freqbin.counting import (
     DetectorSpec,
@@ -13,11 +15,12 @@ from freqbin.counting import (
     hofmann_bound,
     indistinguishability_mix,
     sample_counts,
+    sample_grid,
     truth_table_fidelity,
     visibility_hom,
     visibility_minmax,
 )
-from freqbin.counting import _exp_window_convolution
+from freqbin.counting import _exp_window_convolution, _seed_words
 from freqbin.errors import DomainError, ValidationError
 
 
@@ -104,6 +107,83 @@ class TestSampling:
             "singles_a",
             "singles_b",
         ]
+
+
+#: A bright setting (Poisson means of 1e4 to 1e7: numpy's PTRS sampler)
+#: and a dim one (means below 10: its multiplication method).
+BRIGHT = (DetectorSpec(), SourceSpec(car=25.0))
+DIM = (DetectorSpec(integration_s=0.1), SourceSpec(pair_rate_hz=100.0, car=2.0))
+
+
+class TestPinnedCounts:
+    # (true, accidental, singles A, singles B) of sample_counts(0.4, ...,
+    # accidental_weight=0.7): any change to the seed hash, the generator
+    # or the draw order moves them.
+    @pytest.mark.parametrize("seed, bright, dim", [
+        (0, (361487, 24879, 4252069, 4250626), (0, 0, 0, 0)),
+        (2**32 - 1, (360798, 25187, 4254003, 4250118), (0, 0, 3, 2)),
+        (2**32, (362110, 24960, 4251853, 4251391), (1, 0, 1, 2)),
+        (2**64 - 1, (361566, 25081, 4250523, 4253332), (0, 0, 0, 1)),
+    ])
+    def test_counts_of_boundary_seeds(self, seed, bright, dim):
+        for (d, s), want in ((BRIGHT, bright), (DIM, dim)):
+            rec = sample_counts(0.4, d, s, seed, accidental_weight=0.7)
+            got = (rec.true_coincidences, rec.accidental_coincidences,
+                   rec.singles_a, rec.singles_b)
+            assert got == want
+            assert rec.seed == seed
+
+    def test_record_keeps_the_callers_seed(self):
+        # The stream is the seed modulo 2**64; the record keeps the int given.
+        a = sample_counts(0.4, *BRIGHT, seed=-1)
+        b = sample_counts(0.4, *BRIGHT, seed=2**64 - 1)
+        assert a.seed == -1 and b.seed == 2**64 - 1
+        assert a.true_coincidences == b.true_coincidences
+
+
+_UINT64 = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_UINT64, min_size=1, max_size=8))
+@example([0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_seed_words_are_seed_sequence_state(seeds):
+    words = _seed_words(np.array(seeds, dtype=np.uint64))
+    assert words.shape == (len(seeds), 4)
+    for seed, row in zip(seeds, words):
+        np.testing.assert_array_equal(
+            row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    setting=st.sampled_from([BRIGHT, DIM]),
+    data=st.data(),
+)
+def test_batched_records_are_default_rng_draws(shape, setting, data):
+    n = shape[0] * shape[1]
+    seeds = data.draw(st.lists(_UINT64, min_size=n, max_size=n))
+    p = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    w = data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+    d, s = setting
+    records = sample_grid(np.reshape(p, shape), d, s,
+                          np.reshape(np.array(seeds, dtype=np.uint64), shape),
+                          np.reshape(w, shape))
+    flat = [rec for row in records for rec in row]
+    assert [len(row) for row in records] == [shape[1]] * shape[0]
+    arm = d.efficiency * d.insertion_loss
+    exposure = s.pair_rate_hz * d.integration_s
+    lam_single = exposure * arm + d.dark_rate_hz * d.integration_s
+    for rec, seed, p_true, weight in zip(flat, seeds, p, w):
+        lam_true = exposure * p_true * arm * arm
+        lam_acc = exposure * arm * arm / s.car * weight
+        rng = np.random.default_rng(seed)
+        draws = [int(rng.poisson(lam)) for lam in (lam_true, lam_acc, lam_single, lam_single)]
+        assert [rec.true_coincidences, rec.accidental_coincidences,
+                rec.singles_a, rec.singles_b] == draws
+        assert (rec.expected_true, rec.expected_accidental) == (lam_true, lam_acc)
+        assert (rec.p_true, rec.seed) == (p_true, seed)
 
 
 class TestHistogram:

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqbin.elements import fbs_transform
 from freqbin.errors import ConfigurationError, DomainError, ValidationError
@@ -13,6 +15,7 @@ from freqbin.experiments import (
     CZ_CONTROL_BINS,
     CZ_TARGET_BINS,
     default_chip_config,
+    _grid_seeds,
     derive_seed,
     run_bell,
     run_cz,
@@ -293,3 +296,32 @@ class TestResultContainer:
         a = run_bell(cfg, PHASES[:5], seed=3, sample=True)
         b = run_bell(cfg, PHASES[:5], seed=3, sample=True)
         assert a.to_json() == b.to_json()
+
+
+def _reference_derive_seed(base_seed, *indices):
+    """splitmix64 on Python ints, masked to 64 bits after each step."""
+    mask = (1 << 64) - 1
+    s = base_seed & mask
+    for k in indices:
+        s = (s + 0x9E3779B97F4A7C15 + (k & mask)) & mask
+        s = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        s = ((s ^ (s >> 27)) * 0x94D049BB133111EB) & mask
+        s ^= s >> 31
+    return s
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=st.integers(-(2**70), 2**70),
+       shape=st.tuples(st.integers(1, 6), st.integers(1, 4)))
+def test_grid_seeds_are_derive_seed(base, shape):
+    grid = _grid_seeds(base, shape)
+    assert grid.shape == shape and grid.dtype == np.uint64
+    for (k, c), seed in np.ndenumerate(grid):
+        assert int(seed) == derive_seed(base, k, c) == _reference_derive_seed(base, k, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=st.integers(-(2**70), 2**70),
+       indices=st.lists(st.integers(-(2**70), 2**70), max_size=3))
+def test_derive_seed_is_splitmix64(base, indices):
+    assert derive_seed(base, *indices) == _reference_derive_seed(base, *indices)

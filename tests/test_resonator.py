@@ -161,6 +161,14 @@ class TestDoubletFit:
             fit_doublet(x, y)
         assert err.value.residual > 0.0
 
+    def test_bus_coupling_above_the_linewidth_is_a_fit_error(self):
+        # The through model with kappa_ex > kappa1, a set DRParams rejects,
+        # fits to a residual of 1e-16: only the coupling rule rejects it.
+        x = np.linspace(-15.0, 15.0, 601)
+        y = np.abs(resonator._through_field(x, 6.0, 1.0, 1.5, 2.0, 0.0)) ** 2
+        with pytest.raises(FitError, match="exceeds the linewidth"):
+            fit_doublet(x, y)
+
     def test_noisy_roundtrip_many_seeds(self):
         x, y = self.grid_and_spectrum()
         worst = 0.0
