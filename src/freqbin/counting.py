@@ -304,13 +304,10 @@ def _exp_window_convolution(tau: np.ndarray, tau_c: float, window_ps: float) -> 
     return (upper - lower) / window_ps
 
 
-def _looks_like_counts(values: np.ndarray) -> bool:
-    return bool(np.all(values == np.round(values)) and np.all(values >= 0))
-
-
 def visibility_minmax(values) -> MetricResult:
     """(max - min) / (max + min) of a fringe; Poisson error when the
-    inputs are counts, zero otherwise."""
+    inputs are counts, meaning an integer array, zero otherwise."""
+    counts = np.issubdtype(np.asarray(values).dtype, np.integer)
     v = np.asarray(values, dtype=float)
     if v.size < 2:
         raise DomainError("need at least two values")
@@ -321,13 +318,11 @@ def visibility_minmax(values) -> MetricResult:
     if hi + lo == 0.0:
         raise DomainError("all-zero fringe")
     vis = (hi - lo) / (hi + lo)
-    sigma = 0.0
-    method = "minmax"
-    if _looks_like_counts(v):
-        denom = (hi + lo) ** 2
-        sigma = math.sqrt((2.0 * lo / denom) ** 2 * hi + (2.0 * hi / denom) ** 2 * lo)
-        method = "minmax, poisson error"
-    return MetricResult(vis, sigma, method)
+    if not counts:
+        return MetricResult(vis, 0.0, "minmax")
+    denom = (hi + lo) ** 2
+    sigma = math.sqrt((2.0 * lo / denom) ** 2 * hi + (2.0 * hi / denom) ** 2 * lo)
+    return MetricResult(vis, sigma, "minmax, poisson error")
 
 
 def visibility_hom(n_max: float, n_min: float) -> MetricResult:
@@ -345,8 +340,10 @@ def truth_table_fidelity(measured, ideal) -> MetricResult:
     """Mean probability of the ideal outcome over a 4x4 truth table.
 
     Rows of ``measured`` are normalized first; ``ideal`` must be a
-    permutation table.
+    permutation table.  An integer ``measured`` holds counts, which give
+    the binomial error of each row.
     """
+    counts = np.issubdtype(np.asarray(measured).dtype, np.integer)
     m = np.asarray(measured, dtype=float)
     ident = np.asarray(ideal, dtype=float)
     if m.shape != (4, 4) or ident.shape != (4, 4):
@@ -361,9 +358,8 @@ def truth_table_fidelity(measured, ideal) -> MetricResult:
     rows = m / sums[:, None]
     per_row = (rows * ident).sum(axis=1)
     value = float(per_row.mean())
-    # Binomial error per row from the raw totals when rows are counts.
     sigma = 0.0
-    if _looks_like_counts(m):
+    if counts:
         var = per_row * (1.0 - per_row) / np.maximum(sums, 1.0)
         sigma = float(np.sqrt(var.sum()) / 4.0)
     return MetricResult(value, sigma, "mean diagonal of row-normalized table")

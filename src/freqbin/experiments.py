@@ -14,13 +14,16 @@ Conventions, documented once here:
 * A runner resolves its imperfection toggles once (`_effective`): each
   imperfection whose toggle is off takes its ideal value, and the runner
   reads only that chip.  Crosstalk alone is decided at detection.
-* Every pipeline is linear optics.  A runner describes its experiment
-  as one `Circuit` (`_circuit`): its elements, in order of application,
-  compose to one single-photon matrix U[out, in] on the working grid,
-  stacked over the sweep points as (n_points, n, n), and it names its
-  detector groups.  One evaluator turns any circuit into outcomes in
-  closed form: a photon injected at i reaches grid mode p with
-  probability |U[p, i]|^2 (`_singles`), and two photons injected at
+* Each experiment's probability seam (`_fmzi`, `_hom`, `_cz`, `_bell`)
+  is a pure function from the effective chip, toggles and sweep to its
+  `Circuit` and exact probabilities; only it holds the stage list and
+  detection.  Runners check their arguments, then sample and present.
+* Every pipeline is linear optics.  A `Circuit` (`_circuit`) composes
+  its elements, in order of application, to one single-photon matrix
+  U[out, in] on the working grid, stacked over the sweep points as
+  (n_points, n, n), and names its detector groups.  One evaluator reads
+  any circuit in closed form: a photon injected at i reaches grid mode p
+  with probability |U[p, i]|^2 (`_singles`), and two photons injected at
   i != j leave one photon at p and one at q != p with amplitude
   U[p, i] U[q, j] + U[q, i] U[p, j] (the 2x2 permanent, `_pair`), which
   `_coincidences` detects.  The Fock engine and the permanent of
@@ -258,7 +261,12 @@ def config_echo(cfg: ChipConfig) -> dict:
     return _jsonable(cfg)
 
 
-def _check_toggles(imperfections: Iterable[str]) -> frozenset[str]:
+def _effective(cfg: ChipConfig, imperfections: Iterable[str]) -> tuple[frozenset[str], ChipConfig]:
+    """The imperfection toggles of a run and the chip the runners evaluate:
+    ``cfg`` with the setting of every imperfection whose toggle is off at
+    its ideal value.  An unknown toggle is a `ConfigurationError`.  An
+    ideal filter bank is no `FilterParams` value, so `_detector_weights`
+    takes the crosstalk toggle itself."""
     toggles = frozenset(imperfections)
     unknown = toggles - IMPERFECTION_NAMES
     if unknown:
@@ -266,14 +274,6 @@ def _check_toggles(imperfections: Iterable[str]) -> frozenset[str]:
             f"unknown imperfection toggles {sorted(unknown)}; "
             f"known: {sorted(IMPERFECTION_NAMES)}"
         )
-    return toggles
-
-
-def _effective(cfg: ChipConfig, toggles: frozenset[str]) -> ChipConfig:
-    """The chip the runners evaluate: ``cfg`` with the setting of every
-    imperfection whose toggle is off at its ideal value.  An ideal filter
-    bank is no `FilterParams` value, so `_detector_weights` takes the
-    crosstalk toggle itself."""
 
     def dr(d: DrConfig) -> DrConfig:
         return replace(d, fbs=replace(
@@ -284,7 +284,7 @@ def _effective(cfg: ChipConfig, toggles: frozenset[str]) -> ChipConfig:
         ))
 
     src = cfg.source
-    return replace(
+    return toggles, replace(
         cfg,
         dr1=dr(cfg.dr1),
         dr2=dr(cfg.dr2),
@@ -297,6 +297,23 @@ def _effective(cfg: ChipConfig, toggles: frozenset[str]) -> ChipConfig:
             if "distinguishability" in toggles else 1.0,
         ),
     )
+
+
+def _sweep(
+    values: Iterable[float], name: str, bounds: tuple[int, int] | None = None
+) -> np.ndarray:
+    """The sweep ``values`` as a float array, checked by the one sweep
+    rule: at least one point, each finite and, where ``bounds`` are
+    given, within them.  Raises `ValidationError` naming the sweep."""
+    values = np.fromiter(values, dtype=float)
+    if not values.size:
+        raise ValidationError(f"{name} need at least one point")
+    low, high = bounds or (-math.inf, math.inf)
+    if not (np.isfinite(values).all() and ((low <= values) & (values <= high)).all()):
+        raise ValidationError(
+            f"{name} must lie in [{low}, {high}]" if bounds else f"{name} must be finite"
+        )
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +553,20 @@ def _fringes(
 # Mach-Zehnder interferometer in the frequency basis.
 
 
+def _fmzi(
+    chip: ChipConfig, toggles: frozenset[str], phases: list[float]
+) -> tuple[Circuit, np.ndarray]:
+    """The circuit of `run_fmzi` and p[k, c]: detector d fires for the
+    photon injected at bin i, c = 2 i + d."""
+    bins = (0, 1)
+    circuit = _circuit(chip, toggles, [
+        _splitter(chip.dr1, bins),
+        ((1,), np.exp(1j * np.asarray(phases))[:, None, None], 1.0),
+        _splitter(chip.dr3, bins),
+    ], bins)
+    return circuit, np.swapaxes(_singles(circuit, bins), 1, 2).reshape(len(phases), 4)
+
+
 def run_fmzi(
     cfg: ChipConfig,
     phases: Sequence[float],
@@ -552,8 +583,7 @@ def run_fmzi(
     """
     if mode not in FMZI_MODES:
         raise ConfigurationError(f"unknown interferometer mode {mode!r}")
-    toggles = _check_toggles(imperfections)
-    chip = _effective(cfg, toggles)
+    toggles, chip = _effective(cfg, imperfections)
     warnings = []
     for name, dr in (("dr1", chip.dr1), ("dr3", chip.dr3)):
         if abs(dr.fbs.transmissivity_T - 0.5) > 1e-9:
@@ -562,18 +592,9 @@ def run_fmzi(
                 " fringe visibility will be reduced"
             )
 
-    phases = [float(p) for p in phases]
-    if not all(math.isfinite(p) for p in phases):
-        raise ValidationError("phases must be finite")
-    bins = (0, 1)
-    circuit = _circuit(chip, toggles, [
-        _splitter(chip.dr1, bins),
-        ((1,), np.exp(1j * np.asarray(phases))[:, None, None], 1.0),
-        _splitter(chip.dr3, bins),
-    ], bins)
-    # p[k, c]: detector d fires for the photon injected at bin i, c = 2 i + d.
-    p = np.swapaxes(_singles(circuit, bins), 1, 2).reshape(len(phases), 4)
-    names = [f"in{i + 1}_port{d + 1}" for i in bins for d in bins]
+    phases = _sweep(phases, "phases").tolist()
+    _, p = _fmzi(chip, toggles, phases)
+    names = [f"in{i}_port{d}" for i in (1, 2) for d in (1, 2)]
     series, metrics, counts_per_point = _fringes(
         chip, phases, p, names, record_keys=names, accidental_share=1.0,
         methods=("mean of four fringe curves", "mean of four sampled fringe curves"),
@@ -598,6 +619,22 @@ def run_fmzi(
 # Hong-Ou-Mandel sweep.
 
 
+def _hom(
+    chip: ChipConfig, toggles: frozenset[str], rs: list[float]
+) -> tuple[Circuit, np.ndarray]:
+    """The circuit of `run_hom` and p[k, c]: the coincidence probability
+    (c = 0) and its distinguishable reference (c = 1)."""
+    circuit = _circuit(chip, toggles, [
+        _splitter(chip.dr3, (0, 1), transmissivity=1.0 - np.asarray(rs))
+    ], (0,), (1,))
+    p_ind = _coincidences(circuit, _pair(circuit, 0, 1))[:, 0, 0]
+    # marg[k, d, i]: detector d fires for the photon injected at bin i.
+    marg = _singles(circuit, (0, 1))
+    p_dist = marg[:, 0, 0] * marg[:, 1, 1] + marg[:, 1, 0] * marg[:, 0, 1]
+    p_cc = indistinguishability_mix(p_ind, p_dist, chip.source.indistinguishability)
+    return circuit, np.stack([p_cc, p_dist], axis=1)
+
+
 def run_hom(
     cfg: ChipConfig,
     reflectivities: Sequence[float],
@@ -613,47 +650,30 @@ def run_hom(
     (reference - observed) / reference, matching a dip quoted against
     the far-delay coincidence level.
     """
-    toggles = _check_toggles(imperfections)
-    chip = _effective(cfg, toggles)
-    v_indist = chip.source.indistinguishability
-
-    reflectivities = [float(r) for r in reflectivities]
-    rs = np.asarray(reflectivities)
-    if not np.all((rs >= 0.0) & (rs <= 1.0)):
-        raise ValidationError("reflectivities must lie in [0, 1]")
-    circuit = _circuit(chip, toggles, [_splitter(chip.dr3, (0, 1), transmissivity=1.0 - rs)],
-                       (0,), (1,))
-    p_ind = _coincidences(circuit, _pair(circuit, 0, 1))[:, 0, 0]
-    # Distinguishable photons: independent single-photon routing,
-    # marg[k, d, i] for the photon injected at bin i.
-    marg = _singles(circuit, (0, 1))
-    p_dist = marg[:, 0, 0] * marg[:, 1, 1] + marg[:, 1, 0] * marg[:, 0, 1]
-    p_cc = indistinguishability_mix(p_ind, p_dist, v_indist)
+    toggles, chip = _effective(cfg, imperfections)
+    reflectivities = _sweep(reflectivities, "reflectivities", (0, 1)).tolist()
+    _, p = _hom(chip, toggles, reflectivities)
+    p_cc, p_dist = p.T
     vis = np.divide(p_dist - p_cc, p_dist, out=np.zeros_like(p_dist), where=p_dist != 0.0)
-    p_cc_col, p_dist_col, vis_col = p_cc.tolist(), p_dist.tolist(), vis.tolist()
-
     series = {
         "reflectivity": reflectivities,
-        "p_cc": p_cc_col,
-        "visibility": vis_col,
+        "p_cc": p_cc.tolist(),
+        "visibility": vis.tolist(),
     }
-    metrics: dict[str, MetricResult] = {}
     counts_per_point: list[dict[str, CountRecord]] | None = None
 
     half_idx = int(np.argmin(np.abs(np.asarray(reflectivities) - 0.5)))
     if sample:
-        records, totals = _sample(chip, np.stack([p_cc, p_dist], axis=1), p_dist.max(), seed)
+        records, totals = _sample(chip, p, p_dist.max(), seed)
         counts_per_point = [dict(zip(("observed", "reference"), row)) for row in records]
         series["counts_observed"], series["counts_reference"] = totals.T.tolist()
         n_obs, n_ref = totals[half_idx].tolist()
-        metrics["visibility_at_balanced"] = (
+        balanced = (
             visibility_hom(n_ref, n_obs) if n_ref > 0
             else MetricResult(0.0, 0.0, "empty reference")
         )
     else:
-        metrics["visibility_at_balanced"] = MetricResult(
-            vis_col[half_idx], 0.0, "probability ratio"
-        )
+        balanced = MetricResult(float(vis[half_idx]), 0.0, "probability ratio")
 
     tau = np.linspace(-4000.0, 4000.0, 401)
     hist = g2_histogram(tau, chip.source.photon_linewidth_mhz, chip.detector.coincidence_window_ps)
@@ -662,14 +682,14 @@ def run_hom(
         sweep_name="reflectivity",
         sweep_values=reflectivities,
         series=series,
-        metrics=metrics,
+        metrics={"visibility_at_balanced": balanced},
         counts=counts_per_point,
         extras={
             "imperfections": sorted(toggles),
-            "v_indist": v_indist,
+            "v_indist": chip.source.indistinguishability,
             "histogram_tau_ps": tau.tolist(),
             "histogram_shape": hist.tolist(),
-            "p_distinguishable": p_dist_col,
+            "p_distinguishable": p_dist.tolist(),
         },
         config_echo=config_echo(cfg),
         seed=seed,
@@ -699,10 +719,34 @@ _CZ_IDEAL_PERM = {
 
 
 def cz_ideal_table(basis: str) -> np.ndarray:
-    table = np.zeros((4, 4))
-    for row, col in enumerate(_CZ_IDEAL_PERM[basis]):
-        table[row, col] = 1.0
-    return table
+    return np.eye(4)[list(_CZ_IDEAL_PERM[basis])]
+
+
+def _cz(
+    chip: ChipConfig, toggles: frozenset[str], basis: str
+) -> tuple[Circuit, np.ndarray, np.ndarray]:
+    """The circuit of `run_cz`, its exact truth table exact[row, outcome]
+    and the expected singles flux singles_rows[row, d] on each detector.
+    Rows follow the labels of ``_CZ_INPUTS[basis]``; the outcome columns
+    (c0 t0, c0 t1, c1 t0, c1 t1) share their order."""
+    c0, c1 = CZ_CONTROL_BINS
+    t0, t1 = CZ_TARGET_BINS
+    stages = [
+        ((c0,), np.full((1, 1, 1), math.sqrt(chip.r1_transmission)), 1.0),
+        ((t1,), np.full((1, 1, 1), math.sqrt(chip.r2_transmission)), 1.0),
+        _splitter(chip.dr2, (t0, c1)),
+    ]
+    if basis != "zz":
+        h_bins = (c0, c1) if basis == "xz" else (t0, t1)
+        stages = [
+            _splitter(chip.dr1, h_bins, transmissivity=0.5, theta=0.0),
+            *stages,
+            _splitter(chip.dr3, h_bins, transmissivity=0.5, theta=0.0),
+        ]
+    circuit = _circuit(chip, toggles, stages, CZ_CONTROL_BINS, CZ_TARGET_BINS)
+    s = np.concatenate([_pair(circuit, *bins) for bins in _CZ_INPUTS[basis].values()])
+    exact = _coincidences(circuit, s).reshape(4, 4)
+    return circuit, exact, (np.abs(s) ** 2).sum(axis=-1) @ circuit.weights.T
 
 
 def run_cz(
@@ -723,47 +767,19 @@ def run_cz(
     """
     if basis not in CZ_BASES:
         raise ConfigurationError(f"basis must be one of {CZ_BASES}")
-    toggles = _check_toggles(imperfections)
-    chip = _effective(cfg, toggles)
-    if not allow_nonstandard:
-        if abs(chip.dr2.fbs.transmissivity_T - 1.0 / 3.0) > 1e-9:
-            raise ValidationError(
-                "gate requires DR2 transmissivity 1/3; pass allow_nonstandard to override"
-            )
-        for name, value in (
-            ("r1_transmission", chip.r1_transmission),
-            ("r2_transmission", chip.r2_transmission),
-        ):
-            if abs(value - 1.0 / 3.0) > 1e-9:
-                raise ValidationError(
-                    f"gate requires {name} = 1/3; pass allow_nonstandard to override"
-                )
+    toggles, chip = _effective(cfg, imperfections)
+    for value, setting in (
+        (chip.dr2.fbs.transmissivity_T, "DR2 transmissivity 1/3"),
+        (chip.r1_transmission, "r1_transmission = 1/3"),
+        (chip.r2_transmission, "r2_transmission = 1/3"),
+    ):
+        if not allow_nonstandard and abs(value - 1.0 / 3.0) > 1e-9:
+            raise ValidationError(f"gate requires {setting}; pass allow_nonstandard to override")
 
-    c0, c1 = CZ_CONTROL_BINS
-    t0, t1 = CZ_TARGET_BINS
-    stages = [
-        ((c0,), np.full((1, 1, 1), math.sqrt(chip.r1_transmission)), 1.0),
-        ((t1,), np.full((1, 1, 1), math.sqrt(chip.r2_transmission)), 1.0),
-        _splitter(chip.dr2, (t0, c1)),
-    ]
-    if basis != "zz":
-        h_bins = (c0, c1) if basis == "xz" else (t0, t1)
-        stages = [
-            _splitter(chip.dr1, h_bins, transmissivity=0.5, theta=0.0),
-            *stages,
-            _splitter(chip.dr3, h_bins, transmissivity=0.5, theta=0.0),
-        ]
-    circuit = _circuit(chip, toggles, stages, CZ_CONTROL_BINS, CZ_TARGET_BINS)
-
-    inputs = _CZ_INPUTS[basis]
-    labels = list(inputs)
-    s = np.concatenate([_pair(circuit, *bins) for bins in inputs.values()])
-    # Outcome columns (c0 t0, c0 t1, c1 t0, c1 t1) share their order with
-    # the input labels.
-    exact = _coincidences(circuit, s).reshape(4, 4)
+    _, exact, singles_rows = _cz(chip, toggles, basis)
+    labels = list(_CZ_INPUTS[basis])
+    ideal = cz_ideal_table(basis)
     success = exact.sum(axis=1)
-    # Expected singles flux per detector and input row over the full state.
-    singles_rows = (np.abs(s) ** 2).sum(axis=-1) @ circuit.weights.T
 
     row_sums = success[:, None]
     warnings = []
@@ -773,15 +789,13 @@ def run_cz(
         "success_probability_min": MetricResult(float(success.min()), 0.0, "exact"),
     }
     if np.all(row_sums > 0.0):
-        metrics["fidelity"] = truth_table_fidelity(
-            exact_normalized, cz_ideal_table(basis)
-        )
+        metrics["fidelity"] = truth_table_fidelity(exact_normalized, ideal)
     else:
         warnings.append(
             "a truth-table row has zero acceptance probability; fidelity undefined"
         )
     counts_per_point: list[dict[str, CountRecord]] | None = None
-    counts_table = None
+    table_counts = None
     if sample:
         # Accidental weight per cell: the largest row success times the
         # row's normalized product of singles on the cell's two detectors.
@@ -791,15 +805,13 @@ def run_cz(
         denom = pair_share.sum(axis=1, keepdims=True)
         weight = float(success.max()) * pair_share / np.where(denom == 0.0, 1.0, denom)
         records, totals = _sample(chip, exact, weight, seed)
-        counts_table = totals.astype(float)
+        table_counts = totals.astype(float).tolist()
         counts_per_point = [
             {f"{row_label}->{label}": rec for label, rec in zip(labels, row)}
             for row_label, row in zip(labels, records)
         ]
-        if np.all(counts_table.sum(axis=1) > 0):
-            metrics["fidelity_counts"] = truth_table_fidelity(
-                counts_table, cz_ideal_table(basis)
-            )
+        if np.all(totals.sum(axis=1) > 0):
+            metrics["fidelity_counts"] = truth_table_fidelity(totals, ideal)
         else:
             warnings.append("a sampled truth-table row is empty; fidelity undefined")
 
@@ -823,8 +835,8 @@ def run_cz(
             "outcome_labels": list(labels),
             "table_exact": exact.tolist(),
             "table_normalized": exact_normalized.tolist(),
-            "table_counts": None if counts_table is None else counts_table.tolist(),
-            "table_ideal": cz_ideal_table(basis).tolist(),
+            "table_counts": table_counts,
+            "table_ideal": ideal.tolist(),
             "imperfections": sorted(toggles),
         },
         config_echo=config_echo(cfg),
@@ -864,6 +876,30 @@ def run_cz_characterization(
 # Entanglement fringes.
 
 
+def _bell(
+    chip: ChipConfig, toggles: frozenset[str], phases: list[float]
+) -> tuple[Circuit, np.ndarray]:
+    """The circuit of `run_bell` and the fringe probabilities mixed[k, c]
+    of the outcomes (f1 f3, f1 f4, f2 f3, f2 f4)."""
+    f1, f2, f3, f4 = BELL_BINS
+    circuit = _circuit(chip, toggles, [
+        _splitter(chip.dr1, (f1, f2), transmissivity=0.5, theta=0.0),
+        _splitter(chip.dr2, (f3, f4), transmissivity=0.5, theta=np.asarray(phases)),
+    ], (f1, f2), (f3, f4))
+
+    def detect(s: np.ndarray) -> np.ndarray:
+        return _coincidences(circuit, s).reshape(-1, 4)
+
+    # The source state (|f1 f4> + |f2 f3>) / sqrt(2) and, as the dephased
+    # reference, the equal mixture of its two product components.
+    s00 = _pair(circuit, f1, f4)
+    s11 = _pair(circuit, f2, f3)
+    coherent = detect((s00 + s11) / math.sqrt(2.0))
+    incoherent = 0.5 * (detect(s00) + detect(s11))
+    v = chip.source.indistinguishability
+    return circuit, indistinguishability_mix(coherent, incoherent, v)
+
+
 def run_bell(
     cfg: ChipConfig,
     phases: Sequence[float],
@@ -879,28 +915,10 @@ def run_bell(
     whatever transmissivity the chip configures.  Outcome labels: the
     lower-index detector of each pair reads "+".
     """
-    toggles = _check_toggles(imperfections)
-    chip = _effective(cfg, toggles)
+    toggles, chip = _effective(cfg, imperfections)
     warnings: list[str] = []
-    f1, f2, f3, f4 = BELL_BINS
-    phases = [float(p) for p in phases]
-    circuit = _circuit(chip, toggles, [
-        _splitter(chip.dr1, (f1, f2), transmissivity=0.5, theta=0.0),
-        _splitter(chip.dr2, (f3, f4), transmissivity=0.5, theta=np.asarray(phases)),
-    ], (f1, f2), (f3, f4))
-
-    def detect(s: np.ndarray) -> np.ndarray:
-        # Outcomes (f1 f3, f1 f4, f2 f3, f2 f4) in the order of the curves.
-        return _coincidences(circuit, s).reshape(-1, 4)
-
-    # The source state (|f1 f4> + |f2 f3>) / sqrt(2) and, as the dephased
-    # reference, the equal mixture of its two product components.
-    v = chip.source.indistinguishability
-    s00 = _pair(circuit, f1, f4)
-    s11 = _pair(circuit, f2, f3)
-    coherent = detect((s00 + s11) / math.sqrt(2.0))
-    incoherent = 0.5 * (detect(s00) + detect(s11))
-    mixed = indistinguishability_mix(coherent, incoherent, v)
+    phases = _sweep(phases, "phases").tolist()
+    _, mixed = _bell(chip, toggles, phases)
     names = ("pp", "pm", "mp", "mm")
     series, metrics, counts_per_point = _fringes(
         chip, phases, mixed, names, record_keys=[f"p_{name}" for name in names],
@@ -915,7 +933,8 @@ def run_bell(
         series=series,
         metrics=metrics,
         counts=counts_per_point,
-        extras={"imperfections": sorted(toggles), "source_coherence": v},
+        extras={"imperfections": sorted(toggles),
+                "source_coherence": chip.source.indistinguishability},
         config_echo=config_echo(cfg),
         warnings=warnings,
         seed=seed,
@@ -934,7 +953,7 @@ def run_spectroscopy(
     """Laser-scan characterization of one resonator or the filter bank."""
     if target not in SPECTROSCOPY_TARGETS:
         raise ConfigurationError(f"target must be one of {SPECTROSCOPY_TARGETS}")
-    scan = np.asarray(list(scan_ghz), dtype=float)
+    scan = _sweep(scan_ghz, "detunings")
     series = {"detuning_ghz": scan.tolist()}
     extras: dict = {"target": target}
     if target != "filters":
@@ -948,15 +967,11 @@ def run_spectroscopy(
         }
         try:
             fit = fit_doublet(scan, transmission)
-            metrics["fitted_splitting_ghz"] = MetricResult(
-                fit.two_g_ghz, fit.residual_rms, "doublet fit"
-            )
-            metrics["fitted_linewidth1_ghz"] = MetricResult(
-                fit.linewidths_ghz[0], fit.residual_rms, "doublet fit"
-            )
-            metrics["fitted_linewidth2_ghz"] = MetricResult(
-                fit.linewidths_ghz[1], fit.residual_rms, "doublet fit"
-            )
+            fitted = {"fitted_splitting_ghz": fit.two_g_ghz,
+                      "fitted_linewidth1_ghz": fit.linewidths_ghz[0],
+                      "fitted_linewidth2_ghz": fit.linewidths_ghz[1]}
+            for name, value in fitted.items():
+                metrics[name] = MetricResult(value, fit.residual_rms, "doublet fit")
             extras["fit"] = asdict(fit)
         except (FitError, ValidationError) as exc:  # odd or short scans
             extras["fit_error"] = str(exc)

@@ -16,8 +16,12 @@ from freqbin.errors import ValidationError
 from freqbin.experiments import (
     IMPERFECTION_NAMES,
     Circuit,
+    _bell,
     _coincidences,
+    _cz,
     _effective,
+    _fmzi,
+    _hom,
     _pair,
     config_echo,
     default_chip_config,
@@ -98,8 +102,8 @@ def test_bell_matches_sequential_reference(chip, toggles):
 
 
 def test_effective_chip_sets_switched_off_imperfections_ideal(chip):
-    assert _effective(chip, IMPERFECTION_NAMES) == chip
-    ideal = _effective(chip, frozenset())
+    assert _effective(chip, IMPERFECTION_NAMES) == (IMPERFECTION_NAMES, chip)
+    ideal = _effective(chip, frozenset())[1]
     assert ideal.global_efficiency == 1.0
     assert (ideal.source.car, ideal.source.indistinguishability) == (math.inf, 1.0)
     for dr in (ideal.dr1, ideal.dr2, ideal.dr3):
@@ -223,3 +227,37 @@ def test_hom_visibility_law(r, eta, global_eta, v, lossy):
     res = run_hom(cfg, [r], imperfections=toggles)
     law = 2.0 * r * (1.0 - r) / (r**2 + (1.0 - r) ** 2)
     assert res.series["visibility"][0] == pytest.approx(v * law, abs=1e-10)
+
+
+@pytest.mark.parametrize("toggles", SUBSETS, ids=SUBSET_IDS)
+@settings(max_examples=8, deadline=None)
+@given(
+    ts=st.tuples(unit, unit, unit), thetas=st.tuples(angle, angle, angle),
+    etas=st.tuples(efficiency, efficiency, efficiency),
+    dbs=st.tuples(*[st.one_of(st.just(math.inf), st.floats(0.0, 60.0))] * 3),
+    rings=st.tuples(efficiency, efficiency), global_eta=efficiency,
+)
+def test_seam_circuits_are_scaled_unitaries(toggles, ts, thetas, etas, dbs, rings, global_eta):
+    # Insertion loss is frequency-uniform: U is sqrt(global efficiency
+    # times the efficiency of each beam splitter) times a unitary, and no
+    # circuit, the attenuating gate included, has spectral norm above 1.
+    cfg = default_chip_config()
+    drs = [_with_fbs(dr, transmissivity_T=t, phase_theta=theta, efficiency_eta=eta,
+                     sideband_suppression_db=db)
+           for dr, t, theta, eta, db in zip((cfg.dr1, cfg.dr2, cfg.dr3), ts, thetas, etas, dbs)]
+    cfg = replace(cfg, dr1=drs[0], dr2=drs[1], dr3=drs[2], global_efficiency=global_eta,
+                  r1_transmission=rings[0], r2_transmission=rings[1])
+    toggles, chip = _effective(cfg, toggles)
+    eta = {name: getattr(chip, name).fbs.efficiency_eta for name in ("dr1", "dr2", "dr3")}
+    scaled = [
+        (_fmzi(chip, toggles, PHASES)[0], eta["dr1"] * eta["dr3"]),
+        (_hom(chip, toggles, REFLECTIVITIES)[0], eta["dr3"]),
+        (_bell(chip, toggles, PHASES)[0], eta["dr1"] * eta["dr2"]),
+    ]
+    for circuit, loss in scaled:
+        u = circuit.u / math.sqrt(chip.global_efficiency * loss)
+        gram = u @ np.conj(np.swapaxes(u, -1, -2))
+        assert np.max(np.abs(gram - np.eye(u.shape[-1]))) < TOL
+    gates = [_cz(chip, toggles, basis)[0] for basis in ("xz", "zx", "zz")]
+    for circuit in [c for c, _ in scaled] + gates:
+        assert np.linalg.norm(circuit.u, 2, axis=(-2, -1)).max() <= 1.0 + TOL

@@ -227,6 +227,18 @@ class TestMetrics:
         with pytest.raises(DomainError):
             visibility_minmax([0.0, 0.0])
 
+    def test_counts_are_said_by_type(self):
+        # A probability fringe or table of whole numbers is no count data:
+        # only an integer array gets a Poisson or binomial error.
+        flat = visibility_minmax([1.0, 1.0])
+        assert (flat.value, flat.sigma, flat.method) == (0.0, 0.0, "minmax")
+        counted = visibility_minmax(np.array([1, 1]))
+        assert counted.method == "minmax, poisson error" and counted.sigma > 0.0
+        ideal = np.eye(4)
+        table = 3 * ideal + 1
+        assert truth_table_fidelity(table.astype(float), ideal).sigma == 0.0
+        assert truth_table_fidelity(table.astype(int), ideal).sigma > 0.0
+
     def test_hom_visibility(self):
         assert visibility_hom(1000, 0).value == 1.0
         assert visibility_hom(1000, 51).value == pytest.approx(0.949)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqbin.counting import MetricResult
 from freqbin.elements import fbs_transform
 from freqbin.errors import ConfigurationError, DomainError, ValidationError
 from freqbin.experiments import (
@@ -78,6 +79,17 @@ class TestFmzi:
     def test_unknown_toggle_rejected(self, cfg):
         with pytest.raises(ConfigurationError):
             run_fmzi(cfg, PHASES, imperfections={"bogus"})
+
+    def test_probability_fringe_has_no_count_error(self, cfg):
+        # At T = 1 the port fringe is 1.0 at every phase: whole numbers,
+        # but probabilities, so the visibility carries no Poisson error.
+        through = replace(cfg.dr1.fbs, transmissivity_T=1.0)
+        chip = replace(cfg, dr1=replace(cfg.dr1, fbs=through),
+                       dr3=replace(cfg.dr3, fbs=through))
+        res = run_fmzi(chip, PHASES)
+        assert res.metrics["visibility_in1_port1"] == MetricResult(0.0, 0.0, "minmax")
+        sampled = run_fmzi(cfg, PHASES, mode="quantum")
+        assert sampled.metrics["visibility_in1_port1"].method == "minmax, poisson error"
 
 
 class TestHom:
@@ -271,6 +283,41 @@ class TestSpectroscopyRun:
     def test_unknown_target(self, cfg):
         with pytest.raises(ConfigurationError):
             run_spectroscopy(cfg, [0.0, 1.0], target="dr9")
+
+
+# One sweep rule for every runner: at least one point, every value finite
+# and, for reflectivities, within [0, 1].
+SWEPT_RUNNERS = {
+    "fmzi-classical": (lambda cfg, v: run_fmzi(cfg, v), "phases must be finite"),
+    "fmzi-quantum": (lambda cfg, v: run_fmzi(cfg, v, mode="quantum"), "phases must be finite"),
+    "hom": (lambda cfg, v: run_hom(cfg, v), "reflectivities must lie in [0, 1]"),
+    "hom-sampled": (lambda cfg, v: run_hom(cfg, v, sample=True),
+                    "reflectivities must lie in [0, 1]"),
+    "bell": (lambda cfg, v: run_bell(cfg, v), "phases must be finite"),
+    "bell-sampled": (lambda cfg, v: run_bell(cfg, v, sample=True), "phases must be finite"),
+    "spectroscopy": (lambda cfg, v: run_spectroscopy(cfg, v), "detunings must be finite"),
+    "spectroscopy-filters": (lambda cfg, v: run_spectroscopy(cfg, v, target="filters"),
+                             "detunings must be finite"),
+}
+
+
+@pytest.mark.parametrize("values", [[0.25, math.nan], [math.inf], [0.5, -math.inf]],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("runner", sorted(SWEPT_RUNNERS))
+def test_one_sweep_rule(cfg, runner, values):
+    run, message = SWEPT_RUNNERS[runner]
+    with pytest.raises(ValidationError) as err:
+        run(cfg, [])
+    assert str(err.value).endswith("need at least one point")
+    with pytest.raises(ValidationError) as err:
+        run(cfg, values)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("values", [[1.5], [0.5, -0.25]])
+def test_reflectivities_outside_unit_interval_rejected(cfg, values):
+    with pytest.raises(ValidationError, match=r"reflectivities must lie in \[0, 1\]"):
+        run_hom(cfg, values)
 
 
 class TestResultContainer:
