@@ -89,6 +89,9 @@ class RunManifest:
     basis: str = "both"
     target: str = "all"
     allow_nonstandard: bool = False
+    # The ChipConfig of ``config``, set by `parse_manifest`; a plain class
+    # attribute, not a field, so it is no part of the request's JSON.
+    chip = None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=False, indent=2)
@@ -220,7 +223,8 @@ def parse_manifest(text: str) -> RunManifest:
     if manifest.output_dir is not None and "\0" in manifest.output_dir:
         raise ManifestError("output_dir contains a NUL character", "/output_dir")
 
-    build_config(manifest)  # rejects bad /config keys and out-of-range settings
+    # Rejects bad /config keys and out-of-range settings.
+    manifest.chip = build_config(manifest)
     _sweep_values(manifest)  # rejects a sweep span past the float range
     return manifest
 
@@ -256,10 +260,11 @@ def _sweep_values(manifest: RunManifest) -> np.ndarray:
 
 
 def _execute(manifest: RunManifest) -> tuple[dict[str, xp.ExperimentResult], dict]:
-    """Run the experiment; return its results by result.json key ("result",
-    the bases "xz" and "zx", or each spectroscopy target) and, for a gate
-    run in both bases, the two fidelities and the bound."""
-    cfg = build_config(manifest)
+    """Run the experiment of a manifest from `parse_manifest`; return its
+    results by result.json key ("result", the bases "xz" and "zx", or each
+    spectroscopy target) and, for a gate run in both bases, the two
+    fidelities and the bound."""
+    cfg = manifest.chip
     toggles = frozenset(manifest.imperfections)
     values = _sweep_values(manifest)
     exp = manifest.experiment
@@ -352,6 +357,11 @@ def _write_outputs(out_dir: Path, manifest: RunManifest, results: dict, numbers:
             ref = targets.get(name.split("_", 1)[1])
         ref_text = f"{ref:.4f}" if ref is not None else "-"
         lines.append(f"{name:<34}{value:>14.6f}{ref_text:>12}")
+    # A reference metric that a warning of the run declares undefined.
+    warnings = [text for res in results.values() for text in res.warnings]
+    for name, ref in targets.items():
+        if name not in metrics and any(w.startswith(f"{name} undefined") for w in warnings):
+            lines.append(f"{name:<34}{'n/a':>14}{ref:>12.4f}")
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
     return metrics
 

@@ -108,6 +108,9 @@ CAR_BELL = 300.0
 BELL_SOURCE_COHERENCE = 0.97
 #: Two-photon indistinguishability at which the interference dip is quoted.
 HOM_INDISTINGUISHABILITY = 0.949
+#: Farthest a sweep point may lie from R = 0.5 to give the dip's
+#: balanced visibility.
+BALANCED_TOLERANCE = 0.01
 
 IMPERFECTION_NAMES = frozenset(
     {"eta", "sideband", "crosstalk", "car", "distinguishability"}
@@ -648,7 +651,10 @@ def run_hom(
     point.  The distinguishable reference is computed by routing each
     photon independently, and the reported visibility per point is
     (reference - observed) / reference, matching a dip quoted against
-    the far-delay coincidence level.
+    the far-delay coincidence level.  ``visibility_at_balanced`` is that
+    visibility at the sweep point nearest R = 0.5; with no point within
+    `BALANCED_TOLERANCE` of it, the metric is left out and a warning
+    names the nearest R.
     """
     toggles, chip = _effective(cfg, imperfections)
     reflectivities = _sweep(reflectivities, "reflectivities", (0, 1)).tolist()
@@ -661,19 +667,27 @@ def run_hom(
         "visibility": vis.tolist(),
     }
     counts_per_point: list[dict[str, CountRecord]] | None = None
-
-    half_idx = int(np.argmin(np.abs(np.asarray(reflectivities) - 0.5)))
     if sample:
         records, totals = _sample(chip, p, p_dist.max(), seed)
         counts_per_point = [dict(zip(("observed", "reference"), row)) for row in records]
         series["counts_observed"], series["counts_reference"] = totals.T.tolist()
+
+    metrics, warnings = {}, []
+    half_idx = int(np.argmin(np.abs(np.asarray(reflectivities) - 0.5)))
+    if abs(reflectivities[half_idx] - 0.5) > BALANCED_TOLERANCE:
+        warnings.append(
+            f"visibility_at_balanced undefined: no sweep point within {BALANCED_TOLERANCE}"
+            f" of R = 0.5 (nearest R = {reflectivities[half_idx]:g})"
+        )
+    elif sample:
         n_obs, n_ref = totals[half_idx].tolist()
-        balanced = (
+        metrics["visibility_at_balanced"] = (
             visibility_hom(n_ref, n_obs) if n_ref > 0
             else MetricResult(0.0, 0.0, "empty reference")
         )
     else:
-        balanced = MetricResult(float(vis[half_idx]), 0.0, "probability ratio")
+        metrics["visibility_at_balanced"] = MetricResult(
+            float(vis[half_idx]), 0.0, "probability ratio")
 
     tau = np.linspace(-4000.0, 4000.0, 401)
     hist = g2_histogram(tau, chip.source.photon_linewidth_mhz, chip.detector.coincidence_window_ps)
@@ -682,7 +696,7 @@ def run_hom(
         sweep_name="reflectivity",
         sweep_values=reflectivities,
         series=series,
-        metrics={"visibility_at_balanced": balanced},
+        metrics=metrics,
         counts=counts_per_point,
         extras={
             "imperfections": sorted(toggles),
@@ -692,6 +706,7 @@ def run_hom(
             "p_distinguishable": p_dist.tolist(),
         },
         config_echo=config_echo(cfg),
+        warnings=warnings,
         seed=seed,
     )
 

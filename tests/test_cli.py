@@ -663,6 +663,19 @@ class TestRunCommand:
         assert [w.split(" ")[0] for w in result["warnings"] if "undefined" in w] == missing
         assert lines == [f"warning: {w}" for w in result["warnings"]]
 
+    def test_hom_sweep_without_a_balanced_point(self, tmp_path):
+        # Reported the visibility at R = 0.9 as visibility_at_balanced,
+        # with no warning.
+        doc = {"experiment": "hom", "sweep": {"start": 0.9, "stop": 1.0, "num": 2}}
+        code, lines = _checked_run(doc, tmp_path)
+        assert code == 0
+        assert lines == ["warning: visibility_at_balanced undefined: no sweep point"
+                         " within 0.01 of R = 0.5 (nearest R = 0.9)"]
+        result = json.loads((tmp_path / "result.json").read_text())["result"]
+        assert result["metrics"] == {}
+        report = (tmp_path / "report.txt").read_text().splitlines()
+        assert ["visibility_at_balanced", "n/a", "0.9490"] in [line.split() for line in report]
+
     def test_integer_sweep_bound_past_int64(self, tmp_path):
         # Made the sweep an object array: a numpy casting error and exit 1.
         manifest = tmp_path / "m.json"

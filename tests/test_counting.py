@@ -21,6 +21,7 @@ from freqbin.counting import (
     visibility_minmax,
 )
 from freqbin.counting import _exp_window_convolution, _seed_words
+from freqbin.counting import _BATCH_MIN_RECORDS
 from freqbin.errors import DomainError, ValidationError
 
 
@@ -184,6 +185,82 @@ def test_batched_records_are_default_rng_draws(shape, setting, data):
                 rec.singles_a, rec.singles_b] == draws
         assert (rec.expected_true, rec.expected_accidental) == (lam_true, lam_acc)
         assert (rec.p_true, rec.seed) == (p_true, seed)
+
+
+def _default_rng_counts(seed, means):
+    rng = np.random.default_rng(seed)
+    return [int(rng.poisson(lam)) for lam in means]
+
+
+#: Poisson means by numpy's sampling rule: none, multiplication below
+#: 10, PTRS from 10 on (its log test is frequent below about 40).
+_MEANS = st.one_of(
+    st.just(0.0),
+    st.floats(1e-3, 10.0, exclude_max=True),
+    st.just(10.0),
+    st.floats(10.0, 40.0, exclude_max=True),
+    st.floats(40.0, 1e8),
+)
+_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32 + 1, 2**64 - 1]), _UINT64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cols=st.integers(1, 4),
+    extra_rows=st.integers(0, 6),
+    singles=_MEANS.filter(lambda m: m > 0.0),
+    car=st.sampled_from([math.inf, 2.0]),
+    data=st.data(),
+)
+def test_numpy_pass_records_are_default_rng_draws(cols, extra_rows, singles, car, data):
+    # Unit arm efficiency and no dark counts: the singles mean is the
+    # exposure, the true mean exposure * p, the accidental exposure / car * w.
+    # Means and seeds are drawn as short lists and repeated along the
+    # grid (drawing a value per record makes the test slow); the seed
+    # gains k // len(drawn) at record k, so no two records share a stream.
+    shape = (-(-_BATCH_MIN_RECORDS // cols) + extra_rows, cols)
+    n = shape[0] * shape[1]
+    d = DetectorSpec(efficiency=1.0, insertion_loss=1.0, integration_s=1.0)
+    s = SourceSpec(pair_rate_hz=singles, car=car)
+    true_means, acc_means, drawn = (data.draw(st.lists(values, min_size=1, max_size=12))
+                                    for values in (_MEANS, _MEANS, _SEEDS))
+    seeds = [(drawn[k % len(drawn)] + k // len(drawn)) % 2**64 for k in range(n)]
+    p = np.minimum(np.resize(true_means, n) / singles, 1.0)
+    w = np.resize(acc_means, n) / (singles / car) if math.isfinite(car) else np.ones(n)
+    records = sample_grid(p.reshape(shape), d, s,
+                          np.array(seeds, dtype=np.uint64).reshape(shape), w.reshape(shape))
+    flat = [rec for row in records for rec in row]
+    assert len(flat) == n
+    for rec, seed in zip(flat, seeds):
+        want = _default_rng_counts(seed, (rec.expected_true, rec.expected_accidental,
+                                          singles, singles))
+        assert [rec.true_coincidences, rec.accidental_coincidences,
+                rec.singles_a, rec.singles_b] == want
+        assert rec.seed == seed
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    position=st.integers(0, 2 * _BATCH_MIN_RECORDS - 1),
+    bad=st.sampled_from([("p", 1.5), ("p", -0.1), ("p", math.nan),
+                         ("w", math.nan), ("w", 1e300)]),
+    seed=_UINT64,
+)
+def test_invalid_record_in_a_large_grid_is_the_loops_error(position, bad, seed):
+    # A large grid with one invalid record raises what drawing that record
+    # alone raises.
+    d, s = BRIGHT
+    n = 2 * _BATCH_MIN_RECORDS
+    p, w = np.full(n, 0.4), np.full(n, 0.7)
+    field, value = bad
+    (p if field == "p" else w)[position] = value
+    seeds = np.array([(seed + k) % 2**64 for k in range(n)], dtype=np.uint64)
+    with pytest.raises(DomainError) as alone:
+        sample_grid(p[position:position + 1, None], d, s, seeds[position:position + 1, None],
+                    w[position:position + 1, None])
+    with pytest.raises(DomainError) as whole:
+        sample_grid(p.reshape(-1, 2), d, s, seeds.reshape(-1, 2), w.reshape(-1, 2))
+    assert str(whole.value) == str(alone.value)
 
 
 class TestHistogram:

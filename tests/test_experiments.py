@@ -122,6 +122,17 @@ class TestHom:
         assert res.series["visibility"][0] == pytest.approx(0.949, abs=1e-12)
 
 
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_sweep_without_a_balanced_point(self, cfg, sample):
+        # Reported the visibility at R = 0.9 under the balanced name.
+        res = run_hom(cfg, [0.9, 1.0], sample=sample)
+        assert "visibility_at_balanced" not in res.metrics
+        assert res.warnings == ["visibility_at_balanced undefined: no sweep point"
+                                " within 0.01 of R = 0.5 (nearest R = 0.9)"]
+        near = run_hom(cfg, [0.495, 1.0], sample=sample)
+        assert "visibility_at_balanced" in near.metrics and near.warnings == []
+
+
 class TestCz:
     def test_computational_joint_checks(self, cfg):
         start = time.monotonic()
