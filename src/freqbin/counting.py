@@ -188,13 +188,6 @@ def _seed_hash(seeds) -> np.ndarray:
     return _hashmix(pool[_OUTPUT_WORDS], _OUTPUT_HASH)
 
 
-def _seed_words(seeds) -> np.ndarray:
-    """SeedSequence(s).generate_state(4, np.uint64) of every uint64 seed
-    s, as an (n, 4) uint64 array."""
-    words = _seed_hash(seeds).astype(np.uint64)
-    return (words[0::2] | words[1::2] << _LIMB_BITS).T
-
-
 # PCG64 runs a 128-bit LCG, held here as (4, n) uint64 arrays of 32-bit
 # limbs, least significant first.  A limb product state[i] * mult[j]
 # fits in 64 bits; it adds its low half to column i + j of the result

@@ -16,14 +16,11 @@ leaves the retained mode set is dropped, which is exactly the
 post-selected physics when only full coincidences are counted.  No
 unitary dilation is performed.
 
-`apply_transform` evolves a state by creation-operator (monomial)
-expansion, batched per photon-number sector: the state's terms are
-gathered by the occupation they hold on the transform's modes, a numpy
-recursion that creates one photon at a time builds the expansion column
-of each distinct occupation, and one array product and `np.bincount`
-scatter amplitude times coefficient onto the outputs.  Occupations are
-keyed by their ascending lists of photon modes, n digits each, which fit
-int64 for 4 photons on up to 55,000 modes.
+`apply_transform` evolves an n-photon state as a dense symmetric tensor
+over the grid modes: the element's matrix is applied along each of the n
+axes, on the rows of its modes, and the outputs are read back at the
+ascending mode tuples.  The tensor holds at most 2**22 entries (4 photons
+on up to 45 modes).
 A permanent-based transition amplitude (`transition_amplitude`) provides
 an independent brute-force oracle for it, on a code path the engine
 never calls: Ryser's formula vectorized over all column subsets,
@@ -32,6 +29,8 @@ O(n^2 2^n) numpy work for an n-photon amplitude, n <= 16.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -151,6 +150,19 @@ def grid_from_indices(
     return BinGrid(tuple(bins), bin_spacing_ghz=bin_spacing_ghz, anchor_thz=anchor_thz)
 
 
+def _photon_counts(occ: Iterable, error: type[Exception]) -> Occupation:
+    """``occ`` as a tuple of ints; ``error`` unless every count is a whole
+    number of photons."""
+    occ = tuple(occ)
+    try:
+        counts = tuple(map(int, occ))
+    except (TypeError, ValueError, OverflowError):
+        counts = ()
+    if counts != occ or min(counts, default=0) < 0:
+        raise error(f"photon counts {occ} are not non-negative integers")
+    return counts
+
+
 class PureState:
     """Sparse pure state in a fixed photon-number sector.
 
@@ -171,11 +183,12 @@ class PureState:
         if validate:
             amps: dict[Occupation, complex] = {}
             for occ, a in amplitudes.items():
-                a = complex(a)
-                if abs(a) < AMPLITUDE_PRUNE:
-                    continue
-                amps[tuple(int(c) for c in occ)] = a
-        else:  # as above, a NaN amplitude is kept
+                occ, a = _photon_counts(occ, ValidationError), complex(a)
+                if not cmath.isfinite(a):
+                    raise ValidationError(f"amplitude {a} is not finite")
+                if not abs(a) < AMPLITUDE_PRUNE:
+                    amps[occ] = a
+        else:  # unchecked: only the prune applies, and a NaN amplitude is kept
             amps = {o: a for o, a in amplitudes.items() if not abs(a) < AMPLITUDE_PRUNE}
         if not amps:
             raise ValidationError("state has no amplitude above the pruning threshold")
@@ -183,16 +196,12 @@ class PureState:
             totals = {sum(occ) for occ in amps}
             if len(totals) != 1:
                 raise ValidationError("occupations mix different total photon numbers")
-            n = next(iter(totals))
-            if n <= 0 or n > MAX_PHOTON_NUMBER:
+            (n,) = totals
+            if not 0 < n <= MAX_PHOTON_NUMBER:
                 raise ValidationError(
-                    f"photon number {n} outside supported range 1..{MAX_PHOTON_NUMBER}"
-                )
-            for occ in amps:
-                if len(occ) != grid.n_modes:
-                    raise ValidationError("occupation length does not match the grid")
-                if any(c < 0 for c in occ):
-                    raise ValidationError("negative photon count")
+                    f"photon number {n} outside supported range 1..{MAX_PHOTON_NUMBER}")
+            if any(len(occ) != grid.n_modes for occ in amps):
+                raise ValidationError("occupation length does not match the grid")
             nsq = sum(abs(a) ** 2 for a in amps.values())
             if nsq > 1.0 + 1e-9:
                 raise ValidationError(f"squared norm {nsq} exceeds 1")
@@ -223,7 +232,7 @@ def fock_state(grid: BinGrid, occupations: Mapping[int, int]) -> PureState:
     """Basis state with the given photons per bin index, amplitude 1."""
     occ = [0] * grid.n_modes
     for index, count in occupations.items():
-        occ[grid.position(index)] = int(count)
+        occ[grid.position(index)] = count
     return PureState(grid, {tuple(occ): 1.0 + 0.0j})
 
 
@@ -247,12 +256,12 @@ class ModeTransform:
             raise ValidationError("mode subset contains duplicates")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(subset):
             raise ValidationError("matrix must be square and match the mode subset")
+        if not np.isfinite(m).all():
+            raise ValidationError("matrix has a non-finite entry")
         if np.linalg.norm(m, 2) > 1.0 + _NORM_TOL:
             raise ValidationError("matrix spectral norm exceeds 1: not physical")
         gram = m.conj().T @ m
-        unitary = bool(
-            np.allclose(gram, np.eye(m.shape[0]), atol=_UNITARY_ATOL, rtol=0.0)
-        )
+        unitary = bool(np.allclose(gram, np.eye(len(m)), atol=_UNITARY_ATOL, rtol=0.0))
         object.__setattr__(self, "mode_subset", subset)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "is_unitary", unitary)
@@ -305,62 +314,9 @@ def permanent(matrix: np.ndarray) -> complex:
     return (-1.0) ** n * complex((a @ members).prod(axis=0).dot(signs))
 
 
-def _comb(a: np.ndarray, k: int) -> np.ndarray:
-    """Binomial coefficients C(a, k) of an integer array, exact."""
-    out = np.ones_like(a)
-    for i in range(k):
-        out = out * (a - i)
-    return out // math.factorial(k)
-
-
-def _sorted_modes(occ: np.ndarray, n: int) -> np.ndarray:
-    """Each row's photons as ascending mode indices, padded to ``n`` with
-    the row length (a vacuum mode one past the last)."""
-    rows, width = occ.shape
-    padded = np.column_stack([occ, n - occ.sum(axis=1)])
-    return np.repeat(np.tile(np.arange(width + 1), rows), padded.ravel()).reshape(rows, n)
-
-
-def _key(modes: np.ndarray, width: int) -> np.ndarray:
-    """Injective int64 key of each row of `_sorted_modes` over ``width``
-    modes: its n entries as digits in base width + 1, last digit most
-    significant, so rows with fewer photons (more padding) sort last.
-
-    n digits fit int64 for 4 photons on up to 55,000 modes, where a
-    base-(n+1) key of a whole occupation overflows past 27 modes."""
-    n = modes.shape[1]
-    if (width + 1) ** n >= 2**63:
-        raise DomainError(f"{n} photons on {width} modes exceed an int64 key")
-    return modes @ (width + 1) ** np.arange(n, dtype=np.int64)
-
-
-def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct integer keys by one sort: the index of each key's first
-    entry, in ascending key order, and every entry's group number."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    ids = np.empty(len(keys), dtype=np.intp)
-    ids[order] = np.cumsum(first) - 1
-    return order[first], ids
-
-
-def _level(prev: np.ndarray, prev_lower: np.ndarray, s: int):
-    """All j-photon patterns on ``s`` modes as ascending mode indices, by
-    last mode, then in the order of ``prev``, the (j-1)-photon ones: those
-    whose last mode is v are the first C(v + j - 1, j - 1) rows of ``prev``
-    (no mode above v), each followed by v.  Also, per pattern and photon
-    position, the row of ``prev`` that is the pattern less that photon
-    (``prev_lower`` is the same table for ``prev``)."""
-    j = prev.shape[1] + 1
-    counts = _comb(np.arange(s) + j - 1, j - 1)
-    last = np.repeat(np.arange(s), counts)
-    head = np.arange(len(last)) - np.repeat(np.cumsum(counts) - counts, counts)
-    basis = np.column_stack([prev[head], last])
-    lower = np.column_stack([prev_lower[head] + _comb(last + j - 2, j - 1)[:, None], head])
-    return basis, lower
+#: Largest state tensor `apply_transform` builds: m**n complex entries for
+#: n photons on m grid modes, 64 MiB (4 photons on up to 45 modes).
+MAX_TENSOR_SIZE = 2**22
 
 
 def apply_transform(state: PureState, t: ModeTransform) -> PureState:
@@ -371,78 +327,44 @@ def apply_transform(state: PureState, t: ModeTransform) -> PureState:
     matrices the squared norm may decrease by the weight of branches in
     which a photon left the retained set.
 
-    The state's terms are grouped by the occupation ``sub`` they hold on
-    ``t.mode_subset`` and by its photon number k.  The expansion columns
-    U|sub> of the distinct ``sub`` are built in one batched recursion over
-    photon number, creating one photon at a time:
-
-        U|p> = B_i^dag U|p - e_i> / sqrt(p_i),
-        <q|B_i^dag|psi> = sum_j M[j, i] sqrt(q_j) <q - e_j|psi>,
-
-    with i the highest mode of p, so only the columns of the patterns and
-    their prefixes are built, never a whole sector.  Once the recursion
-    reaches k photons, one array product gives amplitude times coefficient
-    for every output of every term of sector k, and `np.bincount` sums the
-    equal outputs, grouped by one sort of the untouched rest of each term.
+    The n-photon state is the dense symmetric tensor psi over the m grid
+    modes, |state> = sum psi[i_1, ..., i_n] a_{i_1}^dag ... a_{i_n}^dag |0>,
+    so a term c|occ> sits at every ordering of its photon modes with value
+    c sqrt(prod occ_i!) / n!.  Mapping each creation operator applies the
+    grid matrix (M on the subset rows, the identity elsewhere) along each
+    of the n axes, and an output occupation is read back at its ascending
+    mode tuple, times n! / sqrt(prod occ_i!).
     """
     grid = state.grid
     pos = np.array([grid.position(i) for i in t.mode_subset], dtype=np.intp)
-    s = len(pos)
-    # int8 keeps the temporaries small (33 kB for 2,380 terms on 14 modes);
-    # a count past 127 fails the conversion, and `_key` refuses more than
-    # 62 photons, so no count can wrap.
-    occ = np.array(list(state._amps), dtype=np.int8)
+    m, n = grid.n_modes, state.photon_number
+    if n > MAX_PHOTON_NUMBER or m**n > MAX_TENSOR_SIZE:
+        raise DomainError(f"{n} photons on {m} modes exceed the state tensor "
+                          f"({MAX_PHOTON_NUMBER} photons, {MAX_TENSOR_SIZE} entries)")
+    occ = np.array(list(state._amps), dtype=np.intp)
     amps = np.fromiter(state._amps.values(), dtype=complex, count=len(state))
-    n = int(occ.sum(axis=1).max())
-
-    sub = occ[:, pos]
-    k = sub.sum(axis=1)
-    rest = occ.copy()
-    rest[:, pos] = 0
-    rest_key = _key(_sorted_modes(rest, n), grid.n_modes)
-    # The distinct patterns come in descending photon number: those of at
-    # least j photons are the first ones.
-    sub_modes = _sorted_modes(sub, n)
-    first, pattern = _group(_key(sub_modes, s))
-    patterns, pattern_k = sub_modes[first], k[first]
-
-    out: dict[Occupation, complex] = {}
-    basis = lower = np.empty((1, 0), dtype=np.int64)
-    col = np.ones((1, len(patterns)), dtype=complex)
-    for j in range(int(pattern_k[0]) + 1):
-        if j:
-            # Column c becomes U applied to the first j photons of pattern c.
-            # Summed over the q_m photons of mode m, 1 / sqrt(q_m) gives the
-            # sqrt(q_m) of a creation operator.
-            basis, lower = _level(basis, lower, s)
-            weight = 1.0 / np.sqrt((basis[:, :, None] == basis[:, None, :]).sum(axis=2))
-            active = np.count_nonzero(pattern_k >= j)
-            mode, prev = patterns[:active, j - 1], col[:, :active]
-            col = np.zeros((len(basis), active), dtype=complex)
-            for r in range(j):
-                coupling = t.matrix[basis[:, r, None], mode] * weight[:, r, None]
-                col += coupling * prev[lower[:, r]]
-            col /= np.sqrt(np.count_nonzero(patterns[:active, :j] == mode[:, None], axis=1))
-        terms = np.flatnonzero(k == j)
-        if not len(terms):
-            continue
-        # The outputs of terms with the same rest in this sector coincide,
-        # and no others do.
-        size = len(basis)
-        contrib = col[:, pattern[terms]].T * amps[terms, None]
-        rep, group = _group(rest_key[terms])
-        slot = (group[:, None] * size + np.arange(size)).ravel()
-        total = len(rep) * size
-        summed = np.bincount(slot, contrib.real.ravel(), total) + 1j * np.bincount(
-            slot, contrib.imag.ravel(), total
-        )
-        live = np.flatnonzero(~(np.abs(summed) < AMPLITUDE_PRUNE))
-        which, q = np.divmod(live, size)
-        new = rest[terms[rep[which]]]
-        for r in range(j):
-            new[np.arange(len(q)), pos[basis[q, r]]] += 1
-        out.update(zip(zip(*new.T.tolist()), summed[live].tolist()))
-    return PureState(grid, out, validate=False)
+    modes = np.tile(np.arange(m), len(occ)).repeat(occ.ravel()).reshape(-1, n)
+    value = amps * np.sqrt(np.take(_FACTORIALS, occ).prod(axis=1)) / math.factorial(n)
+    psi = np.zeros((m,) * n, dtype=complex)
+    for order in itertools.permutations(range(n)):
+        psi[tuple(modes[:, order].T)] = value
+    # Each pass maps the leading axis and rotates it to the back, so after
+    # n passes every axis is mapped and the axis order is restored.
+    for _ in range(n):
+        psi = psi.reshape(m, -1)
+        psi[pos] = t.matrix @ psi[pos]
+        psi = psi.T.copy()
+    # Each output is read at its ascending mode tuple, i_1 <= ... <= i_n.
+    index = np.indices((m,) * n, dtype=np.min_scalar_type(m)).reshape(n, -1)
+    ascending = (index[:-1] <= index[1:]).all(axis=0)
+    modes = index[:, ascending].T
+    slots = (modes + m * np.arange(len(modes))[:, None]).ravel()
+    new = np.bincount(slots, minlength=m * len(modes)).reshape(-1, m)
+    amp = psi.ravel()[ascending] * math.factorial(n)
+    amp /= np.sqrt(np.take(_FACTORIALS, new).prod(axis=1))
+    live = ~(np.abs(amp) < AMPLITUDE_PRUNE)
+    out = zip(zip(*new[live].T.tolist()), amp[live].tolist())
+    return PureState(grid, dict(out), validate=False)
 
 
 def transition_amplitude(
@@ -455,12 +377,10 @@ def transition_amplitude(
     column i of M repeated n_in[i] times and row j repeated n_out[j]
     times.  Serves as the independent oracle for `apply_transform`.
     """
-    nin = list(map(int, n_in))
-    nout = list(map(int, n_out))
+    nin = list(_photon_counts(n_in, DomainError))
+    nout = list(_photon_counts(n_out, DomainError))
     if len(nin) != t.size or len(nout) != t.size:
         raise DomainError("occupation length must match the transform size")
-    if min(nin + nout, default=0) < 0:
-        raise DomainError("negative photon count")
     if sum(nin) != sum(nout):
         raise DomainError("photon number mismatch between input and output")
     modes = np.arange(t.size)

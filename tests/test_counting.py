@@ -20,7 +20,7 @@ from freqbin.counting import (
     visibility_hom,
     visibility_minmax,
 )
-from freqbin.counting import _exp_window_convolution, _seed_words
+from freqbin.counting import _exp_window_convolution, _seed_hash
 from freqbin.counting import _BATCH_MIN_RECORDS
 from freqbin.errors import DomainError, ValidationError
 
@@ -149,11 +149,11 @@ _UINT64 = st.integers(0, 2**64 - 1)
 @given(st.lists(_UINT64, min_size=1, max_size=8))
 @example([0, 1, 2**32 - 1, 2**32, 2**64 - 1])
 def test_seed_words_are_seed_sequence_state(seeds):
-    words = _seed_words(np.array(seeds, dtype=np.uint64))
-    assert words.shape == (len(seeds), 4)
-    for seed, row in zip(seeds, words):
+    words = _seed_hash(np.array(seeds, dtype=np.uint64))
+    assert words.shape == (8, len(seeds))
+    for seed, column in zip(seeds, words.T):
         np.testing.assert_array_equal(
-            row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+            column, np.random.SeedSequence(seed).generate_state(8, np.uint32))
 
 
 @settings(max_examples=60, deadline=None)

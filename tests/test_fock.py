@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,15 @@ class TestApplyTransform:
         with pytest.raises(ValidationError):
             ModeTransform((0, 1), 1.2 * np.eye(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_matrix_rejected(self, bad):
+        # Checked before the spectral norm, whose SVD fails on a NaN and
+        # warns on an inf.
+        matrix = 0.5 * np.eye(2, dtype=complex)
+        matrix[1, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            ModeTransform((0, 1), matrix)
+
     def test_wide_grid_blocks_past_mode_27(self):
         # A base-5 key of a 40-mode, 4-photon occupation needs 5^40 > 2^64;
         # the outputs of the first block put up to 4 photons on modes
@@ -167,11 +177,21 @@ class TestApplyTransform:
                                for occ_in, amp in state.items())
                 assert abs(out.amplitude(occ_out) - expected) < 1e-10
 
-    def test_grid_too_wide_for_an_int64_key(self):
-        grid = grid_from_indices(range(60_000))
-        state = fock_state(grid, {0: 1, 59_999: 3})
-        with pytest.raises(DomainError, match="int64 key"):
-            apply_transform(state, ModeTransform((0, 1), np.eye(2)))
+    def test_state_tensor_past_its_size_limit_is_refused_before_allocation(self):
+        # 4 photons need n_modes**4 tensor entries: 45 modes fit the
+        # limit, 46 do not (a 72 MB tensor), and 60,000 would need 2e20.
+        assert 45**4 <= fock.MAX_TENSOR_SIZE < 46**4
+        for n_modes in (46, 60_000):
+            grid = grid_from_indices(range(n_modes))
+            state = fock_state(grid, {0: 1, n_modes - 1: 3})
+            tracemalloc.start()
+            try:
+                with pytest.raises(DomainError, match="state tensor"):
+                    apply_transform(state, ModeTransform((0, 1), np.eye(2)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
     def test_subunitary_norm_decreases(self):
         grid = grid_from_indices([0, 1])
@@ -315,6 +335,36 @@ class TestInvariants:
         grid = grid_from_indices([0, 1])
         with pytest.raises(ValidationError):
             PureState(grid, {(1, 0): 0.7, (1, 1): 0.7})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0.0)])
+    def test_non_finite_amplitude_rejected(self, bad):
+        grid = grid_from_indices([0, 1, 2])
+        with pytest.raises(ValidationError, match="not finite"):
+            PureState(grid, {(1, 0, 0): bad})
+        with pytest.raises(ValidationError, match="not finite"):
+            PureState(grid, {(1, 0, 0): 0.6, (0, 1, 0): bad})
+
+    @pytest.mark.parametrize("count", [1.5, 0.5, math.nan, math.inf, "1", -1])
+    def test_photon_counts_must_be_whole_numbers(self, count):
+        grid = grid_from_indices([0, 1, 2])
+        with pytest.raises(ValidationError, match="non-negative integers"):
+            fock_state(grid, {0: count, 1: 1})
+        with pytest.raises(ValidationError, match="non-negative integers"):
+            PureState(grid, {(count, 1, 0): 1.0})
+        bs = ModeTransform((0, 1), beam_splitter(0.5))
+        with pytest.raises(DomainError, match="non-negative integers"):
+            transition_amplitude(bs, (count, 1), (1, 1))
+        with pytest.raises(DomainError, match="non-negative integers"):
+            transition_amplitude(bs, (1, 1), (1, count))
+
+    def test_integral_counts_of_any_number_type_are_accepted(self):
+        grid = grid_from_indices([0, 1, 2])
+        state = fock_state(grid, {0: 2.0, 2: np.int64(1)})
+        assert state.photon_number == 3
+        assert [type(c) for c in state_keys(state)[0]] == [int, int, int]
+        bs = ModeTransform((0, 1), beam_splitter(0.5))
+        assert transition_amplitude(bs, (np.int8(1), 1.0), (2, 0)) == pytest.approx(
+            1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_amplitude_pruning(self):
         grid = grid_from_indices([0, 1])
