@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -386,6 +386,18 @@ def _loop_counts(p, lam_true, lam_acc, lam_single: float, seeds) -> np.ndarray:
     return np.array(counts, dtype=np.int64).reshape(-1, 4)
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(CountRecord))
+
+
+def _record(values) -> CountRecord:
+    """The `CountRecord` of its field values in order, set in the instance
+    dict at once instead of by the frozen `__init__`'s one
+    `object.__setattr__` per field; it has no `__post_init__` to skip."""
+    record = object.__new__(CountRecord)
+    record.__dict__.update(zip(_RECORD_FIELDS, values))
+    return record
+
+
 def sample_grid(
     p,
     d: DetectorSpec,
@@ -435,22 +447,9 @@ def sample_grid(
         counts, loop = counts.T, np.flatnonzero(undecided)
     counts[loop] = _loop_counts(p_flat[loop], true_flat[loop], acc_flat[loop], lam_single,
                                 seeds[loop])
-    records = [
-        CountRecord(
-            true_coincidences=true_c,
-            accidental_coincidences=acc_c,
-            singles_a=singles_a,
-            singles_b=singles_b,
-            expected_true=lam_t,
-            expected_accidental=lam_a,
-            p_true=p_true,
-            seed=seed,
-        )
-        for (true_c, acc_c, singles_a, singles_b), lam_t, lam_a, p_true, seed in zip(
-            counts.tolist(), true_flat.tolist(), acc_flat.tolist(), p_flat.tolist(),
-            seeds.tolist(),
-        )
-    ]
+    columns = [*counts.T.tolist(), true_flat.tolist(), acc_flat.tolist(), p_flat.tolist(),
+               seeds.tolist()]
+    records = [_record(values) for values in zip(*columns)]
     n = p.shape[1]
     return [records[k * n:(k + 1) * n] for k in range(p.shape[0])]
 

@@ -183,7 +183,11 @@ class PureState:
         if validate:
             amps: dict[Occupation, complex] = {}
             for occ, a in amplitudes.items():
-                occ, a = _photon_counts(occ, ValidationError), complex(a)
+                occ = _photon_counts(occ, ValidationError)
+                try:
+                    a = complex(a)
+                except (TypeError, ValueError):
+                    raise ValidationError(f"amplitude {a!r} is not a number") from None
                 if not cmath.isfinite(a):
                     raise ValidationError(f"amplitude {a} is not finite")
                 if not abs(a) < AMPLITUDE_PRUNE:

@@ -13,7 +13,9 @@ contribution, kappa2 the inner-ring linewidth, and dt the thermal
 detuning between the rings.  All rates are in GHz.
 
 With this convention the single-ring limit (g -> 0) reaches a full
-extinction dip at critical coupling kappa_ex = kappa1 / 2.
+extinction dip at critical coupling kappa_ex = kappa1 / 2.  `fit_doublet`
+fits |t|^2 to a scan by Levenberg-Marquardt, with the real Jacobian of
+its residuals built from the terms 1/I, 1/D and t of each evaluation.
 
 The microwave-drive calibration maps drive voltage to beam-splitter
 reflectivity through a cavity-converter cooperativity curve
@@ -77,9 +79,8 @@ class DriveSpec:
             raise ValidationError("drive voltage must be nonnegative")
 
 
-def _through_field(
-    detuning, g: float, kappa1: float, kappa_ex: float, kappa2: float, detune2: float
-):
+def _through_field(detuning, g: float, kappa1: float, kappa_ex: float, kappa2: float,
+                   detune2: float):
     d = np.asarray(detuning, dtype=float)
     inner = 1j * (d - detune2) + kappa2 / 2.0
     return 1.0 - kappa_ex / (1j * d + kappa1 / 2.0 + g * g / inner)
@@ -87,14 +88,8 @@ def _through_field(
 
 def dr_through_spectrum(p: DRParams, detunings_ghz) -> np.ndarray:
     """Through-port power transmission |t|^2 on a detuning grid."""
-    t = _through_field(
-        detunings_ghz,
-        p.g_ghz,
-        p.kappa1_ghz,
-        p.kappa_ex_ghz,
-        p.kappa2_ghz,
-        p.thermal_detune_ghz,
-    )
+    t = _through_field(detunings_ghz, p.g_ghz, p.kappa1_ghz, p.kappa_ex_ghz, p.kappa2_ghz,
+                       p.thermal_detune_ghz)
     return np.abs(t) ** 2
 
 
@@ -162,57 +157,59 @@ MAX_EVALUATIONS = 2000
 MAX_RESIDUAL_PER_DEPTH = 0.25
 # Stopping rules of the Levenberg-Marquardt iteration (Moré 1978): relative
 # cost reduction, relative step length, and the cosine between the
-# residual and any Jacobian column.
+# residual and any Jacobian row.
 _FTOL = _XTOL = _GTOL = 1e-12
 
 
-def _through_jacobian(d: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Columns dt/dθ of `_through_field` at offsets d = x - x0 for
-    θ = (g, kappa1, kappa_ex, kappa2, thermal detune, center x0).
-
-    With I the inner denominator and D the outer one, t = 1 - kappa_ex / D,
-    so dt/dkappa_ex = -1/D and dt/dθ = kappa_ex / D^2 * dD/dθ otherwise.
-    """
-    g, k1, kex, k2, dt, _ = theta
-    inner = 1j * (d - dt) + k2 / 2.0
-    coupled = g * g / inner
-    denom = 1j * d + k1 / 2.0 + coupled
-    dd = np.zeros((d.size, 6), dtype=complex)
-    dd[:, 0] = 2.0 * g / inner
-    dd[:, 1] = 0.5
-    dd[:, 3] = -coupled / (2.0 * inner)
-    dd[:, 4] = 1j * coupled / inner
-    dd[:, 5] = -1j * (1.0 - coupled / inner)
-    jac = (kex / denom**2)[:, None] * dd
-    jac[:, 2] = -1.0 / denom
-    return jac
+def _residuals(theta, x, y):
+    """r = |t(x - x0)|^2 - y for θ = (g, kappa1, kappa_ex, kappa2, thermal
+    detune, center x0), and the terms (1/I, 1/D, t) of t = 1 - kappa_ex / D,
+    D = i d + kappa1/2 + g^2 / I, that `_jacobian` reuses."""
+    g, k1, kex, k2, dt, x0 = theta
+    d = x - x0
+    inv_i = 1.0 / (1j * (d - dt) + k2 / 2.0)
+    inv_d = 1.0 / (1j * d + k1 / 2.0 + g * g * inv_i)
+    t = 1.0 - kex * inv_d
+    return t.real**2 + t.imag**2 - y, (inv_i, inv_d, t)
 
 
-def _levenberg_marquardt(x, y, start, lower, upper):
+def _jacobian(theta, terms) -> np.ndarray:
+    """Rows dr/dθ, shape (6, n), from the terms of `_residuals` at θ.
+
+    dr/dθ = 2 Re(conj(t) dt/dθ), with dt/dkappa_ex = -1/D and otherwise
+    dt/dθ = kappa_ex / D^2 * dD/dθ: each other row is Re(h dD/dθ) with
+    h = 2 kappa_ex conj(t) / D^2, dD/dg = 2g/I, dD/dkappa1 = 1/2, dD/dkappa2
+    = -c/2, dD/d(detune) = i c and dD/dx0 = -i (1 - c) for c = g^2 / I^2."""
+    g, kex = theta[0], theta[2]
+    inv_i, inv_d, t = terms
+    tc = t.conj()
+    h = 2.0 * kex * tc * inv_d * inv_d
+    hc = h * (g * g) * inv_i * inv_i
+    return np.array([2.0 * g * (h * inv_i).real, 0.5 * h.real, -2.0 * (tc * inv_d).real,
+                     -0.5 * hc.real, -hc.imag, (h - hc).imag])
+
+
+def _levenberg_marquardt(x, y, theta, lower, upper):
     """Least-squares θ of |t(x - x0)|^2 against y inside the box
     [lower, upper]; returns (θ, residuals).
 
-    Marquardt's damping lambda * diag(J^T J), with each diagonal entry
-    the largest seen so far (Moré 1978); lambda follows the ratio of
-    actual to predicted cost reduction (Nielsen 1999).  A parameter on a
-    bound that the gradient pushes outward is held there, and every step
-    is projected onto the box.
+    Each iteration builds the real (6, n) Jacobian J of the residuals from
+    the terms of the accepted evaluation and solves the normal equations
+    J J^T, J r.  Marquardt's damping lambda * diag(J J^T), with each
+    diagonal entry the largest seen so far (Moré 1978); lambda follows
+    the ratio of actual to predicted cost reduction (Nielsen 1999).  A
+    parameter on a bound that the gradient pushes outward is held there,
+    and every step is projected onto the box.
     """
-
-    def evaluate(theta):
-        t = _through_field(x - theta[5], *theta[:5])
-        return t, np.abs(t) ** 2 - y
-
-    theta = start
-    t, r = evaluate(theta)
+    r, terms = _residuals(theta, x, y)
     cost = r @ r
     evaluations = 1
     lam, growth = 1e-3, 2.0
     scale = np.zeros_like(theta)
     while True:
-        jac = 2.0 * (t.conj()[:, None] * _through_jacobian(x - theta[5], theta)).real
-        a = jac.T @ jac
-        grad = jac.T @ r
+        jac = _jacobian(theta, terms)
+        a = jac @ jac.T
+        grad = jac @ r
         free = ~(((theta <= lower) & (grad > 0.0)) | ((theta >= upper) & (grad < 0.0)))
         if np.all(np.abs(grad[free]) <= _GTOL * np.sqrt(np.diag(a)[free] * cost)):
             return theta, r
@@ -230,7 +227,7 @@ def _levenberg_marquardt(x, y, start, lower, upper):
             trial = np.clip(theta + step, lower, upper)
             step = trial - theta
             predicted = -2.0 * step @ grad - step @ a @ step
-            t_trial, r_trial = evaluate(trial)
+            r_trial, terms_trial = _residuals(trial, x, y)
             evaluations += 1
             cost_trial = r_trial @ r_trial
             small_step = np.linalg.norm(step) <= _XTOL * (_XTOL + np.linalg.norm(theta))
@@ -240,7 +237,7 @@ def _levenberg_marquardt(x, y, start, lower, upper):
                 gain = reduced / predicted if predicted > 0.0 else 1.0
                 lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
                 growth = 2.0
-                theta, t, r, cost = trial, t_trial, r_trial, cost_trial
+                theta, r, terms, cost = trial, r_trial, terms_trial, cost_trial
                 if converged:
                     return theta, r
                 break
@@ -253,17 +250,17 @@ def _levenberg_marquardt(x, y, start, lower, upper):
 def fit_doublet(detuning_ghz, transmission) -> DoubletFit:
     """Fit the coupled-resonator through model to a measured doublet.
 
-    Levenberg-Marquardt least squares with an analytic Jacobian against
-    the `dr_through_spectrum` model with parameters (g, kappa1,
-    kappa_ex, kappa2, thermal detune, center offset), bounded by
-    projecting each step onto a box.  Initial guesses come from the two
-    deepest local minima of the raw data.  Raises `ValidationError` when
-    the samples are mismatched, fewer than 50 or not finite, and
-    `FitError` when the data show no doublet, the fit does not
-    converge within `MAX_EVALUATIONS` model evaluations, or the fit does
-    not explain the data: a fitted kappa_ex above kappa1 (which `DRParams`
-    rejects), or a residual RMS above `MAX_RESIDUAL_PER_DEPTH` times the
-    mean fitted dip depth.
+    Levenberg-Marquardt least squares of the `dr_through_spectrum` model
+    with parameters (g, kappa1, kappa_ex, kappa2, thermal detune, center
+    offset), on the real Jacobian of the residuals that `_jacobian` builds
+    from the model's own terms, bounded by projecting each step onto a
+    box.  Initial guesses come from the two deepest local minima of the
+    raw data.  Raises `ValidationError` when the samples are mismatched,
+    fewer than 50 or not finite, and `FitError` when the data show no
+    doublet, the fit does not converge within `MAX_EVALUATIONS` model
+    evaluations, or the fit does not explain the data: a fitted kappa_ex
+    above kappa1 (which `DRParams` rejects), or a residual RMS above
+    `MAX_RESIDUAL_PER_DEPTH` times the mean fitted dip depth.
     """
     x = np.asarray(detuning_ghz, dtype=float)
     y = np.asarray(transmission, dtype=float)

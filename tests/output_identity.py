@@ -17,9 +17,13 @@ and the stdout, stderr and exit code of every process.  The inputs:
   and off;
 * the demos 01-06 next to each tree.
 
-Prints one line per difference and exits 1 if there is any, else prints
-the number of compared runs and exits 0.  pytest does not collect this
-file; it takes about a minute on two cores.
+Prints one line per differing output and exits 1 if there is any, else
+prints the number of compared runs and exits 0.  Under the line of a
+differing JSON output (result.json, or the JSON documents the in-process
+run prints one after another) it lists each differing JSON path with
+both values, and the largest absolute difference of the numbers among
+them, so that a declared output change can be checked field by field.
+pytest does not collect this file; it takes about a minute on two cores.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ TOGGLE_SETS = (
     sorted(common.ALL_IMPERFECTIONS),
 )
 OUTPUT_FILES = ("result.json", "sweep.csv", "report.txt")
+#: Most differing JSON paths listed under one differing output.
+MAX_PATHS = 20
 
 IN_PROCESS = """
 from dataclasses import replace
@@ -122,6 +128,55 @@ def outputs(src: Path, work: Path) -> dict[str, dict[str, str]]:
     return found
 
 
+def _json_documents(text: str) -> list | None:
+    """The JSON documents of an output, one or more in a row separated by
+    whitespace; None when it holds anything else."""
+    decoder, docs, at = json.JSONDecoder(), [], 0
+    while at < len(text):
+        try:
+            doc, at = decoder.raw_decode(text, at)
+        except ValueError:
+            return None
+        docs.append(doc)
+        while at < len(text) and text[at].isspace():
+            at += 1
+    return docs
+
+
+def _leaf_differences(a, b, path: str):
+    """(path, parent value, change value) of every leaf where two JSON
+    values differ; a key on one side only pairs with "<missing>"."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in [*a, *(k for k in b if k not in a)]:
+            yield from _leaf_differences(a.get(key, "<missing>"), b.get(key, "<missing>"),
+                                         f"{path}/{key}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for k, (u, v) in enumerate(zip(a, b)):
+            yield from _leaf_differences(u, v, f"{path}/{k}")
+    elif repr(a) != repr(b):  # repr: a NaN on both sides is no difference
+        yield path, a, b
+
+
+def _json_report(parent: str, change: str) -> list[str]:
+    """Indented lines naming each differing path of two JSON outputs and
+    the largest absolute difference of their numbers; [] when either
+    side is not JSON."""
+    docs = [_json_documents(parent), _json_documents(change)]
+    if None in docs or len(docs[0]) != len(docs[1]):
+        return []
+    single = len(docs[0]) == 1
+    found = [d for k, (a, b) in enumerate(zip(*docs))
+             for d in _leaf_differences(a, b, "" if single else f"/doc{k + 1}")]
+    lines = [f"    {path or '/'}: {a!r} -> {b!r}" for path, a, b in found[:MAX_PATHS]]
+    if len(found) > MAX_PATHS:
+        lines.append(f"    ... and {len(found) - MAX_PATHS} more paths")
+    numbers = [abs(a - b) for _, a, b in found
+               if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))]
+    if numbers:
+        lines.append(f"    largest absolute difference: {max(numbers):.3g}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.splitlines()[2].strip(), file=sys.stderr)
@@ -133,12 +188,16 @@ def main(argv: list[str]) -> int:
             (Path(tmp) / str(k)).mkdir()
             runs.append(outputs(src, Path(tmp) / str(k)))
     parent, change = runs
-    diffs = [f"{name}: {part} differs"
-             for name in sorted(set(parent) | set(change))
-             for part in sorted(set(parent.get(name, {})) | set(change.get(name, {})))
-             if parent.get(name, {}).get(part) != change.get(name, {}).get(part)]
-    for line in diffs:
-        print(line)
+    diffs = 0
+    for name in sorted(set(parent) | set(change)):
+        for part in sorted(set(parent.get(name, {})) | set(change.get(name, {}))):
+            before, after = parent.get(name, {}).get(part), change.get(name, {}).get(part)
+            if before != after:
+                diffs += 1
+                print(f"{name}: {part} differs")
+                if before is not None and after is not None:
+                    for line in _json_report(before, after):
+                        print(line)
     if diffs:
         return 1
     print(f"identical: {len(parent)} runs")

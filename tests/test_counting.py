@@ -2,6 +2,8 @@
 
 import json
 import math
+import pickle
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freqbin.counting import (
+    CountRecord,
     DetectorSpec,
     SourceSpec,
     g2_histogram,
@@ -108,6 +111,26 @@ class TestSampling:
             "singles_a",
             "singles_b",
         ]
+
+
+@pytest.mark.parametrize("rows", [1, 20])  # the loop's grid and the numpy pass's
+def test_grid_record_is_a_count_record(rows):
+    p = np.linspace(0.0, 1.0, rows * 4).reshape(rows, 4)
+    seeds = np.arange(rows * 4, dtype=np.uint64).reshape(rows, 4) + 2**63
+    for rec in (r for row in sample_grid(p, DetectorSpec(), SourceSpec(car=25.0), seeds)
+                for r in row):
+        built = CountRecord(rec.true_coincidences, rec.accidental_coincidences, rec.singles_a,
+                            rec.singles_b, rec.expected_true, rec.expected_accidental,
+                            rec.p_true, rec.seed)
+        assert type(rec) is CountRecord
+        assert vars(rec) == vars(built) and list(vars(rec)) == list(vars(built))
+        assert asdict(rec) == asdict(built) and rec.to_json() == built.to_json()
+        assert rec == built and hash(rec) == hash(built)
+        assert replace(rec, seed=3) == replace(built, seed=3)
+        assert pickle.loads(pickle.dumps(rec)) == built
+        with pytest.raises(FrozenInstanceError):
+            rec.seed = 3
+        assert rec.seed == built.seed
 
 
 #: A bright setting (Poisson means of 1e4 to 1e7: numpy's PTRS sampler)

@@ -344,6 +344,12 @@ class TestInvariants:
         with pytest.raises(ValidationError, match="not finite"):
             PureState(grid, {(1, 0, 0): 0.6, (0, 1, 0): bad})
 
+    @pytest.mark.parametrize("bad", ["x", None, [0.6], {}])
+    def test_amplitude_that_is_not_a_number_rejected(self, bad):
+        grid = grid_from_indices([0, 1])
+        with pytest.raises(ValidationError, match="not a number"):
+            PureState(grid, {(1, 0): bad})
+
     @pytest.mark.parametrize("count", [1.5, 0.5, math.nan, math.inf, "1", -1])
     def test_photon_counts_must_be_whole_numbers(self, count):
         grid = grid_from_indices([0, 1, 2])

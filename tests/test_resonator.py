@@ -204,6 +204,36 @@ def test_clean_scan_of_a_resolved_doublet_recovers_the_rates(
     assert fit.linewidths_ghz[1] == pytest.approx(kappa2, abs=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.floats(3.0, 9.0),
+    kappa1=st.floats(0.5, 3.0),
+    coupling_share=st.floats(0.05, 1.0),
+    kappa2=st.floats(0.5, 3.0),
+    detune=st.floats(-5.0, 5.0),
+    center=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
+)
+def test_jacobian_matches_central_differences_of_the_residuals(
+    g, kappa1, coupling_share, kappa2, detune, center
+):
+    # The fit's analytic Jacobian, row by row, against central differences
+    # of the residuals r = |t(x - x0)|^2 - y it is built for.
+    theta = np.array([g, kappa1, coupling_share * kappa1, kappa2, detune, center])
+    x = np.linspace(-15.0, 15.0, 601)
+    y = dr_through_spectrum(DRParams(), x)
+    r, terms = resonator._residuals(theta, x, y)
+    model = np.abs(resonator._through_field(x - center, *theta[:5])) ** 2
+    np.testing.assert_allclose(r, model - y, rtol=0.0, atol=1e-14)
+    jac = resonator._jacobian(theta, terms)
+    assert jac.shape == (6, x.size)
+    for k in range(6):
+        step = np.zeros(6)
+        step[k] = 1e-6 * max(1.0, abs(theta[k]))
+        diff = (resonator._residuals(theta + step, x, y)[0]
+                - resonator._residuals(theta - step, x, y)[0]) / (2.0 * step[k])
+        assert np.max(np.abs(jac[k] - diff)) <= 1e-6 * np.max(np.abs(diff)), k
+
+
 def _loop_local_minima(x, y):
     """Per-sample loop of the minima rule: the reference `_local_minima`
     must equal."""
