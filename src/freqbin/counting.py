@@ -14,8 +14,9 @@ normalized singles products, so the documented CAR values refer to the
 experiment's maximal true-coincidence rate, as quoted in practice.
 
 Experiments draw one record per sweep point (or truth-table row) k and
-curve (or outcome) c, all of a run's records in one `sample_grid` call.
-Record (k, c) is exactly the stream of
+curve (or outcome) c, all of a run's records in one `sample_grid` call,
+which keeps them as the columns of a `CountTable`: a `CountRecord` is
+built only when read.  Record (k, c) is exactly the stream of
 np.random.default_rng(derive_seed(seed, k, c)): four Poisson draws, true,
 accidental, singles A, singles B.  A large grid is drawn in numpy: the
 seeds are hashed to PCG64 states, each stream's first uniforms are
@@ -99,6 +100,55 @@ class CountRecord:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=False)
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(CountRecord))
+
+
+class CountTable:
+    """Count records[k][c] of a grid as columns: ``counts`` (k, c, 4) int64
+    (true, accidental, singles A, singles B), and ``expected_true``,
+    ``expected_accidental``, ``p_true`` and the uint64 ``seeds``, each
+    (k, c).  It reads as a list whose row k is the list of its
+    `CountRecord`s or, given ``keys``, their dict keyed by keys[k][c]; a
+    row's records are built when it is read."""
+
+    def __init__(self, counts, expected_true, expected_accidental, p_true, seeds, keys=None):
+        self.counts, self.totals = counts, counts[..., 0] + counts[..., 1]
+        self.expected_true, self.expected_accidental = expected_true, expected_accidental
+        self.p_true, self.seeds, self.keys = p_true, seeds, keys
+
+    def _columns(self, k=slice(None)) -> list[list]:
+        """Each record field of rows k as one flat list, in field order."""
+        return [*self.counts[k].reshape(-1, 4).T.tolist(), *(column[k].ravel().tolist() for column
+                in (self.expected_true, self.expected_accidental, self.p_true, self.seeds))]
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, k):  # iteration, too, goes through here until IndexError
+        k = range(len(self))[k]  # a list's index rules
+        if isinstance(k, range):
+            return [self[i] for i in k]
+        row = [CountRecord(*values) for values in zip(*self._columns(k))]
+        return row if self.keys is None else dict(zip(self.keys[k], row))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (CountTable, list)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def to_jsonable(self) -> list:
+        """The rows with each record as the dict of its fields, written
+        column by column; a non-finite float becomes its repr string."""
+        columns = self._columns()
+        columns[4:7] = [[x if math.isfinite(x) else repr(x) for x in floats]
+                        for floats in columns[4:7]]
+        records = [dict(zip(_RECORD_FIELDS, values)) for values in zip(*columns)]
+        n = self.counts.shape[1]
+        rows = [records[k * n:(k + 1) * n] for k in range(len(self))]
+        return rows if self.keys is None else [dict(zip(*pair)) for pair in zip(self.keys, rows)]
 
 
 @dataclass(frozen=True)
@@ -386,28 +436,16 @@ def _loop_counts(p, lam_true, lam_acc, lam_single: float, seeds) -> np.ndarray:
     return np.array(counts, dtype=np.int64).reshape(-1, 4)
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(CountRecord))
-
-
-def _record(values) -> CountRecord:
-    """The `CountRecord` of its field values in order, set in the instance
-    dict at once instead of by the frozen `__init__`'s one
-    `object.__setattr__` per field; it has no `__post_init__` to skip."""
-    record = object.__new__(CountRecord)
-    record.__dict__.update(zip(_RECORD_FIELDS, values))
-    return record
-
-
 def sample_grid(
     p,
     d: DetectorSpec,
     s: SourceSpec,
     seeds,
     accidental_weight=1.0,
-) -> list[list[CountRecord]]:
-    """Count records[k][c] of the detection probabilities p[k, c], record
-    (k, c) drawn with the uint64 seed seeds[k, c] and accidental weight
-    w[k, c] (``accidental_weight`` broadcast to p).
+) -> CountTable:
+    """The `CountTable` of records[k][c] of the probabilities p[k, c],
+    record (k, c) drawn with the uint64 seed seeds[k, c] and accidental
+    weight w[k, c] (``accidental_weight`` broadcast to p).
 
     Record (k, c) is exactly four draws of np.random.default_rng(seeds[k, c]):
     true, accidental, singles A and singles B counts, Poisson with the
@@ -420,7 +458,7 @@ def sample_grid(
     p_true is outside [0, 1] or whose Poisson mean the generator cannot
     draw (NaN, or too large for a 64-bit count).
     """
-    p = np.asarray(p, dtype=float)
+    p = np.array(p, dtype=float)  # a copy the table keeps
     arm = d.efficiency * d.insertion_loss
     exposure = s.pair_rate_hz * d.integration_s
     lam_ref = exposure * arm * arm
@@ -434,7 +472,7 @@ def sample_grid(
             lam_acc = lam_ref / s.car * np.broadcast_to(accidental_weight, p.shape)
     lam_single = exposure * arm + d.dark_rate_hz * d.integration_s
 
-    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+    seeds = np.array(seeds, dtype=np.uint64).ravel()
     p_flat, true_flat, acc_flat = p.ravel(), lam_true.ravel(), lam_acc.ravel()
     means = (true_flat, acc_flat, lam_single)
     with np.errstate(invalid="ignore"):  # NaN fails every range test
@@ -447,11 +485,7 @@ def sample_grid(
         counts, loop = counts.T, np.flatnonzero(undecided)
     counts[loop] = _loop_counts(p_flat[loop], true_flat[loop], acc_flat[loop], lam_single,
                                 seeds[loop])
-    columns = [*counts.T.tolist(), true_flat.tolist(), acc_flat.tolist(), p_flat.tolist(),
-               seeds.tolist()]
-    records = [_record(values) for values in zip(*columns)]
-    n = p.shape[1]
-    return [records[k * n:(k + 1) * n] for k in range(p.shape[0])]
+    return CountTable(counts.reshape(*p.shape, 4), lam_true, lam_acc, p, seeds.reshape(p.shape))
 
 
 def sample_counts(

@@ -126,9 +126,17 @@ def fbs_blocks(
     m = np.sqrt(eta)[:, None, None] * u
     if not np.all(np.isfinite(m)):
         raise ValidationError("beam-splitter matrix is not finite: not physical")
-    if np.any(np.linalg.norm(m, 2, axis=(-2, -1)) > 1.0 + _NORM_TOL):
-        raise ValidationError("matrix spectral norm exceeds 1: not physical")
+    _check_norm(m, eta)
     return m
+
+
+def _check_norm(m: np.ndarray, eta: np.ndarray) -> None:
+    """Raise `ValidationError` where eta[j] + ||E||_F, E = m[j]^H m[j] - eta[j] I,
+    exceeds (1 + `_NORM_TOL`)^2.  It bounds ||m[j]||_2^2, so no matrix an SVD
+    would reject passes, and for sqrt(eta) times a unitary E is rounding."""
+    gram = np.swapaxes(m.conj(), -1, -2) @ m - eta[:, None, None] * np.eye(m.shape[-1])
+    if np.any(eta + np.linalg.norm(gram, axis=(-2, -1)) > (1.0 + _NORM_TOL) ** 2):
+        raise ValidationError("matrix spectral norm exceeds 1: not physical")
 
 
 def fbs_transform(spec: FbsSpec, modes: Sequence[int]) -> ModeTransform:

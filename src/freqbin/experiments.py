@@ -46,7 +46,9 @@ Conventions, documented once here:
   photons.
 * Sampled runs draw counts in `_sample` only: the probability p[k, c]
   of sweep point or truth-table row k and curve or outcome c becomes one
-  count record with seed derive_seed(seed, k, c).  The fringes of fmzi
+  count record with seed derive_seed(seed, k, c), a column entry of one
+  `CountTable` until it is read; result.json is written from the
+  columns.  The fringes of fmzi
   and bell share their series, sampling and visibilities (`_fringes`).
 * Hadamard preparation and analysis use a beam splitter with T = 1/2 and
   theta = 0.  Injecting the |1> bin prepares |+>; after an analysis
@@ -76,7 +78,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .counting import (
-    CountRecord,
+    CountTable,
     DetectorSpec,
     MetricResult,
     SourceSpec,
@@ -223,7 +225,7 @@ class ExperimentResult:
     sweep_values: list[float]
     series: dict[str, list[float]]
     metrics: dict[str, MetricResult] = field(default_factory=dict)
-    counts: list[dict[str, CountRecord]] | None = None
+    counts: CountTable | None = None  # reads as list[dict[str, CountRecord]]
     extras: dict = field(default_factory=dict)
     config_echo: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
@@ -257,6 +259,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if is_dataclass(obj):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, CountTable):
+        return obj.to_jsonable()
     return obj
 
 
@@ -485,17 +489,16 @@ def _coincidences(circuit: Circuit, s: np.ndarray) -> np.ndarray:
 
 
 def _sample(
-    cfg: ChipConfig, p: np.ndarray, accidental_weight, seed: int
-) -> tuple[list[list[CountRecord]], np.ndarray]:
-    """Count records[k][c] for the detection probabilities p[k, c] of
-    sweep point or truth-table row k and curve or outcome c, each drawn
-    with seed derive_seed(seed, k, c) and accidental weight w[k, c]
-    (``accidental_weight`` broadcast to p), plus the int array of their
-    total coincidences."""
-    records = sample_grid(p, cfg.detector, cfg.source, _grid_seeds(seed, p.shape),
-                          accidental_weight)
-    totals = [[rec.total_coincidences for rec in row] for row in records]
-    return records, np.array(totals, dtype=int).reshape(p.shape)
+    cfg: ChipConfig, p: np.ndarray, accidental_weight, seed: int, keys: Sequence
+) -> CountTable:
+    """The `CountTable` of records[k][c], keyed by keys[k][c], for the
+    probabilities p[k, c] of sweep point or truth-table row k and curve or
+    outcome c: seed derive_seed(seed, k, c), accidental weight w[k, c]
+    (``accidental_weight`` broadcast to p)."""
+    table = sample_grid(p, cfg.detector, cfg.source, _grid_seeds(seed, p.shape),
+                        accidental_weight)
+    table.keys = keys
+    return table
 
 
 def _fringes(
@@ -509,7 +512,7 @@ def _fringes(
     sample: bool,
     seed: int,
     warnings: list[str],
-) -> tuple[dict, dict[str, MetricResult], list[dict[str, CountRecord]] | None]:
+) -> tuple[dict, dict[str, MetricResult], CountTable | None]:
     """Series, visibility metrics and count records of the fringe curves
     p[k, c] over ``phases``.
 
@@ -528,8 +531,8 @@ def _fringes(
     counts = None
     fringes, method = p, methods[0]
     if sample:
-        records, fringes = _sample(chip, p, p.max() * accidental_share, seed)
-        counts = [dict(zip(record_keys, row)) for row in records]
+        counts = _sample(chip, p, p.max() * accidental_share, seed, [record_keys] * len(p))
+        fringes = counts.totals
         for c, name in enumerate(names):
             series[f"counts_{name}"] = fringes[:, c].tolist()
         method = methods[1]
@@ -666,10 +669,11 @@ def run_hom(
         "p_cc": p_cc.tolist(),
         "visibility": vis.tolist(),
     }
-    counts_per_point: list[dict[str, CountRecord]] | None = None
+    counts_per_point = None
     if sample:
-        records, totals = _sample(chip, p, p_dist.max(), seed)
-        counts_per_point = [dict(zip(("observed", "reference"), row)) for row in records]
+        counts_per_point = _sample(chip, p, p_dist.max(), seed,
+                                   [("observed", "reference")] * len(p))
+        totals = counts_per_point.totals
         series["counts_observed"], series["counts_reference"] = totals.T.tolist()
 
     metrics, warnings = {}, []
@@ -809,8 +813,7 @@ def run_cz(
         warnings.append(
             "a truth-table row has zero acceptance probability; fidelity undefined"
         )
-    counts_per_point: list[dict[str, CountRecord]] | None = None
-    table_counts = None
+    counts_per_point = table_counts = None
     if sample:
         # Accidental weight per cell: the largest row success times the
         # row's normalized product of singles on the cell's two detectors.
@@ -819,12 +822,11 @@ def run_cz(
         pair_share = (share[:, :2, None] * share[:, None, 2:]).reshape(4, 4)
         denom = pair_share.sum(axis=1, keepdims=True)
         weight = float(success.max()) * pair_share / np.where(denom == 0.0, 1.0, denom)
-        records, totals = _sample(chip, exact, weight, seed)
+        counts_per_point = _sample(chip, exact, weight, seed,
+                                   [[f"{row_label}->{label}" for label in labels]
+                                    for row_label in labels])
+        totals = counts_per_point.totals
         table_counts = totals.astype(float).tolist()
-        counts_per_point = [
-            {f"{row_label}->{label}": rec for label, rec in zip(labels, row)}
-            for row_label, row in zip(labels, records)
-        ]
         if np.all(totals.sum(axis=1) > 0):
             metrics["fidelity_counts"] = truth_table_fidelity(totals, ideal)
         else:

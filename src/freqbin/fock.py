@@ -184,8 +184,8 @@ class PureState:
             amps: dict[Occupation, complex] = {}
             for occ, a in amplitudes.items():
                 occ = _photon_counts(occ, ValidationError)
-                try:
-                    a = complex(a)
+                try:  # complex() would parse the string "1"
+                    a = complex(a if not isinstance(a, (str, bytes)) else None)
                 except (TypeError, ValueError):
                     raise ValidationError(f"amplitude {a!r} is not a number") from None
                 if not cmath.isfinite(a):

@@ -122,12 +122,17 @@ class DoubletFit:
     center_ghz: float
 
 
-def _local_minima(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
-    """Interior local minima of a sampled curve as (position, value): no
+def _minima_at(y: np.ndarray) -> np.ndarray:
+    """Indices of the interior local minima of a sampled curve: no
     neighbour lower, and at least one higher."""
     mid, left, right = y[1:-1], y[:-2], y[2:]
     below = (mid <= left) & (mid <= right) & ((mid < left) | (mid < right))
-    return [(float(x[i]), float(y[i])) for i in np.flatnonzero(below) + 1]
+    return np.flatnonzero(below) + 1
+
+
+def _local_minima(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
+    """`_minima_at` as (position, value) pairs."""
+    return [(float(x[i]), float(y[i])) for i in _minima_at(y)]
 
 
 def _dip_guesses(x: np.ndarray, y: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -136,17 +141,15 @@ def _dip_guesses(x: np.ndarray, y: np.ndarray) -> tuple[tuple[float, float], tup
     width = max(3, len(y) // 40) | 1
     kernel = np.ones(width) / width
     smooth = np.convolve(y, kernel, mode="same")
-    minima = _local_minima(x, smooth)
-    if len(minima) < 2:
+    at = _minima_at(smooth)
+    if len(at) < 2:
         raise FitError("no doublet found: fewer than two local minima", residual=None)
-    minima.sort(key=lambda m: m[1])
-    first = minima[0]
-    span = abs(x[-1] - x[0])
-    rest = [m for m in minima[1:] if abs(m[0] - first[0]) > 0.05 * span]
-    if not rest:
+    at = at[np.argsort(smooth[at], kind="stable")]  # deepest first, ties in scan order
+    rest = at[np.abs(x[at] - x[at[0]]) > 0.05 * abs(x[-1] - x[0])]
+    if not rest.size:
         raise FitError("no doublet found: dips are not separated", residual=None)
-    second = rest[0]
-    return tuple(sorted((first, second), key=lambda m: m[0]))
+    dips = [(float(x[i]), float(smooth[i])) for i in (at[0], rest[0])]
+    return tuple(sorted(dips, key=lambda m: m[0]))
 
 
 #: Most model evaluations one doublet fit may spend.

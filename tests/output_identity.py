@@ -14,7 +14,9 @@ and the stdout, stderr and exit code of every process.  The inputs:
   fringes are zero throughout, a hom run with its own sweep, and
   spectroscopy of all targets, of dr1 alone and of the filters alone;
 * `ExperimentResult.to_json` of each runner, in process, with sampling on
-  and off;
+  and off, and `CountRecord.to_json` of every record of a sampled fmzi,
+  hom and bell run of 80 or more records (numpy-drawn), each read as
+  ``res.counts[k][key]``;
 * the demos 01-06 next to each tree.
 
 Prints one line per differing output and exits 1 if there is any, else
@@ -70,6 +72,13 @@ for sample in (False, True):
             print(run_cz(cfg, basis, toggles, seed=3, sample=sample).to_json())
 for target in ("dr1", "filters"):
     print(run_spectroscopy(cfg, [0.05 * k - 15.0 for k in range(601)], target).to_json())
+dense = [0.3 * k for k in range(20)]
+for res in (run_fmzi(cfg, dense, mode="quantum", imperfections=everything),
+            run_hom(cfg, [0.025 * k for k in range(41)], imperfections=everything, sample=True),
+            run_bell(bell_cfg, dense, imperfections=everything, sample=True)):
+    for k in range(len(res.counts)):
+        for key in res.counts[k]:
+            print(res.counts[k][key].to_json())
 """
 
 

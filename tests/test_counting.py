@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from freqbin.counting import (
     CountRecord,
+    CountTable,
     DetectorSpec,
     SourceSpec,
     g2_histogram,
@@ -26,6 +27,14 @@ from freqbin.counting import (
 from freqbin.counting import _exp_window_convolution, _seed_hash
 from freqbin.counting import _BATCH_MIN_RECORDS
 from freqbin.errors import DomainError, ValidationError
+from freqbin.experiments import (
+    _jsonable,
+    default_chip_config,
+    run_bell,
+    run_cz,
+    run_fmzi,
+    run_hom,
+)
 
 
 class TestSources:
@@ -131,6 +140,97 @@ def test_grid_record_is_a_count_record(rows):
         with pytest.raises(FrozenInstanceError):
             rec.seed = 3
         assert rec.seed == built.seed
+
+
+def _grid(rows, cols, seed, car=25.0):
+    """A sampled (rows, cols) grid of probabilities 0..1 on consecutive seeds."""
+    n = rows * cols
+    p = np.linspace(0.0, 1.0, n).reshape(rows, cols)
+    seeds = np.array([(seed + k) % 2**64 for k in range(n)], dtype=np.uint64)
+    return sample_grid(p, DetectorSpec(), SourceSpec(car=car), seeds.reshape(rows, cols),
+                       np.linspace(0.5, 1.5, n).reshape(rows, cols))
+
+
+class TestCountTable:
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.integers(1, 60), cols=st.integers(1, 4), seed=st.integers(0, 2**64 - 1),
+           car=st.sampled_from([math.inf, 25.0]))
+    @example(rows=55, cols=1, seed=0, car=25.0)  # one short of the numpy pass
+    @example(rows=14, cols=4, seed=0, car=25.0)  # its smallest grid
+    def test_rows_hold_count_records(self, rows, cols, seed, car):
+        table = _grid(rows, cols, seed, car)
+        assert len(table) == rows and table.counts.shape == (rows, cols, 4)
+        assert table.counts.dtype == np.int64 and table.seeds.dtype == np.uint64
+        np.testing.assert_array_equal(table.totals, table.counts[..., 0] + table.counts[..., 1])
+        rows_read = list(table)
+        assert [type(row) for row in rows_read] == [list] * rows
+        for k, row in enumerate(rows_read):
+            assert len(row) == cols
+            for c, rec in enumerate(row):
+                built = CountRecord(*table.counts[k, c].tolist(), float(table.expected_true[k, c]),
+                                    float(table.expected_accidental[k, c]),
+                                    float(table.p_true[k, c]), (seed + k * cols + c) % 2**64)
+                assert type(rec) is CountRecord and table[k][c] == rec
+                assert [type(v) for v in vars(rec).values()] == [int] * 4 + [float] * 3 + [int]
+                assert rec == built and hash(rec) == hash(built)
+                assert asdict(rec) == asdict(built) and rec.to_json() == built.to_json()
+                assert replace(rec, seed=3) == replace(built, seed=3)
+                assert pickle.loads(pickle.dumps(rec)) == built
+                assert rec.total_coincidences == table.totals[k, c]
+
+    def test_keyed_rows_read_as_dicts(self):
+        table = _grid(3, 2, 7)
+        records = list(table)
+        table.keys = [("a", "b"), ("c", "d"), ("e", "f")]
+        want = [dict(zip(keys, row)) for keys, row in zip(table.keys, records)]
+        same, other = _grid(3, 2, 7), _grid(3, 2, 8)
+        assert table != same == records  # keyless rows are lists
+        same.keys = other.keys = table.keys
+        assert table == want and want == table and table == same and table != want[:2]
+        assert table != other and table != 5
+        for k in range(-3, 3):
+            assert table[k] == want[k]
+            assert list(table[k].keys()) == list(want[k].keys())
+            assert list(table[k].values()) == list(want[k].values())
+            assert list(table[k].items()) == list(want[k].items())
+        assert table[1]["d"] == records[1][1]
+        assert table[1:] == want[1:] and table[::-2] == want[::-2] and table[5:] == []
+        assert list(reversed(table)) == want[::-1] and repr(table) == repr(want)
+        for k in (3, -4, 2**70):
+            with pytest.raises(IndexError):
+                table[k]
+        with pytest.raises(TypeError):
+            table["a"]
+
+    @pytest.mark.parametrize("rows", [3, 20])  # the loop's grid and the numpy pass's
+    @pytest.mark.parametrize("keyed", [False, True])
+    def test_json_is_that_of_the_records(self, rows, keyed):
+        table = _grid(rows, 4, 2**63)
+        if keyed:
+            table.keys = [[f"{k}->{c}" for c in range(4)] for k in range(rows)]
+        assert json.dumps(_jsonable(table), indent=2) == json.dumps(_jsonable(list(table)), indent=2)
+
+    def test_json_of_a_non_finite_float_is_its_repr(self):
+        counts = np.arange(8, dtype=np.int64).reshape(1, 2, 4)
+        table = CountTable(counts, np.array([[math.inf, 1.0]]), np.array([[0.5, math.nan]]),
+                           np.array([[0.1, -math.inf]]), np.array([[1, 2**64 - 1]], np.uint64))
+        got = _jsonable(table)
+        assert got == _jsonable(list(table))
+        assert [got[0][0]["expected_true"], got[0][1]["expected_accidental"],
+                got[0][1]["p_true"], got[0][1]["seed"]] == ["inf", "nan", "-inf", 2**64 - 1]
+
+    @pytest.mark.parametrize("run", [
+        lambda cfg: run_fmzi(cfg, np.linspace(0.0, 6.0, 20), mode="quantum", seed=5),
+        lambda cfg: run_hom(cfg, np.linspace(0.0, 1.0, 11), seed=5, sample=True),
+        lambda cfg: run_bell(cfg, np.linspace(0.0, 6.0, 15), seed=5, sample=True),
+        lambda cfg: run_cz(cfg, "xz", {"car"}, seed=5, sample=True),
+    ], ids=["fmzi", "hom", "bell", "cz"])
+    def test_result_json_is_that_of_the_records(self, run):
+        cfg = replace(default_chip_config(), source=replace(default_chip_config().source, car=14.0))
+        res = run(cfg)
+        eager = replace(res, counts=list(res.counts))
+        assert type(eager.counts[0]) is dict and res.counts == eager.counts
+        assert res.to_json() == eager.to_json()
 
 
 #: A bright setting (Poisson means of 1e4 to 1e7: numpy's PTRS sampler)

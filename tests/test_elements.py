@@ -6,8 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freqbin.elements import FbsSpec, FilterParams, fbs_transform, filter_response
+from freqbin import elements
+from freqbin.elements import FbsSpec, FilterParams, fbs_blocks, fbs_transform, filter_response
 from freqbin.errors import ValidationError
 from freqbin.experiments import _embed, default_chip_config
 from freqbin.fock import ModeTransform, apply_transform, fock_state, grid_from_indices
@@ -95,6 +98,59 @@ class TestFbs:
             FbsSpec(sideband_suppression_db=-1.0)
         with pytest.raises(ValidationError):
             fbs_transform(FbsSpec(), (1, 2, 2, 3))
+
+
+class TestNormGuard:
+    """The spectral-norm guard of `fbs_blocks`: eta + ||M^H M - eta I||_F
+    against (1 + tol)^2, a bound on ||M||_2^2."""
+
+    def test_efficiency_above_one_is_rejected(self):
+        with pytest.raises(ValidationError, match="matrix spectral norm exceeds 1"):
+            fbs_blocks(0.5, 0.0, 1.5)
+
+    def test_edge_of_the_tolerance(self):
+        # ||M||_2 = sqrt(eta): 1 + 5e-10 is inside 1 + 1e-9, 1 + 1.5e-9 is not.
+        fbs_blocks([0.0, 0.3, 0.5, 1.0], 0.7, 1.0 + 1e-9, [0.0, 24.0, 60.0, np.inf])
+        with pytest.raises(ValidationError, match="matrix spectral norm exceeds 1"):
+            fbs_blocks([0.0, 0.3, 0.5, 1.0], 0.7, 1.0 + 3e-9, [0.0, 24.0, 60.0, np.inf])
+
+    def test_non_unitary_blocks_are_rejected(self):
+        # Norm 1.1 by one long column, and norm 1 but not sqrt(eta) U: the
+        # bound is conservative and rejects both.
+        stretched = np.eye(4, dtype=complex)
+        stretched[2, 0] = math.sqrt(1.1**2 - 1.0)
+        for block in (stretched, np.diag([1.0, 1.0, 1.0, 0.5]).astype(complex)):
+            with pytest.raises(ValidationError, match="matrix spectral norm exceeds 1"):
+                elements._check_norm(block[None], np.ones(1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        eta=st.floats(0.99, 1.0 + 3e-9),
+        noise=st.sampled_from([0.0, 1e-10, 5e-10, 1e-9, 3e-9, 1e-6, 0.1]),
+    )
+    def test_never_accepts_what_the_svd_rejects(self, seed, eta, noise):
+        # sqrt(eta) times a random unitary, perturbed around the edge.
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        m = math.sqrt(eta) * u + noise * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        svd_rejects = np.linalg.norm(m, 2) > 1.0 + elements._NORM_TOL
+        try:
+            elements._check_norm(m[None], np.array([eta]))
+        except ValidationError:
+            return
+        assert not svd_rejects
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        T=st.floats(0.0, 1.0),
+        theta=st.floats(-10.0, 10.0),
+        eta=st.floats(1e-6, 1.0),
+        db=st.floats(0.0, 200.0) | st.just(math.inf),
+    )
+    def test_every_physical_setting_passes(self, T, theta, eta, db):
+        m = fbs_blocks(T, theta, eta, db)
+        assert np.linalg.norm(m[0], 2) <= 1.0 + elements._NORM_TOL
 
 
 class TestFilter:

@@ -350,6 +350,13 @@ class TestInvariants:
         with pytest.raises(ValidationError, match="not a number"):
             PureState(grid, {(1, 0): bad})
 
+    @pytest.mark.parametrize("bad", ["1", "0.6+0j", b"1"])
+    def test_amplitude_that_is_a_string_rejected(self, bad):
+        # complex() parses "1"; as a photon count the same "1" is rejected.
+        grid = grid_from_indices([0, 1])
+        with pytest.raises(ValidationError, match="not a number"):
+            PureState(grid, {(1, 0): bad})
+
     @pytest.mark.parametrize("count", [1.5, 0.5, math.nan, math.inf, "1", -1])
     def test_photon_counts_must_be_whole_numbers(self, count):
         grid = grid_from_indices([0, 1, 2])

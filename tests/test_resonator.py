@@ -260,6 +260,60 @@ def test_local_minima_of_the_dr1_scan_match_the_loop():
     assert len(minima) == 2 and minima == _loop_local_minima(x, y)
 
 
+def _sorted_dip_guesses(x, y):
+    """The dip-guess rule as a sort of every smoothed minimum: the
+    reference `_dip_guesses` must equal (ties go to the lower index, as
+    in a stable sort)."""
+    width = max(3, len(y) // 40) | 1
+    smooth = np.convolve(y, np.ones(width) / width, mode="same")
+    minima = sorted(_loop_local_minima(x, smooth), key=lambda m: m[1])
+    if len(minima) < 2:
+        return "fewer than two local minima"
+    rest = [m for m in minima[1:] if abs(m[0] - minima[0][0]) > 0.05 * abs(x[-1] - x[0])]
+    if not rest:
+        return "dips are not separated"
+    return tuple(sorted((minima[0], rest[0]), key=lambda m: m[0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    points=st.sampled_from([601, 6001]),
+    noise=st.sampled_from([0.0, 1e-3, 1e-2, 0.3]),
+    levels=st.sampled_from([None, 4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dip_guesses_match_the_sorted_rule(points, noise, levels, seed):
+    # Clean and noisy dr1 scans; rounding to few levels makes equal minima,
+    # whose order the stable sort decides.
+    x = np.linspace(-15.0, 15.0, points)
+    y = dr_through_spectrum(DRParams(), x) + noise * np.random.default_rng(seed).normal(size=points)
+    if levels:
+        y = np.round(y * levels) / levels
+    want = _sorted_dip_guesses(x, y)
+    if isinstance(want, str):
+        with pytest.raises(FitError, match=want):
+            resonator._dip_guesses(x, y)
+    else:
+        assert resonator._dip_guesses(x, y) == want
+
+
+_X200 = np.linspace(-15.0, 15.0, 200)
+
+
+@pytest.mark.parametrize("y", [
+    np.ones(200),
+    1.0 - np.exp(-_X200**2 / 2.0) + 0.3 * np.exp(-_X200**2 / 0.2),
+    np.cos(_X200),
+], ids=["flat", "close-pair", "equal-minima"])
+def test_dip_guesses_of_edge_curves_match_the_sorted_rule(y):
+    want = _sorted_dip_guesses(_X200, y)
+    if isinstance(want, str):
+        with pytest.raises(FitError, match=want):
+            resonator._dip_guesses(_X200, y)
+    else:
+        assert resonator._dip_guesses(_X200, y) == want
+
+
 def _scipy_modules_after(code: str) -> str:
     """Sorted scipy modules loaded after running ``code`` in a fresh
     interpreter that imports this checkout's freqbin."""
