@@ -10,9 +10,11 @@ Subcommands:
 experiment.  Its results (one, the two gate bases, or one per
 spectroscopy target) give all it writes: result.json, sweep.csv and
 report.txt into the output directory, and each warning of the run on
-stderr.  The same manifest and seed always produce byte-identical
-result.json.  ``fit`` reads a two-column CSV with header
-``detuning_ghz,transmission`` and fits the coupled-resonator doublet.
+stderr.  All three are built and checked before the first is written, so
+a run that fails (exit 2 or 3) writes no file.  The same manifest and
+seed always produce byte-identical result.json.  ``fit`` reads a
+two-column CSV with header ``detuning_ghz,transmission`` and fits the
+coupled-resonator doublet.
 
 A manifest's ``config`` mirrors the chip's settings dataclasses
 (`ChipConfig` and its parts): a number for each number field, an object
@@ -37,6 +39,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -291,63 +294,47 @@ def _execute(manifest: RunManifest) -> tuple[dict[str, xp.ExperimentResult], dic
     return {"result": res}, {}
 
 
-def _rows(results: dict[str, xp.ExperimentResult]) -> list[dict]:
-    """The rows of sweep.csv, one per sweep point of each result: its
-    series, led by the target in a spectroscopy run.  A gate row is in
-    the schema's column order: basis, input label, p_out0..3, success
-    probability."""
-    rows = []
-    for key, res in results.items():
-        for i in range(len(res.sweep_values)):
-            row = {name: column[i] for name, column in res.series.items()}
-            if res.experiment == "spectroscopy":
-                row = {"target": key, **row}
-            elif res.experiment == "cz":
-                labels = res.extras["input_labels"]
-                # "input" keeps its place after "basis" and takes the label.
-                row = {"basis": res.extras["basis"], **row, "input": labels[i]}
-                row["success_probability"] = row.pop("success_probability")
-            rows.append(row)
-    return rows
-
-
-def _metrics(results: dict[str, xp.ExperimentResult], numbers: dict) -> dict[str, float]:
-    """A gate run in both bases reports its two fidelities and the bound;
-    any other run each metric of its results, prefixed by the result key
-    when there are several."""
-    if numbers:
-        return {k: numbers[k] for k in ("f_xz", "f_zx", "hofmann_bound")}
-    several = len(results) > 1
-    return {f"{key}_{name}" if several else name: m.value
-            for key, res in results.items() for name, m in res.metrics.items()}
+def _columns(key: str, res: xp.ExperimentResult) -> dict:
+    """The columns of sweep.csv for the result ``res`` under ``key``, by
+    name: its series, led by the target in a spectroscopy run; a gate's
+    are basis, input label, p_out0..3 and success probability."""
+    if res.experiment == "spectroscopy":
+        return {"target": repeat(key), **res.series}
+    if res.experiment == "cz":
+        return {"basis": repeat(res.extras["basis"]), "input": res.extras["input_labels"],
+                **{f"p_out{k}": res.series[f"p_out{k}"] for k in range(4)},
+                "success_probability": res.series["success_probability"]}
+    return res.series
 
 
 def _write_outputs(out_dir: Path, manifest: RunManifest, results: dict, numbers: dict) -> dict:
-    """Write result.json, sweep.csv and report.txt; return the metrics reported."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
+    """Build result.json, sweep.csv and report.txt, check that every number
+    of sweep.csv is finite, and only then write the three files, so a run
+    that fails the check writes none.  Return the metrics reported."""
+    result_json = json.dumps({
         "schema_version": SCHEMA_VERSION,
         "manifest": asdict(manifest),
         "experiment": manifest.experiment,
         **{key: res.to_jsonable() for key, res in results.items()},
         **numbers,
-    }
-    (out_dir / "result.json").write_text(
-        json.dumps(payload, sort_keys=False, indent=2) + "\n"
-    )
+    }, sort_keys=False, indent=2) + "\n"
 
-    rows = _rows(results)
+    # One header for all results; a cell a result lacks is blank.
+    tables = [_columns(key, res) for key, res in results.items()]
+    header = list(dict.fromkeys(name for table in tables for name in table))
+    rows = [row for table in tables
+            for row in zip(*(table.get(name, repeat("")) for name in header))]
     for row in rows:
-        for key, value in row.items():
+        for name, value in zip(header, row):
             if isinstance(value, float) and not math.isfinite(value):
-                raise FreqbinError(f"non-finite value in CSV column {key!r}")
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        fieldnames = list(dict.fromkeys(key for row in rows for key in row))
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
+                raise FreqbinError(f"non-finite value in CSV column {name!r}")
 
-    metrics = _metrics(results, numbers)
+    if numbers:  # a gate run in both bases: its two fidelities and the bound
+        metrics = {k: numbers[k] for k in ("f_xz", "f_zx", "hofmann_bound")}
+    else:  # each metric of the results, led by the result key when there are several
+        several = len(results) > 1
+        metrics = {f"{key}_{name}" if several else name: m.value
+                   for key, res in results.items() for name, m in res.metrics.items()}
     targets = REFERENCE_TARGETS.get(manifest.experiment, {})
     lines = [f"experiment: {manifest.experiment}", f"seed: {manifest.seed}", ""]
     lines.append(f"{'metric':<34}{'simulated':>14}{'reference':>12}")
@@ -362,6 +349,11 @@ def _write_outputs(out_dir: Path, manifest: RunManifest, results: dict, numbers:
     for name, ref in targets.items():
         if name not in metrics and any(w.startswith(f"{name} undefined") for w in warnings):
             lines.append(f"{name:<34}{'n/a':>14}{ref:>12.4f}")
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "result.json").write_text(result_json)
+    with open(out_dir / "sweep.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
     return metrics
 

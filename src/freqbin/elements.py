@@ -87,8 +87,8 @@ def fbs_blocks(
     has shape (k, 4, 4) with mode order (lo, hi, lo sideband, hi
     sideband).  Columns all have norm sqrt(eta) exactly, so a single
     photon entering any of the four modes exits the set with total
-    probability eta.  Raises `ValidationError` when a matrix is not
-    finite or its spectral norm exceeds 1.
+    probability eta.  Raises `ValidationError` for a setting out of
+    range and for a matrix whose spectral norm exceeds 1.
     """
     T, theta, eta, db = (
         a.ravel()
@@ -97,11 +97,17 @@ def fbs_blocks(
               (transmissivity_T, phase_theta, efficiency_eta, sideband_suppression_db))
         )
     )
-    # Checked before any arithmetic, so bad settings raise without numpy
-    # warnings; an infinite suppression is the ideal, leakage-free splitter.
-    if not (np.all(np.isfinite(T) & np.isfinite(theta) & np.isfinite(eta))
-            and np.all((db == np.inf) | np.isfinite(db))):
-        raise ValidationError("beam-splitter matrix is not finite: not physical")
+    # One range check before any arithmetic, so bad settings raise without
+    # numpy warnings; an infinite suppression is the ideal, leakage-free
+    # splitter, and an efficiency above 1 is the norm guard's to reject.
+    for ok, message in (
+        ((T >= 0.0) & (T <= 1.0), "transmissivity must lie in [0, 1]"),
+        (np.isfinite(theta), "phase must be finite"),
+        (np.isfinite(eta) & (eta >= 0.0), "efficiency must be finite and nonnegative"),
+        (db >= 0.0, "sideband suppression must be nonnegative"),
+    ):
+        if not np.all(ok):
+            raise ValidationError(message)
     t = np.sqrt(T)
     r = np.sqrt(1.0 - T)
     eps = np.sqrt((1.0 - T) * 10.0 ** (-db / 10.0))
@@ -124,8 +130,6 @@ def fbs_blocks(
     u[:, :, 2:] /= s[:, None, None]
 
     m = np.sqrt(eta)[:, None, None] * u
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("beam-splitter matrix is not finite: not physical")
     _check_norm(m, eta)
     return m
 
@@ -134,8 +138,11 @@ def _check_norm(m: np.ndarray, eta: np.ndarray) -> None:
     """Raise `ValidationError` where eta[j] + ||E||_F, E = m[j]^H m[j] - eta[j] I,
     exceeds (1 + `_NORM_TOL`)^2.  It bounds ||m[j]||_2^2, so no matrix an SVD
     would reject passes, and for sqrt(eta) times a unitary E is rounding."""
-    gram = np.swapaxes(m.conj(), -1, -2) @ m - eta[:, None, None] * np.eye(m.shape[-1])
-    if np.any(eta + np.linalg.norm(gram, axis=(-2, -1)) > (1.0 + _NORM_TOL) ** 2):
+    bound = (1.0 + _NORM_TOL) ** 2
+    if np.all(eta <= bound):  # a larger eta fails as it is; its E may overflow
+        gram = np.swapaxes(m.conj(), -1, -2) @ m - eta[:, None, None] * np.eye(m.shape[-1])
+        eta = eta + np.linalg.norm(gram, axis=(-2, -1))
+    if np.any(eta > bound):
         raise ValidationError("matrix spectral norm exceeds 1: not physical")
 
 

@@ -967,23 +967,36 @@ def run_spectroscopy(
     scan_ghz: Sequence[float],
     target: str = "dr1",
 ) -> ExperimentResult:
-    """Laser-scan characterization of one resonator or the filter bank."""
+    """Laser-scan characterization of one resonator or the filter bank.
+    Settings that take the model past the float range (a coupling of
+    1e200 GHz, a filter linewidth of 1e-320 GHz) are a `DomainError`."""
     if target not in SPECTROSCOPY_TARGETS:
         raise ConfigurationError(f"target must be one of {SPECTROSCOPY_TARGETS}")
     scan = _sweep(scan_ghz, "detunings")
-    series = {"detuning_ghz": scan.tolist()}
+    with np.errstate(all="ignore"):  # what leaves the float range fails the check below
+        if target != "filters":
+            cavity: DRParams = getattr(cfg, target).cavity
+            spectra = {"transmission": dr_through_spectrum(cavity, scan)}
+            metrics = {"eo_response_ghz_per_v": MetricResult(
+                cavity.eo_coeff_ghz_per_v, 0.0, "configured slope")}
+        else:
+            drop, through = filter_response(cfg.filters, scan)
+            spectra = {"drop_power": np.abs(drop) ** 2, "through_power": np.abs(through) ** 2}
+            peak = abs(filter_response(cfg.filters, 0.0)[0]) ** 2  # zero only by underflow
+            adjacent = abs(filter_response(cfg.filters, cfg.grid.bin_spacing_ghz)[0]) ** 2
+            metrics = {
+                "nearest_bin_crosstalk": MetricResult(adjacent / peak if peak else math.inf, 0.0,
+                                                      "relative drop power one spacing away"),
+                "drop_peak_power": MetricResult(peak, 0.0, "drop power on resonance"),
+            }
+    if not (all(np.isfinite(v).all() for v in spectra.values())
+            and all(math.isfinite(m.value) for m in metrics.values())):
+        raise DomainError(f"the {target} response leaves the float range for these settings")
+    series = {"detuning_ghz": scan.tolist(), **{k: v.tolist() for k, v in spectra.items()}}
     extras: dict = {"target": target}
     if target != "filters":
-        cavity: DRParams = getattr(cfg, target).cavity
-        transmission = dr_through_spectrum(cavity, scan)
-        series["transmission"] = transmission.tolist()
-        metrics: dict[str, MetricResult] = {
-            "eo_response_ghz_per_v": MetricResult(
-                cavity.eo_coeff_ghz_per_v, 0.0, "configured slope"
-            )
-        }
         try:
-            fit = fit_doublet(scan, transmission)
+            fit = fit_doublet(scan, spectra["transmission"])
             fitted = {"fitted_splitting_ghz": fit.two_g_ghz,
                       "fitted_linewidth1_ghz": fit.linewidths_ghz[0],
                       "fitted_linewidth2_ghz": fit.linewidths_ghz[1]}
@@ -992,21 +1005,6 @@ def run_spectroscopy(
             extras["fit"] = asdict(fit)
         except (FitError, ValidationError) as exc:  # odd or short scans
             extras["fit_error"] = str(exc)
-    else:
-        drop, through = filter_response(cfg.filters, scan)
-        drop_peak, _ = filter_response(cfg.filters, 0.0)
-        drop_adjacent, _ = filter_response(cfg.filters, cfg.grid.bin_spacing_ghz)
-        crosstalk = abs(drop_adjacent) ** 2 / abs(drop_peak) ** 2
-        series["drop_power"] = (np.abs(drop) ** 2).tolist()
-        series["through_power"] = (np.abs(through) ** 2).tolist()
-        metrics = {
-            "nearest_bin_crosstalk": MetricResult(
-                float(crosstalk), 0.0, "relative drop power one spacing away"
-            ),
-            "drop_peak_power": MetricResult(
-                float(abs(drop_peak) ** 2), 0.0, "drop power on resonance"
-            ),
-        }
     return ExperimentResult(
         experiment="spectroscopy",
         sweep_name="detuning_ghz",

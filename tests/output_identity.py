@@ -13,6 +13,10 @@ and the stdout, stderr and exit code of every process.  The inputs:
 * a nonstandard gate, an unbalanced interferometer, a bell sweep whose
   fringes are zero throughout, a hom run with its own sweep, and
   spectroscopy of all targets, of dr1 alone and of the filters alone;
+* runs that fail, whose stderr, exit code and files left (none, read as
+  "<missing>") are compared too: an unknown manifest key, a nonstandard
+  gate without ``allow_nonstandard``, a Poisson mean too large to draw,
+  and a dr1 and a filter spectrum past the float range;
 * `ExperimentResult.to_json` of each runner, in process, with sampling on
   and off, and `CountRecord.to_json` of every record of a sampled fmzi,
   hom and bell run of 80 or more records (numpy-drawn), each read as
@@ -108,6 +112,15 @@ def manifests() -> dict[str, dict]:
         cases[f"spectroscopy-{target}"] = {"experiment": "spectroscopy", "target": target}
     cases["hom-custom-sweep"] = {"experiment": "hom", "imperfections": ["eta", "car"],
                                  "sweep": {"start": 0.2, "stop": 0.8, "num": 7}}
+    cases["fail-unknown-key"] = {"experiment": "hom", "frobnicate": 1}
+    cases["fail-nonstandard-gate"] = {"experiment": "cz", "basis": "zz",
+                                      "config": {"dr2": {"transmissivity_T": 0.5}}}
+    cases["fail-mean-too-large"] = {"experiment": "hom",
+                                    "config": {"source": {"pair_rate_hz": 1e300}}}
+    cases["fail-dr1-spectrum"] = {"experiment": "spectroscopy", "target": "dr1",
+                                  "config": {"dr1": {"cavity": {"g_ghz": 1e200}}}}
+    cases["fail-filters-spectrum"] = {"experiment": "spectroscopy", "target": "filters",
+                                      "config": {"filters": {"linewidth_fwhm_ghz": 1e-320}}}
     return cases
 
 

@@ -19,13 +19,14 @@ from hypothesis import strategies as st
 from freqbin.cli import (
     EXPERIMENTS,
     RunManifest,
+    _write_outputs,
     build_config,
     list_experiments,
     main,
     parse_manifest,
 )
-from freqbin.errors import ManifestError
-from freqbin.experiments import IMPERFECTION_NAMES
+from freqbin.errors import FreqbinError, ManifestError
+from freqbin.experiments import IMPERFECTION_NAMES, ExperimentResult
 from freqbin.resonator import DRParams, dr_through_spectrum
 
 
@@ -704,6 +705,58 @@ class TestRunCommand:
         monkeypatch.setenv("FREQBIN_OUTPUT_DIR", str(target))
         assert main(["run", str(manifest)]) == 0
         assert (target / "result.json").exists()
+
+
+#: Settings that take a spectrum past the float range.
+_NON_FINITE_SPECTRA = {
+    "dr1-coupling": {"experiment": "spectroscopy", "target": "dr1",
+                     "config": {"dr1": {"cavity": {"g_ghz": 1e200}}}},
+    "filters-linewidth": {"experiment": "spectroscopy", "target": "filters",
+                          "config": {"filters": {"linewidth_fwhm_ghz": 1e-320}}},
+    "filters-peak-underflow": {"experiment": "spectroscopy", "target": "filters",
+                               "config": {"filters": {"linewidth_fwhm_ghz": 1e-300,
+                                                      "resonance_offset_ghz": 5.0}}},
+}
+
+
+@pytest.mark.parametrize("name", list(_NON_FINITE_SPECTRA))
+def test_spectrum_past_the_float_range_writes_nothing(name, tmp_path):
+    # Printed numpy RuntimeWarnings and wrote a result.json of "nan"
+    # strings before the CSV check exited 2; the underflowing filter peak
+    # ended in a ZeroDivisionError traceback.
+    code, lines = _checked_run(_NON_FINITE_SPECTRA[name], tmp_path)
+    target = _NON_FINITE_SPECTRA[name]["target"]
+    assert code == 2
+    assert lines == [f"error: the {target} response leaves the float range for these settings"]
+    assert [path.name for path in tmp_path.iterdir()] == ["m.json"]
+
+
+def test_non_finite_csv_value_writes_no_file(tmp_path):
+    # Wrote result.json before the CSV check raised.  The first cell in
+    # row order names the column: the infinity of row 1, not the NaN of
+    # row 2 in an earlier column.
+    res = ExperimentResult("fmzi", "phase_rad", [0.0, 1.0, 2.0], {
+        "phase_rad": [0.0, 1.0, 2.0],
+        "p_in1_port1": [0.5, 0.5, math.nan],
+        "p_in1_port2": [0.5, math.inf, 0.5],
+    })
+    manifest = parse_manifest('{"experiment": "fmzi"}')
+    with pytest.raises(FreqbinError, match="^non-finite value in CSV column 'p_in1_port2'$"):
+        _write_outputs(tmp_path, manifest, {"result": res}, {})
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(FreqbinError):
+        _write_outputs(tmp_path / "new", manifest, {"result": res}, {})
+    assert not (tmp_path / "new").exists()
+
+
+def test_failed_run_keeps_the_earlier_run(tmp_path):
+    # The earlier run's sweep.csv and report.txt sat beside a result.json
+    # of the failed run.
+    assert _checked_run({"experiment": "spectroscopy", "target": "dr1"}, tmp_path) == (0, [])
+    outputs = [tmp_path / name for name in ("result.json", "sweep.csv", "report.txt")]
+    before = [path.read_bytes() for path in outputs]
+    assert _checked_run(_NON_FINITE_SPECTRA["dr1-coupling"], tmp_path)[0] == 2
+    assert [path.read_bytes() for path in outputs] == before
 
 
 class TestFitCommand:

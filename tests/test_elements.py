@@ -2,6 +2,7 @@
 single-mode attenuators and phase shifts of the compiled circuits."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -151,6 +152,24 @@ class TestNormGuard:
     def test_every_physical_setting_passes(self, T, theta, eta, db):
         m = fbs_blocks(T, theta, eta, db)
         assert np.linalg.norm(m[0], 2) <= 1.0 + elements._NORM_TOL
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.5, 0.0, 1.0), r"transmissivity must lie in \[0, 1\]"),
+    ((-0.2, 0.0, 1.0), r"transmissivity must lie in \[0, 1\]"),
+    ((0.5, 0.0, -1.0), "efficiency must be finite and nonnegative"),
+    ((0.5, 0.0, 1.0, -3.0), "sideband suppression must be nonnegative"),
+    ((0.5, math.inf, 1.0), "phase must be finite"),
+    ((0.5, 0.0, 1e300), "matrix spectral norm exceeds 1"),
+])
+def test_out_of_range_settings_raise_without_warnings(args, message):
+    # Warned "invalid value encountered in sqrt" (or, for the huge
+    # efficiency, an overflow) before raising; a negative suppression
+    # was accepted.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            fbs_blocks(*args)
 
 
 class TestFilter:
