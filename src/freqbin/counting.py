@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_finite
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ class SourceSpec:
             raise ValidationError("indistinguishability must lie in [0, 1]")
         if self.pair_rate_hz <= 0 or self.photon_linewidth_mhz <= 0:
             raise ValidationError("rates and linewidths must be positive")
+        check_finite(self, ideal_inf=("car",))
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,7 @@ class DetectorSpec:
             raise ValidationError("window and integration must be positive")
         if self.dark_rate_hz < 0:
             raise ValidationError("dark rate must be nonnegative")
+        check_finite(self)
 
 
 @dataclass(frozen=True)

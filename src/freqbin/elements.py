@@ -19,10 +19,11 @@ is quoted relative to the converted output, measured at maximal
 conversion.  Leakage rides on dedicated sideband modes and is
 marginalized at detection.
 
-The 4-mode matrix is completed to sqrt(eta) times an exact unitary, so a
-photon already sitting in a sideband mode passes through (with a
-back-coupling of order the leakage amplitude, the time reverse of the
-leakage process).  With S -> inf and eta = 1 the transform reduces
+The 4-mode matrix is sqrt(eta) s [[C, -eps C], [eps I, I]], with C the
+2x2 core above, eps = sqrt(R 10^(-S/10)) the leakage amplitude and
+s = 1/sqrt(1 + eps^2): sqrt(eta) times a unitary.  A photon already in a
+sideband mode passes through, with a back-coupling -s eps C, the time
+reverse of the leakage.  With S -> inf and eta = 1 the transform reduces
 exactly to the 2x2 core plus identity.
 """
 
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_finite
 from .fock import _NORM_TOL, ModeTransform
 
 DEFAULT_SIDEBAND_SUPPRESSION_DB = 24.0
@@ -51,12 +52,10 @@ class FbsSpec:
     sideband_suppression_db: float = DEFAULT_SIDEBAND_SUPPRESSION_DB
 
     def __post_init__(self):
-        if not 0.0 <= self.transmissivity_T <= 1.0:
-            raise ValidationError("transmissivity must lie in [0, 1]")
         if not 0.0 < self.efficiency_eta <= 1.0:
             raise ValidationError("efficiency must lie in (0, 1]")
-        if self.sideband_suppression_db < 0.0:
-            raise ValidationError("sideband suppression must be nonnegative")
+        _check_settings(self.transmissivity_T, self.phase_theta, self.efficiency_eta,
+                        self.sideband_suppression_db)
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,7 @@ class FilterParams:
             raise ValidationError("need 0 < linewidth < free spectral range")
         if not 0.0 < self.drop_efficiency <= 1.0:
             raise ValidationError("drop efficiency must lie in (0, 1]")
+        check_finite(self)
 
 
 def fbs_blocks(
@@ -97,9 +97,29 @@ def fbs_blocks(
               (transmissivity_T, phase_theta, efficiency_eta, sideband_suppression_db))
         )
     )
-    # One range check before any arithmetic, so bad settings raise without
-    # numpy warnings; an infinite suppression is the ideal, leakage-free
-    # splitter, and an efficiency above 1 is the norm guard's to reject.
+    _check_settings(T, theta, eta, db)
+    t = np.sqrt(T)
+    r = np.sqrt(1.0 - T)
+    eps = np.sqrt((1.0 - T) * 10.0 ** (-db / 10.0))
+    s = 1.0 / np.sqrt(1.0 + eps * eps)
+
+    # s [[C, -eps C], [eps I, I]], block by block (see the module docstring).
+    u = np.zeros((T.size, 4, 4), dtype=complex)
+    u[:, 0, 0] = u[:, 1, 1] = t * s
+    u[:, 1, 0] = -np.exp(-1j * theta) * r * s
+    u[:, 0, 1] = np.exp(1j * theta) * r * s
+    u[:, 2, 0] = u[:, 3, 1] = eps * s
+    u[:, :2, 2:] = -eps[:, None, None] * u[:, :2, :2]
+    u[:, 2, 2] = u[:, 3, 3] = s
+    m = np.sqrt(eta)[:, None, None] * u
+    _check_norm(m, eta)
+    return m
+
+
+def _check_settings(T, theta, eta, db) -> None:
+    """Raise `ValidationError` for beam-splitter settings (scalars or arrays)
+    out of range, before any arithmetic warns.  An infinite suppression is
+    the ideal splitter; an efficiency above 1 is the norm guard's to reject."""
     for ok, message in (
         ((T >= 0.0) & (T <= 1.0), "transmissivity must lie in [0, 1]"),
         (np.isfinite(theta), "phase must be finite"),
@@ -108,30 +128,6 @@ def fbs_blocks(
     ):
         if not np.all(ok):
             raise ValidationError(message)
-    t = np.sqrt(T)
-    r = np.sqrt(1.0 - T)
-    eps = np.sqrt((1.0 - T) * 10.0 ** (-db / 10.0))
-    s = 1.0 / np.sqrt(1.0 + eps * eps)
-
-    # Columns for the two bin inputs: the 2x2 core plus sideband leakage,
-    # renormalized so the column norm is exactly 1 before the eta scale.
-    u = np.zeros((T.size, 4, 4), dtype=complex)
-    u[:, 0, 0] = u[:, 1, 1] = t
-    u[:, 1, 0] = -np.exp(-1j * theta) * r
-    u[:, 0, 1] = np.exp(1j * theta) * r
-    u[:, 2, 0] = u[:, 3, 1] = eps
-    u[:, :, :2] *= s[:, None, None]
-    # Complete to a unitary: Gram-Schmidt of the sideband basis vectors
-    # against the core columns in closed form.  Each sideband vector
-    # overlaps only its own core column (by s * eps), the two results are
-    # orthogonal, and each has norm s before rescaling.
-    u[:, 2, 2] = u[:, 3, 3] = 1.0
-    u[:, :, 2:] -= (s * eps)[:, None, None] * u[:, :, :2]
-    u[:, :, 2:] /= s[:, None, None]
-
-    m = np.sqrt(eta)[:, None, None] * u
-    _check_norm(m, eta)
-    return m
 
 
 def _check_norm(m: np.ndarray, eta: np.ndarray) -> None:
@@ -150,12 +146,8 @@ def fbs_transform(spec: FbsSpec, modes: Sequence[int]) -> ModeTransform:
     """The 4-mode transform of one frequency beam splitter (see
     `fbs_blocks`) on four distinct grid modes, in the order (lo, hi, lo
     sideband, hi sideband)."""
-    matrix = fbs_blocks(
-        spec.transmissivity_T,
-        spec.phase_theta,
-        spec.efficiency_eta,
-        spec.sideband_suppression_db,
-    )[0]
+    matrix = fbs_blocks(spec.transmissivity_T, spec.phase_theta, spec.efficiency_eta,
+                        spec.sideband_suppression_db)[0]
     return ModeTransform(tuple(modes), matrix)
 
 
@@ -175,7 +167,5 @@ def filter_response(p: FilterParams, detuning_ghz):
     root_eff = math.sqrt(p.drop_efficiency)
     drop = root_eff * lorentz
     through = 1.0 - root_eff * lorentz
-    if np.isscalar(detuning_ghz):
-        return complex(drop), complex(through)
     return drop, through
 

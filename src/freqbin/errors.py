@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and one finiteness rule."""
+
+import math
+from dataclasses import fields
 
 
 class FreqbinError(Exception):
@@ -37,3 +40,13 @@ class ManifestError(FreqbinError, ValueError):
     def __init__(self, message: str, location: str = "/"):
         super().__init__(f"{location}: {message}")
         self.location = location
+
+
+def check_finite(settings, ideal_inf: tuple[str, ...] = ()) -> None:
+    """Raise `ValidationError` naming the first NaN or infinite float field
+    of a settings dataclass; +inf is the ideal of the fields in ``ideal_inf``."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            if not (f.name in ideal_inf and value == math.inf):
+                raise ValidationError(f"{f.name} must be finite")

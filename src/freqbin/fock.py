@@ -37,7 +37,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ValidationError
+from .errors import ConfigurationError, DomainError, ValidationError, check_finite
 
 # Occupation vectors are plain tuples of per-mode photon counts, ordered
 # like BinGrid.bins.
@@ -110,6 +110,7 @@ class BinGrid:
                         f"computational bin {b.index} at {f:.4f} THz is outside "
                         f"the coupler window [{lo}, {hi}] THz"
                     )
+        check_finite(self)
         object.__setattr__(
             self, "_pos", {b.index: k for k, b in enumerate(ordered)}
         )

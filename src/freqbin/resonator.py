@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ValidationError
+from .errors import FitError, ValidationError, check_finite
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,7 @@ class DRParams:
             raise ValidationError("all resonator rates must be positive")
         if self.kappa_ex_ghz > self.kappa1_ghz:
             raise ValidationError("bus coupling cannot exceed the total linewidth")
+        check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -128,11 +129,6 @@ def _minima_at(y: np.ndarray) -> np.ndarray:
     mid, left, right = y[1:-1], y[:-2], y[2:]
     below = (mid <= left) & (mid <= right) & ((mid < left) | (mid < right))
     return np.flatnonzero(below) + 1
-
-
-def _local_minima(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
-    """`_minima_at` as (position, value) pairs."""
-    return [(float(x[i]), float(y[i])) for i in _minima_at(y)]
 
 
 def _dip_guesses(x: np.ndarray, y: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -274,28 +270,23 @@ def fit_doublet(detuning_ghz, transmission) -> DoubletFit:
     if len(x) < 50:
         raise ValidationError("need at least 50 samples spanning both dips")
 
-    (xa, ya), (xb, yb) = _dip_guesses(x, y)
-    sep = xb - xa
-
-    g0 = sep / 2.0
-    center0 = (xa + xb) / 2.0
-    kappa0 = 2.0
-    depth = 1.0 - min(ya, yb)
-    kex0 = max(kappa0 * (1.0 - math.sqrt(max(1.0 - depth, 0.0))), 0.05)
-
-    lower = np.array([1e-3, 1e-3, 1e-4, 1e-3, -50.0, float(x.min())])
-    upper = np.array([np.inf, np.inf, np.inf, np.inf, 50.0, float(x.max())])
-    start = np.clip([g0, kappa0, kex0, kappa0, 0.0, center0], lower, upper)
-    theta, r = _levenberg_marquardt(x, y, start, lower, upper)
-    rms = float(np.sqrt(np.mean(r**2)))
-
-    g, k1, kex, k2, dt, x0 = theta
-    fitted = np.abs(_through_field(x - x0, g, k1, kex, k2, dt)) ** 2
-    fit_minima = sorted(_local_minima(x, fitted), key=lambda m: m[1])[:2]
-    if len(fit_minima) == 2:
-        depths = tuple(1.0 - v for _, v in sorted(fit_minima, key=lambda m: m[0]))
-    else:
-        depths = (1.0 - float(fitted.min()), 1.0 - float(fitted.min()))
+    with np.errstate(all="ignore"):  # what leaves the float range fails a check below
+        (xa, ya), (xb, yb) = _dip_guesses(x, y)
+        g0 = (xb - xa) / 2.0
+        center0 = (xa + xb) / 2.0
+        kappa0 = 2.0
+        depth = 1.0 - min(ya, yb)
+        kex0 = max(kappa0 * (1.0 - math.sqrt(max(1.0 - depth, 0.0))), 0.05)
+        lower = np.array([1e-3, 1e-3, 1e-4, 1e-3, -50.0, float(x.min())])
+        upper = np.array([np.inf, np.inf, np.inf, np.inf, 50.0, float(x.max())])
+        start = np.clip([g0, kappa0, kex0, kappa0, 0.0, center0], lower, upper)
+        theta, r = _levenberg_marquardt(x, y, start, lower, upper)
+        rms = float(np.sqrt(np.mean(r**2)))
+        g, k1, kex, k2, dt, x0 = theta
+        fitted = np.abs(_through_field(x - x0, g, k1, kex, k2, dt)) ** 2
+    at = _minima_at(fitted)  # the two deepest, ties in scan order, then by detuning
+    at = at[np.argsort(fitted[at], kind="stable")[:2]] if at.size > 1 else [fitted.argmin()] * 2
+    depths = tuple(1.0 - float(fitted[i]) for i in sorted(at, key=lambda i: x[i]))
     if kex > k1:
         raise FitError(
             f"no doublet found: fitted bus coupling {kex:.3g} GHz exceeds the"
@@ -303,7 +294,7 @@ def fit_doublet(detuning_ghz, transmission) -> DoubletFit:
             residual=rms,
         )
     mean_depth = (depths[0] + depths[1]) / 2.0
-    if rms > MAX_RESIDUAL_PER_DEPTH * mean_depth:
+    if not rms <= MAX_RESIDUAL_PER_DEPTH * mean_depth:  # a NaN fails as well
         raise FitError(
             f"no doublet found: residual RMS {rms:.3g} exceeds"
             f" {MAX_RESIDUAL_PER_DEPTH} of the mean fitted dip depth {mean_depth:.3g}",

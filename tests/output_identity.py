@@ -5,7 +5,8 @@
 Runs one fixed set of inputs against each tree, every input in a fresh
 interpreter with PYTHONPATH set to that tree, and compares what each run
 leaves behind: result.json, sweep.csv and report.txt of a `freqbin run`,
-and the stdout, stderr and exit code of every process.  The inputs:
+and the stdout, stderr and exit code of every process (`freqbin fit`
+leaves no files).  The inputs:
 
 * the five benchmark manifests (`perfbench/common.py`) at seeds 1 and 2;
 * fmzi classical and quantum, hom, bell and cz in the bases xz, zx, zz
@@ -17,6 +18,12 @@ and the stdout, stderr and exit code of every process.  The inputs:
   "<missing>") are compared too: an unknown manifest key, a nonstandard
   gate without ``allow_nonstandard``, a Poisson mean too large to draw,
   and a dr1 and a filter spectrum past the float range;
+* `freqbin fit` of spectra this file writes itself, so both trees read
+  the same bytes: the default dr1 doublet scanned over 601 points,
+  ascending, descending and with 1% noise from a fixed seed; a 40-sample
+  scan and a scan with a NaN sample, which are rejected; and the scan
+  with its transmission scaled to 1e200 and with its detunings scaled
+  to about +-9e307, which take the fit past the float range;
 * `ExperimentResult.to_json` of each runner, in process, with sampling on
   and off, and `CountRecord.to_json` of every record of a sampled fmzi,
   hom and bell run of 80 or more records (numpy-drawn), each read as
@@ -35,7 +42,9 @@ pytest does not collect this file; it takes about a minute on two cores.
 from __future__ import annotations
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -124,6 +133,36 @@ def manifests() -> dict[str, dict]:
     return cases
 
 
+def _dr1_scan(num: int) -> list[tuple[float, float]]:
+    """(detuning, |t|^2) of the default dr1 doublet over [-15, 15] GHz: the
+    through field of `freqbin.resonator` with g = 6.475, kappa1 = kappa2 =
+    2 and kappa_ex = 1 GHz, in plain Python so it reads no tree."""
+    scan = []
+    for k in range(num):
+        d = 30.0 * k / (num - 1) - 15.0
+        t = 1.0 - 1.0 / (1j * d + 1.0 + 6.475**2 / (1j * d + 1.0))
+        scan.append((d, abs(t) ** 2))
+    return scan
+
+
+def fit_spectra() -> dict[str, str]:
+    """CSV text of each `freqbin fit` input, by run name."""
+    scan = _dr1_scan(601)
+    noise = random.Random(18)
+    nan_sample = [*scan[:300], (scan[300][0], math.nan), *scan[301:]]
+    rows = {
+        "fit-dr1": scan,
+        "fit-dr1-descending": scan[::-1],
+        "fit-dr1-noise": [(d, y + noise.gauss(0.0, 0.01)) for d, y in scan],
+        "fit-40-samples": _dr1_scan(40),
+        "fit-nan-sample": nan_sample,
+        "fit-transmission-1e200": [(d, y * 1e200) for d, y in scan],
+        "fit-detuning-9e307": [(d * (9e307 / 15.0), y) for d, y in scan],
+    }
+    return {name: "detuning_ghz,transmission\n" + "".join(f"{d!r},{y!r}\n" for d, y in data)
+            for name, data in rows.items()}
+
+
 def _process(src: Path, argv: list[str], cwd: Path) -> dict[str, str]:
     env = {**os.environ, "PYTHONPATH": str(src)}
     env.pop("FREQBIN_OUTPUT_DIR", None)
@@ -144,6 +183,11 @@ def outputs(src: Path, work: Path) -> dict[str, dict[str, str]]:
             path = case / "out" / file
             run[file] = path.read_text() if path.exists() else "<missing>"
         found[f"run {name}"] = run
+    for name, text in fit_spectra().items():
+        case = work / name
+        case.mkdir()
+        (case / "spectrum.csv").write_text(text)
+        found[f"fit {name}"] = _process(src, ["-m", "freqbin.cli", "fit", "spectrum.csv"], case)
     found["in-process to_json"] = _process(src, ["-c", IN_PROCESS], work)
     for demo in sorted((src.parent / "demos").glob("0[1-6]_*.py")):
         found[f"demo {demo.name}"] = _process(src, [str(demo)], work)

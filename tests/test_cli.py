@@ -830,6 +830,23 @@ class TestFitCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("scale_x, scale_y", [(1.0, 1e200), (9e307 / 15.0, 1.0)],
+                             ids=["transmission-1e200", "detuning-9e307"])
+    def test_fit_extreme_finite_spectrum_fails_without_numpy_warnings(
+            self, scale_x, scale_y, tmp_path, capsys):
+        # Printed "RuntimeWarning: overflow encountered in matmul" (or in
+        # scalar subtract) on stderr before the error line.
+        x = np.linspace(-15.0, 15.0, 601)
+        y = dr_through_spectrum(DRParams(), x)
+        path = tmp_path / "extreme.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["detuning_ghz", "transmission"])
+            writer.writerows(zip(x * scale_x, y * scale_y))
+        assert main(["fit", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no doublet found: ")
+
     @pytest.mark.parametrize("text, message", [
         ("detuning_ghz,transmission\n1.0\n", "line 2: expected 2 fields, got 1"),
         ("detuning_ghz,transmission\n1.0,0.5\n\n2.0,0.5,7\n",

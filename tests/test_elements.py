@@ -1,6 +1,7 @@
 """Element tests: beam splitter and filter constructors, and the
 single-mode attenuators and phase shifts of the compiled circuits."""
 
+import cmath
 import math
 import warnings
 from dataclasses import replace
@@ -99,6 +100,27 @@ class TestFbs:
             FbsSpec(sideband_suppression_db=-1.0)
         with pytest.raises(ValidationError):
             fbs_transform(FbsSpec(), (1, 2, 2, 3))
+
+
+def test_blocks_are_the_closed_form():
+    # sqrt(eta) s [[C, -eps C], [eps I, I]] with C the 2x2 core, eps the
+    # leakage amplitude and s = 1/sqrt(1 + eps^2), over random settings
+    # with the edges T = 0, T = 1 and S = inf among them.
+    rng = np.random.default_rng(18)
+    T = np.concatenate([[0.0, 1.0, 0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, 195)])
+    theta = rng.uniform(-10.0, 10.0, T.size)
+    eta = rng.uniform(1e-6, 1.0, T.size)
+    db = np.concatenate([[math.inf, math.inf, 0.0, 24.0, math.inf], rng.uniform(0.0, 60.0, 195)])
+    blocks = fbs_blocks(T, theta, eta, db)
+    for j in range(T.size):
+        t, r = math.sqrt(T[j]), math.sqrt(1.0 - T[j])
+        eps = math.sqrt((1.0 - T[j]) * 10.0 ** (-db[j] / 10.0))
+        s = 1.0 / math.sqrt(1.0 + eps * eps)
+        core = np.array([[t, cmath.exp(1j * theta[j]) * r],
+                         [-cmath.exp(-1j * theta[j]) * r, t]])
+        expected = math.sqrt(eta[j]) * s * np.block([[core, -eps * core],
+                                                     [eps * np.eye(2), np.eye(2)]])
+        np.testing.assert_allclose(blocks[j], expected, rtol=0.0, atol=1e-15)
 
 
 class TestNormGuard:

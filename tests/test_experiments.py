@@ -2,7 +2,7 @@
 
 import math
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -329,6 +329,32 @@ def test_one_sweep_rule(cfg, runner, values):
 def test_reflectivities_outside_unit_interval_rejected(cfg, values):
     with pytest.raises(ValidationError, match=r"reflectivities must lie in \[0, 1\]"):
         run_hom(cfg, values)
+
+
+def _settings_of_a_chip(cfg):
+    """The chip and every settings object it holds."""
+    return [cfg, cfg.grid, cfg.dr1, cfg.dr1.fbs, cfg.dr1.cavity, cfg.filters, cfg.source,
+            cfg.detector]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_settings_reject_non_finite_numbers(cfg, value):
+    # NaN passed in 13 fields and fsr_ghz took inf; a NaN filter offset
+    # made every fmzi visibility NaN without a warning.  +inf is the ideal
+    # of the CAR and of the sideband suppression.
+    ideal = {("SourceSpec", "car"), ("FbsSpec", "sideband_suppression_db")}
+    checked = 0
+    for spec in _settings_of_a_chip(cfg):
+        for f in fields(spec):
+            if not isinstance(getattr(spec, f.name), float):
+                continue
+            checked += 1
+            if value == math.inf and (type(spec).__name__, f.name) in ideal:
+                assert getattr(replace(spec, **{f.name: value}), f.name) == math.inf
+                continue
+            with pytest.raises(ValidationError):
+                replace(spec, **{f.name: value})
+    assert checked == 28
 
 
 class TestResultContainer:

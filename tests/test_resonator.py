@@ -235,13 +235,17 @@ def test_jacobian_matches_central_differences_of_the_residuals(
 
 
 def _loop_local_minima(x, y):
-    """Per-sample loop of the minima rule: the reference `_local_minima`
-    must equal."""
+    """Per-sample loop of the minima rule: the reference `_minima_at`
+    must equal, read as (position, value) pairs."""
     out = []
     for i in range(1, len(y) - 1):
         if y[i] <= y[i - 1] and y[i] <= y[i + 1] and (y[i] < y[i - 1] or y[i] < y[i + 1]):
             out.append((float(x[i]), float(y[i])))
     return out
+
+
+def _pairs(x, y, at):
+    return [(float(x[i]), float(y[i])) for i in at]
 
 
 @settings(max_examples=300, deadline=None)
@@ -250,13 +254,13 @@ def test_local_minima_match_the_loop(y):
     # Few distinct levels make plateaus and ties with a neighbour common.
     y = np.asarray(y, dtype=float)
     x = np.linspace(-15.0, 15.0, len(y))
-    assert resonator._local_minima(x, y) == _loop_local_minima(x, y)
+    assert _pairs(x, y, resonator._minima_at(y)) == _loop_local_minima(x, y)
 
 
 def test_local_minima_of_the_dr1_scan_match_the_loop():
     x = np.linspace(-15.0, 15.0, 6001)
     y = dr_through_spectrum(DRParams(), x)
-    minima = resonator._local_minima(x, y)
+    minima = _pairs(x, y, resonator._minima_at(y))
     assert len(minima) == 2 and minima == _loop_local_minima(x, y)
 
 
