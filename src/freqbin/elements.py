@@ -124,6 +124,7 @@ def _check_settings(T, theta, eta, db) -> None:
         ((T >= 0.0) & (T <= 1.0), "transmissivity must lie in [0, 1]"),
         (np.isfinite(theta), "phase must be finite"),
         (np.isfinite(eta) & (eta >= 0.0), "efficiency must be finite and nonnegative"),
+        (~np.isnan(db), "sideband suppression must not be NaN"),
         (db >= 0.0, "sideband suppression must be nonnegative"),
     ):
         if not np.all(ok):

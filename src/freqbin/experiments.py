@@ -20,14 +20,17 @@ Conventions, documented once here:
   detection.  Runners check their arguments, then sample and present.
 * Every pipeline is linear optics.  A `Circuit` (`_circuit`) composes
   its elements, in order of application, to one single-photon matrix
-  U[out, in] on the working grid, stacked over the sweep points as
-  (n_points, n, n), and names its detector groups.  One evaluator reads
-  any circuit in closed form: a photon injected at i reaches grid mode p
-  with probability |U[p, i]|^2 (`_singles`), and two photons injected at
-  i != j leave one photon at p and one at q != p with amplitude
-  U[p, i] U[q, j] + U[q, i] U[p, j] (the 2x2 permanent, `_pair`), which
-  `_coincidences` detects.  The Fock engine and the permanent of
-  `freqbin.fock` are the oracles the tests check this against.
+  U[out, in], stacked over the sweep points as (n_points, n, n), and
+  names its detector groups.  Its mode positions are bin indices: the
+  chip's bins 0..n-1, then the sideband modes.  Each element updates
+  the rows of U on its modes and scales the others by its insertion
+  loss.  One evaluator reads any circuit in closed form: a photon
+  injected at i reaches mode p with probability |U[p, i]|^2
+  (`_singles`), and two photons injected at i != j leave one photon at
+  p and one at q != p with amplitude U[p, i] U[q, j] + U[q, i] U[p, j]
+  (the 2x2 permanent, `_pair`), which `_coincidences` detects.  The
+  Fock engine and the permanent of `freqbin.fock` are the oracles the
+  tests check this against.
 * Element efficiency is applied as frequency-uniform insertion loss:
   an element's matrix carries sqrt(eta) on every mode it does not
   couple, so every photon picks up sqrt(eta) of that element, whether or
@@ -35,8 +38,8 @@ Conventions, documented once here:
   Post-selected quantities therefore depend only on relative amplitudes,
   which is what coincidence measurements normalize away.
 * Each beam splitter leaks into two dedicated bookkeeping sideband
-  modes appended to the working grid; leaked photons are marginalized
-  at detection.
+  modes after the chip's bins; no detector sees them, so leaked photons
+  are marginalized at detection.
 * Detection models the filter bank as a series cascade in ascending bin
   order.  A photon reaching detector d from bin b carries the Lorentzian
   drop power W[d, b] at their frequency offset times the through power
@@ -182,6 +185,8 @@ class ChipConfig:
     detector: DetectorSpec = DetectorSpec()
 
     def __post_init__(self):
+        if self.grid.computational_indices != tuple(range(max(4, self.grid.n_modes))):
+            raise ValidationError("the chip's grid must be the computational bins 0..n-1, n >= 4")
         for name in ("r1_transmission", "r2_transmission", "global_efficiency"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
@@ -227,7 +232,7 @@ class ExperimentResult:
     metrics: dict[str, MetricResult] = field(default_factory=dict)
     counts: CountTable | None = None  # reads as list[dict[str, CountRecord]]
     extras: dict = field(default_factory=dict)
-    config_echo: dict = field(default_factory=dict)
+    config_echo: ChipConfig | dict = field(default_factory=dict)  # the chip as given
     warnings: list[str] = field(default_factory=list)
     seed: int = 0
 
@@ -262,10 +267,6 @@ def _jsonable(obj):
     if isinstance(obj, CountTable):
         return obj.to_jsonable()
     return obj
-
-
-def config_echo(cfg: ChipConfig) -> dict:
-    return _jsonable(cfg)
 
 
 def _effective(cfg: ChipConfig, imperfections: Iterable[str]) -> tuple[frozenset[str], ChipConfig]:
@@ -344,37 +345,18 @@ def _splitter(dr: DrConfig, bins: tuple[int, int], transmissivity=None, theta=No
 class Circuit:
     """One experiment on the chip, ready for detection.
 
-    ``u`` is the single-photon matrix U[k, out, in] of sweep point k on
-    ``grid``, the chip-wide amplitude sqrt(global_efficiency) included.
-    Detector group A sits on the bins ``group_a``, group B on
-    ``group_b``; ``weights`` holds their routing rows W[d, p], A first.
+    ``u`` is the single-photon matrix U[k, out, in] of sweep point k, the
+    chip-wide amplitude sqrt(global_efficiency) included.  Its mode
+    positions are bin indices: the chip's bins 0..n-1, then two sideband
+    modes per beam splitter.  Detector group A sits on the bins
+    ``group_a``, group B on ``group_b``; ``weights`` holds their routing
+    rows W[d, p], A first.
     """
 
-    grid: BinGrid
     u: np.ndarray
     group_a: tuple[int, ...]
     group_b: tuple[int, ...]
     weights: np.ndarray
-
-    def positions(self, bins: Iterable[int]) -> list[int]:
-        return [self.grid.position(b) for b in bins]
-
-
-def _embed(
-    grid: BinGrid, modes: Sequence[int], blocks: np.ndarray, eta: float = 1.0
-) -> np.ndarray:
-    """Single-photon matrices (k, n, n) of one element over k settings.
-
-    ``blocks`` (k, m, m) acts on the grid modes ``modes``; every other
-    mode picks up sqrt(eta), the element's frequency-uniform insertion
-    loss.
-    """
-    n = grid.n_modes
-    pos = np.array([grid.position(i) for i in modes])
-    out = np.zeros((len(blocks), n, n), dtype=complex)
-    out[:, np.arange(n), np.arange(n)] = math.sqrt(eta)
-    out[:, pos[:, None], pos] = blocks
-    return out
 
 
 def _circuit(
@@ -389,25 +371,29 @@ def _circuit(
     A stage (bins, blocks, eta) holds matrices blocks (k, m, m) over k
     settings on ``bins`` and the insertion loss eta on every other mode.
     A beam splitter's blocks act on two modes more than its bins: the
-    next pair of sideband modes, which the working grid appends to the
-    chip's bins.  U is the product of the embedded stages, broadcast
-    over sweep points, times sqrt(global_efficiency); the routing rows
-    come from `_detector_weights`.
+    next pair of sideband modes, at n, n + 1, ... after the chip's n
+    bins.  Each stage updates the rows of U, starting from the identity:
+    its modes' rows become blocks @ U[modes] and every other row takes
+    sqrt(eta).  U is repeated over the sweep points at the first swept
+    stage and ends times sqrt(global_efficiency).  The routing rows come
+    from `_detector_weights`, zero on the sideband modes.
     """
+    n = chip.grid.n_modes
     n_fbs = sum(blocks.shape[-1] > len(bins) for bins, blocks, _ in stages)
-    start = max(b.index for b in chip.grid.bins) + 1
-    sidebands = range(start, start + 2 * n_fbs)
-    grid = replace(chip.grid, bins=chip.grid.bins + tuple(Bin(i, "sideband") for i in sidebands))
-    free = iter(sidebands)
-    u = None
+    free = iter(range(n, n + 2 * n_fbs))
+    u = np.eye(n + 2 * n_fbs, dtype=complex)[None]
     for bins, blocks, eta in stages:
-        modes = bins if blocks.shape[-1] == len(bins) else (*bins, next(free), next(free))
-        element = _embed(grid, modes, blocks, eta)
-        u = element if u is None else element @ u
-    weights = _detector_weights(
-        grid, (*group_a, *group_b), chip.filters, "crosstalk" in toggles
-    )
-    return Circuit(grid, math.sqrt(chip.global_efficiency) * u, group_a, group_b, weights)
+        pos = [*bins] if blocks.shape[-1] == len(bins) else [*bins, next(free), next(free)]
+        rows = blocks @ u[:, pos]
+        if len(rows) > len(u):
+            u = u.repeat(len(rows), axis=0)
+        u *= math.sqrt(eta)
+        u[:, pos] = rows
+    u *= math.sqrt(chip.global_efficiency)
+    weights = _detector_weights(chip.grid, (*group_a, *group_b), chip.filters,
+                                "crosstalk" in toggles)
+    return Circuit(u, group_a, group_b,
+                   np.concatenate((weights, np.zeros((len(weights), 2 * n_fbs))), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +406,7 @@ def _detector_weights(
     filt: FilterParams,
     crosstalk: bool,
 ) -> np.ndarray:
-    """Routing power W[k, p] from grid position p onto detector det_bins[k].
+    """Routing power W[k, b] from bin b of ``grid`` onto detector det_bins[k].
 
     Without the crosstalk toggle the filter bank is ideal: one-hot rows.
     With it, detectors sit behind their drop filters in a series cascade
@@ -431,7 +417,7 @@ def _detector_weights(
     row = {d: k for k, d in enumerate(det_bins)}
     if not crosstalk:
         for d, k in row.items():
-            weights[k, grid.position(d)] = 1.0
+            weights[k, d] = 1.0
         return weights
     order = sorted(det_bins)
     for b in grid.computational_indices:
@@ -439,7 +425,7 @@ def _detector_weights(
         for d in order:
             delta = (b - d) * grid.bin_spacing_ghz
             drop, through = filter_response(filt, delta)
-            weights[row[d], grid.position(b)] = residual * abs(drop) ** 2
+            weights[row[d], b] = residual * abs(drop) ** 2
             residual *= abs(through) ** 2
     return weights
 
@@ -447,7 +433,7 @@ def _detector_weights(
 def _singles(circuit: Circuit, bins: Sequence[int]) -> np.ndarray:
     """P[k, d, i]: detector d (group A, then B) fires for one photon
     injected at bins[i], W |U[:, i]|^2."""
-    return circuit.weights @ np.abs(circuit.u[:, :, circuit.positions(bins)]) ** 2
+    return circuit.weights @ np.abs(circuit.u[:, :, bins]) ** 2
 
 
 def _pair(circuit: Circuit, i: int, j: int) -> np.ndarray:
@@ -458,7 +444,6 @@ def _pair(circuit: Circuit, i: int, j: int) -> np.ndarray:
     2x2 permanent); S[p, p] is sqrt(2) times the amplitude of both at p,
     so the mean photon number at p is sum_q |S[p, q]|^2.
     """
-    i, j = circuit.positions((i, j))
     outer = circuit.u[..., :, i, None] * circuit.u[..., None, :, j]
     return outer + np.swapaxes(outer, -1, -2)
 
@@ -478,14 +463,10 @@ def _coincidences(circuit: Circuit, s: np.ndarray) -> np.ndarray:
     fake pattern is a background contribution left to the accidental
     model.
     """
-    pos_a = circuit.positions(circuit.group_a)
-    pos_b = circuit.positions(circuit.group_b)
-    w_a, w_b = np.split(circuit.weights, [len(pos_a)])
-    q = np.abs(s[..., pos_a, :][..., pos_b]) ** 2
-    return (
-        w_a[:, pos_a] @ q @ w_b[:, pos_b].T
-        + w_a[:, pos_b] @ np.swapaxes(q, -1, -2) @ w_b[:, pos_a].T
-    )
+    a, b = circuit.group_a, circuit.group_b
+    w_a, w_b = np.split(circuit.weights, [len(a)])
+    q = np.abs(s[..., a, :][..., b]) ** 2
+    return w_a[:, a] @ q @ w_b[:, b].T + w_a[:, b] @ np.swapaxes(q, -1, -2) @ w_b[:, a].T
 
 
 def _sample(
@@ -615,7 +596,7 @@ def run_fmzi(
         metrics=metrics,
         counts=counts_per_point,
         extras={"mode": mode, "imperfections": sorted(toggles)},
-        config_echo=config_echo(cfg),
+        config_echo=cfg,
         warnings=warnings,
         seed=seed,
     )
@@ -709,7 +690,7 @@ def run_hom(
             "histogram_shape": hist.tolist(),
             "p_distinguishable": p_dist.tolist(),
         },
-        config_echo=config_echo(cfg),
+        config_echo=cfg,
         warnings=warnings,
         seed=seed,
     )
@@ -856,7 +837,7 @@ def run_cz(
             "table_ideal": ideal.tolist(),
             "imperfections": sorted(toggles),
         },
-        config_echo=config_echo(cfg),
+        config_echo=cfg,
         warnings=warnings,
         seed=seed,
     )
@@ -952,7 +933,7 @@ def run_bell(
         counts=counts_per_point,
         extras={"imperfections": sorted(toggles),
                 "source_coherence": chip.source.indistinguishability},
-        config_echo=config_echo(cfg),
+        config_echo=cfg,
         warnings=warnings,
         seed=seed,
     )
@@ -1012,5 +993,5 @@ def run_spectroscopy(
         series=series,
         metrics=metrics,
         extras=extras,
-        config_echo=config_echo(cfg),
+        config_echo=cfg,
     )

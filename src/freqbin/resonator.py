@@ -202,6 +202,8 @@ def _levenberg_marquardt(x, y, theta, lower, upper):
     """
     r, terms = _residuals(theta, x, y)
     cost = r @ r
+    if not np.isfinite(cost):  # no step lowers it; the caller's residual check rejects it
+        return theta, r
     evaluations = 1
     lam, growth = 1e-3, 2.0
     scale = np.zeros_like(theta)

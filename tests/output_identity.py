@@ -28,6 +28,9 @@ leaves no files).  The inputs:
   and off, and `CountRecord.to_json` of every record of a sampled fmzi,
   hom and bell run of 80 or more records (numpy-drawn), each read as
   ``res.counts[k][key]``;
+* the same, in a second process, of every runner on a chip of six bins
+  (0..5) with every imperfection toggle on and sampling on, which pins
+  the sideband modes placed after more than four bins;
 * the demos 01-06 next to each tree.
 
 Prints one line per differing output and exits 1 if there is any, else
@@ -92,6 +95,26 @@ for res in (run_fmzi(cfg, dense, mode="quantum", imperfections=everything),
     for k in range(len(res.counts)):
         for key in res.counts[k]:
             print(res.counts[k][key].to_json())
+"""
+
+SIX_BINS = """
+from dataclasses import replace
+from freqbin.experiments import (default_chip_config, run_bell, run_cz, run_fmzi,
+                                 run_hom, run_spectroscopy)
+from freqbin.fock import Bin
+cfg = default_chip_config()
+cfg = replace(cfg, grid=replace(cfg.grid, bins=tuple(map(Bin, range(6)))),
+              source=replace(cfg.source, car=14.0, indistinguishability=0.95))
+bell_cfg = replace(cfg, dr2=replace(cfg.dr2, fbs=replace(cfg.dr2.fbs, transmissivity_T=0.5)))
+everything = {"eta", "sideband", "crosstalk", "car", "distinguishability"}
+phases = [0.3 * k for k in range(20)]
+print(run_fmzi(cfg, phases, mode="quantum", imperfections=everything).to_json())
+print(run_hom(cfg, [0.025 * k for k in range(41)], imperfections=everything,
+              sample=True).to_json())
+print(run_bell(bell_cfg, phases, imperfections=everything, sample=True).to_json())
+for basis in ("xz", "zx", "zz"):
+    print(run_cz(cfg, basis, everything, seed=3, sample=True).to_json())
+print(run_spectroscopy(cfg, [0.05 * k - 15.0 for k in range(601)], "filters").to_json())
 """
 
 
@@ -189,6 +212,7 @@ def outputs(src: Path, work: Path) -> dict[str, dict[str, str]]:
         (case / "spectrum.csv").write_text(text)
         found[f"fit {name}"] = _process(src, ["-m", "freqbin.cli", "fit", "spectrum.csv"], case)
     found["in-process to_json"] = _process(src, ["-c", IN_PROCESS], work)
+    found["in-process six-bin to_json"] = _process(src, ["-c", SIX_BINS], work)
     for demo in sorted((src.parent / "demos").glob("0[1-6]_*.py")):
         found[f"demo {demo.name}"] = _process(src, [str(demo)], work)
     return found

@@ -11,26 +11,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sequential_pipeline as ref
+from freqbin import experiments
 from freqbin.elements import fbs_blocks
 from freqbin.errors import ValidationError
 from freqbin.experiments import (
     IMPERFECTION_NAMES,
     Circuit,
     _bell,
+    _circuit as compile_circuit,
     _coincidences,
     _cz,
     _effective,
     _fmzi,
     _hom,
     _pair,
-    config_echo,
     default_chip_config,
     run_bell,
     run_cz,
     run_fmzi,
     run_hom,
 )
-from freqbin.fock import grid_from_indices
+from freqbin.fock import Bin
 
 TOL = 1e-12
 PHASES = np.linspace(0.0, 2.0 * math.pi, 7)
@@ -109,7 +110,7 @@ def test_effective_chip_sets_switched_off_imperfections_ideal(chip):
     for dr in (ideal.dr1, ideal.dr2, ideal.dr3):
         assert (dr.fbs.efficiency_eta, dr.fbs.sideband_suppression_db) == (1.0, math.inf)
     assert ideal.filters == chip.filters  # crosstalk is resolved at detection
-    assert run_hom(chip, [0.5]).config_echo == config_echo(chip)
+    assert run_hom(chip, [0.5]).config_echo is chip
 
 
 def test_batched_blocks_reject_non_finite_settings():
@@ -131,8 +132,7 @@ def test_batched_blocks_match_one_at_a_time():
 def test_bell_source_coincidences():
     # (|f1 f4> + |f2 f3>) / sqrt(2) through the identity: qubit B mirrors
     # qubit A, and exactly one photon reaches each qubit's pair of bins.
-    identity = Circuit(grid_from_indices(range(4)), np.eye(4, dtype=complex)[None],
-                       (0, 1), (2, 3), np.eye(4))
+    identity = Circuit(np.eye(4, dtype=complex)[None], (0, 1), (2, 3), np.eye(4))
     s = (_pair(identity, 0, 3) + _pair(identity, 1, 2)) / math.sqrt(2.0)
     p = _coincidences(identity, s)
     assert _gap(p, [[[0.0, 0.5], [0.5, 0.0]]]) < TOL
@@ -141,10 +141,54 @@ def test_bell_source_coincidences():
 def test_sideband_photon_gives_no_coincidence():
     # One photon in bin 0 and one in a sideband mode (position 2), which
     # no detector sees: the (0, 1) coincidence never fires.
-    identity = Circuit(grid_from_indices([0, 1], sideband=[2]),
-                       np.eye(3, dtype=complex)[None], (0,), (1,), np.eye(3)[:2])
+    identity = Circuit(np.eye(3, dtype=complex)[None], (0,), (1,), np.eye(3)[:2])
     p = _coincidences(identity, _pair(identity, 0, 2))
     assert p.shape == (1, 1, 1) and p[0, 0, 0] == 0.0
+
+
+def _stage_product(chip, stages):
+    """sqrt(global efficiency) times the product of each stage's full
+    matrix: sqrt(eta) I with the blocks on the stage's modes, a beam
+    splitter's sideband pair taken after the chip's bins in stage order."""
+    n = chip.grid.n_modes
+    size = n + 2 * sum(blocks.shape[-1] > len(bins) for bins, blocks, _ in stages)
+    sidebands = iter(range(n, size))
+    u = np.eye(size, dtype=complex)
+    for bins, blocks, eta in stages:
+        modes = [*bins] + [next(sidebands) for _ in range(blocks.shape[-1] - len(bins))]
+        full = np.tile(math.sqrt(eta) * np.eye(size, dtype=complex), (len(blocks), 1, 1))
+        full[:, np.array(modes)[:, None], modes] = blocks
+        u = full @ u
+    return math.sqrt(chip.global_efficiency) * u
+
+
+@pytest.mark.parametrize("n_bins", [4, 6])
+@pytest.mark.parametrize("toggles", [frozenset(), IMPERFECTION_NAMES], ids=["ideal", "all"])
+def test_circuit_is_the_product_of_its_stage_matrices(chip, n_bins, toggles, monkeypatch):
+    # Every seam's stage list: fmzi (one-setting splitters around a swept
+    # phase), hom (one swept splitter), cz in each basis (attenuators and
+    # one-setting splitters) and bell (a one-setting, then a swept splitter).
+    chip = replace(chip, grid=replace(chip.grid, bins=tuple(map(Bin, range(n_bins)))))
+    toggles, chip = _effective(chip, toggles)
+    built = []
+
+    def recording(chip, toggles, stages, *groups):
+        circuit = compile_circuit(chip, toggles, stages, *groups)
+        built.append((stages, circuit))
+        return circuit
+
+    monkeypatch.setattr(experiments, "_circuit", recording)
+    _fmzi(chip, toggles, PHASES)
+    _hom(chip, toggles, REFLECTIVITIES)
+    for basis in ("xz", "zx", "zz"):
+        _cz(chip, toggles, basis)
+    _bell(chip, toggles, PHASES)
+    assert len(built) == 6
+    for stages, circuit in built:
+        expected = _stage_product(chip, stages)
+        assert circuit.u.shape == expected.shape
+        assert np.max(np.abs(circuit.u - expected)) <= 1e-15
+        assert not circuit.weights[:, chip.grid.n_modes:].any()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from freqbin import elements
 from freqbin.elements import FbsSpec, FilterParams, fbs_blocks, fbs_transform, filter_response
 from freqbin.errors import ValidationError
-from freqbin.experiments import _embed, default_chip_config
+from freqbin.experiments import _circuit, default_chip_config
 from freqbin.fock import ModeTransform, apply_transform, fock_state, grid_from_indices
 
 
@@ -194,6 +194,16 @@ def test_out_of_range_settings_raise_without_warnings(args, message):
             fbs_blocks(*args)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: fbs_blocks(0.5, 0.0, 1.0, math.nan),
+    lambda: FbsSpec(sideband_suppression_db=math.nan),
+], ids=["fbs_blocks", "FbsSpec"])
+def test_nan_suppression_has_its_own_message(build):
+    # Reported as "must be nonnegative", which names the wrong fault.
+    with pytest.raises(ValidationError, match="sideband suppression must not be NaN"):
+        build()
+
+
 class TestFilter:
     def test_drop_power_on_resonance(self):
         p = FilterParams()
@@ -246,15 +256,16 @@ class TestFilter:
 
 
 class TestAttenuatorAndPhase:
-    # Attenuators enter the compiled circuits as one-mode blocks of
-    # amplitude sqrt(power) placed by `_embed`.
-    GRID = grid_from_indices([0, 1])
+    # Attenuators enter the compiled circuits as one-mode stages of
+    # amplitude sqrt(power) on bin 0, composed by `_circuit`.
+    CHIP = replace(default_chip_config(), global_efficiency=1.0)
 
-    def attenuator(self, power):
-        return _embed(self.GRID, (0,), np.full((1, 1, 1), math.sqrt(power)))
+    def attenuator(self, power, stages=1):
+        stage = ((0,), np.full((1, 1, 1), math.sqrt(power)), 1.0)
+        return _circuit(self.CHIP, frozenset(), [stage] * stages, (0,)).u
 
     def test_unit_transmission_is_identity(self):
-        assert np.array_equal(self.attenuator(1.0)[0], np.eye(2))
+        assert np.array_equal(self.attenuator(1.0)[0], np.eye(4))
 
     def test_two_thirds_attenuation(self):
         # Attenuation of 2/3 means transmitted power 1/3.
@@ -264,8 +275,8 @@ class TestAttenuatorAndPhase:
         assert t[1, 1] == 1.0 and t[0, 1] == t[1, 0] == 0.0
 
     def test_cascade_multiplies_power(self):
-        att = self.attenuator(1.0 / 3.0)
-        assert abs((att @ att)[0, 0, 0]) ** 2 == pytest.approx(1.0 / 9.0, abs=1e-12)
+        att = self.attenuator(1.0 / 3.0, stages=2)
+        assert abs(att[0, 0, 0]) ** 2 == pytest.approx(1.0 / 9.0, abs=1e-12)
 
     def test_attenuator_range(self):
         cfg = default_chip_config()

@@ -26,6 +26,7 @@ from freqbin.experiments import (
     run_spectroscopy,
 )
 from freqbin.fock import (
+    Bin,
     ModeTransform,
     apply_transform,
     fock_state,
@@ -355,6 +356,28 @@ def test_settings_reject_non_finite_numbers(cfg, value):
             with pytest.raises(ValidationError):
                 replace(spec, **{f.name: value})
     assert checked == 28
+
+
+@pytest.mark.parametrize("bins", [
+    tuple(map(Bin, (0, 1, 2))),
+    tuple(map(Bin, (0, 1, 2, 3, 5))),
+    (*map(Bin, range(4)), Bin(4, "sideband")),
+], ids=["three-bins", "gap", "sideband"])
+def test_chip_grid_must_be_bins_0_to_n_minus_1(cfg, bins):
+    # A circuit's mode positions are bin indices, so the chip's grid is
+    # the computational bins 0..n-1 with n >= 4.
+    with pytest.raises(ValidationError, match="computational bins 0..n-1, n >= 4"):
+        replace(cfg, grid=replace(cfg.grid, bins=bins))
+
+
+def test_chip_grid_of_six_bins_gives_the_four_bin_results(cfg):
+    six = replace(cfg, grid=replace(cfg.grid, bins=tuple(map(Bin, range(6)))))
+    everything = {"eta", "sideband", "crosstalk", "car", "distinguishability"}
+    for run in (lambda c: run_bell(c, PHASES, imperfections=everything),
+                lambda c: run_cz(c, "xz", everything)):
+        got, want = run(six), run(cfg)
+        for name, column in want.series.items():
+            assert got.series[name] == pytest.approx(column, abs=1e-15)
 
 
 class TestResultContainer:

@@ -169,6 +169,20 @@ class TestDoubletFit:
         with pytest.raises(FitError, match="exceeds the linewidth"):
             fit_doublet(x, y)
 
+    @pytest.mark.parametrize("scale", [1e154, 1e300])
+    def test_start_past_the_float_range_fails_in_one_evaluation(self, scale, monkeypatch):
+        # Detunings this large overflow g^2 of the start, so its cost is
+        # not finite and no step can lower it: the fit spent all 2,000
+        # evaluations before its FitError.
+        x = np.linspace(-15.0, 15.0, 601)
+        y = dr_through_spectrum(DRParams(), x)
+        calls = []
+        residuals = resonator._residuals
+        monkeypatch.setattr(resonator, "_residuals", lambda *a: calls.append(1) or residuals(*a))
+        with pytest.raises(FitError, match="no doublet found"):
+            fit_doublet(x * scale, y)
+        assert len(calls) == 1
+
     def test_noisy_roundtrip_many_seeds(self):
         x, y = self.grid_and_spectrum()
         worst = 0.0
