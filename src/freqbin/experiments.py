@@ -28,7 +28,7 @@ Conventions, documented once here:
   injected at i reaches mode p with probability |U[p, i]|^2
   (`_singles`), and two photons injected at i != j leave one photon at
   p and one at q != p with amplitude U[p, i] U[q, j] + U[q, i] U[p, j]
-  (the 2x2 permanent, `_pair`), which `_coincidences` detects.  The
+  (the 2x2 permanent, `_pair`), whose |S|^2 `_coincidences` detects.  The
   Fock engine and the permanent of `freqbin.fock` are the oracles the
   tests check this against.
 * Element efficiency is applied as frequency-uniform insertion loss:
@@ -40,13 +40,14 @@ Conventions, documented once here:
 * Each beam splitter leaks into two dedicated bookkeeping sideband
   modes after the chip's bins; no detector sees them, so leaked photons
   are marginalized at detection.
-* Detection models the filter bank as a series cascade in ascending bin
-  order.  A photon reaching detector d from bin b carries the Lorentzian
-  drop power W[d, b] at their frequency offset times the through power
-  of every upstream filter.  Crosstalk therefore flows one way along the
-  cascade.  Single-photon detection probabilities are W |U[:, i]|^2;
-  coincidences contract the two-photon probabilities with W on both
-  photons.
+* Detection is one linear map through the chip's routing matrix W
+  (`_routing`): its drop filters, one per bin, form a series cascade in
+  ascending bin order, and each circuit reads its detectors' rows.  A
+  photon reaching detector d from bin b carries the Lorentzian drop power
+  W[d, b] at their frequency offset times the through power of every
+  upstream filter.  Crosstalk therefore flows one way along the cascade.
+  Single-photon detection probabilities are W |U[:, i]|^2; coincidences
+  contract the two-photon probabilities Q = |S|^2 with W on both photons.
 * Sampled runs draw counts in `_sample` only: the probability p[k, c]
   of sweep point or truth-table row k and curve or outcome c becomes one
   count record with seed derive_seed(seed, k, c), a column entry of one
@@ -223,11 +224,11 @@ def default_chip_config() -> ChipConfig:
 
 @dataclass
 class ExperimentResult:
-    """Uniform container for one experiment run."""
+    """Uniform container for one experiment run; its sweep is the first series column."""
 
     experiment: str
-    sweep_name: str
-    sweep_values: list[float]
+    sweep_name: str = field(init=False)
+    sweep_values: list[float] = field(init=False)
     series: dict[str, list[float]]
     metrics: dict[str, MetricResult] = field(default_factory=dict)
     counts: CountTable | None = None  # reads as list[dict[str, CountRecord]]
@@ -237,6 +238,9 @@ class ExperimentResult:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.series:
+            raise ValidationError("a result needs at least its sweep column")
+        self.sweep_name, self.sweep_values = next(iter(self.series.items()))
         for name, column in self.series.items():
             if len(column) != len(self.sweep_values):
                 raise ValidationError(f"series {name!r} length mismatch")
@@ -273,8 +277,8 @@ def _effective(cfg: ChipConfig, imperfections: Iterable[str]) -> tuple[frozenset
     """The imperfection toggles of a run and the chip the runners evaluate:
     ``cfg`` with the setting of every imperfection whose toggle is off at
     its ideal value.  An unknown toggle is a `ConfigurationError`.  An
-    ideal filter bank is no `FilterParams` value, so `_detector_weights`
-    takes the crosstalk toggle itself."""
+    ideal filter bank is no `FilterParams` value, so `_routing` takes the
+    crosstalk toggle itself."""
     toggles = frozenset(imperfections)
     unknown = toggles - IMPERFECTION_NAMES
     if unknown:
@@ -349,8 +353,8 @@ class Circuit:
     chip-wide amplitude sqrt(global_efficiency) included.  Its mode
     positions are bin indices: the chip's bins 0..n-1, then two sideband
     modes per beam splitter.  Detector group A sits on the bins
-    ``group_a``, group B on ``group_b``; ``weights`` holds their routing
-    rows W[d, p], A first.
+    ``group_a``, group B on ``group_b``; ``weights`` holds their rows
+    W[d, p] of the chip's routing matrix, A first.
     """
 
     u: np.ndarray
@@ -375,8 +379,8 @@ def _circuit(
     bins.  Each stage updates the rows of U, starting from the identity:
     its modes' rows become blocks @ U[modes] and every other row takes
     sqrt(eta).  U is repeated over the sweep points at the first swept
-    stage and ends times sqrt(global_efficiency).  The routing rows come
-    from `_detector_weights`, zero on the sideband modes.
+    stage and ends times sqrt(global_efficiency).  The detectors' rows of
+    `_routing` take zeros on the sideband modes.
     """
     n = chip.grid.n_modes
     n_fbs = sum(blocks.shape[-1] > len(bins) for bins, blocks, _ in stages)
@@ -390,8 +394,7 @@ def _circuit(
         u *= math.sqrt(eta)
         u[:, pos] = rows
     u *= math.sqrt(chip.global_efficiency)
-    weights = _detector_weights(chip.grid, (*group_a, *group_b), chip.filters,
-                                "crosstalk" in toggles)
+    weights = _routing(chip, "crosstalk" in toggles)[[*group_a, *group_b]]
     return Circuit(u, group_a, group_b,
                    np.concatenate((weights, np.zeros((len(weights), 2 * n_fbs))), axis=1))
 
@@ -400,32 +403,24 @@ def _circuit(
 # Detection: the one evaluator of every circuit.
 
 
-def _detector_weights(
-    grid: BinGrid,
-    det_bins: Sequence[int],
-    filt: FilterParams,
-    crosstalk: bool,
-) -> np.ndarray:
-    """Routing power W[k, b] from bin b of ``grid`` onto detector det_bins[k].
+def _routing(chip: ChipConfig, crosstalk: bool) -> np.ndarray:
+    """Routing power W[d, b] from bin b onto the detector behind the drop
+    filter of bin d, over the chip's n bins.
 
-    Without the crosstalk toggle the filter bank is ideal: one-hot rows.
-    With it, detectors sit behind their drop filters in a series cascade
-    ordered by bin index, each with the drop filter ``filt``; photons in
-    sideband modes are never routed.
+    Without the crosstalk toggle the filter bank is ideal: the identity.
+    With it, the n drop filters ``chip.filters`` sit in a series cascade
+    in ascending bin order, so a detector's row depends only on the
+    filters up to its own.
     """
-    weights = np.zeros((len(det_bins), grid.n_modes))
-    row = {d: k for k, d in enumerate(det_bins)}
+    n = chip.grid.n_modes
     if not crosstalk:
-        for d, k in row.items():
-            weights[k, d] = 1.0
-        return weights
-    order = sorted(det_bins)
-    for b in grid.computational_indices:
+        return np.eye(n)
+    weights = np.zeros((n, n))
+    for b in range(n):
         residual = 1.0
-        for d in order:
-            delta = (b - d) * grid.bin_spacing_ghz
-            drop, through = filter_response(filt, delta)
-            weights[row[d], b] = residual * abs(drop) ** 2
+        for d in range(n):
+            drop, through = filter_response(chip.filters, (b - d) * chip.grid.bin_spacing_ghz)
+            weights[d, b] = residual * abs(drop) ** 2
             residual *= abs(through) ** 2
     return weights
 
@@ -448,15 +443,16 @@ def _pair(circuit: Circuit, i: int, j: int) -> np.ndarray:
     return outer + np.swapaxes(outer, -1, -2)
 
 
-def _coincidences(circuit: Circuit, s: np.ndarray) -> np.ndarray:
+def _coincidences(circuit: Circuit, q: np.ndarray) -> np.ndarray:
     """Probability P[..., x, y] that detector x of group A and detector y
-    of group B both fire, for two-photon amplitudes ``s`` (`_pair`).
+    of group B both fire, for two-photon probabilities ``q`` = |S|^2 of
+    the amplitudes S of `_pair`, or a convex mix of such.
 
     The frequency demux measures bin occupations first, so only
     occupations with exactly one photon on the group-A bins and one on
     the group-B bins are routed onto detectors, with routing rows W:
 
-        P[x, y] = sum_ab |S[a, b]|^2 (W[x, a] W[y, b] + W[y, a] W[x, b])
+        P[x, y] = sum_ab Q[a, b] (W[x, a] W[y, b] + W[y, a] W[x, b])
 
     Routing misdirection that breaks the detector-level pattern rejects
     the event; leakage that promotes a non-coincident occupation into a
@@ -465,7 +461,7 @@ def _coincidences(circuit: Circuit, s: np.ndarray) -> np.ndarray:
     """
     a, b = circuit.group_a, circuit.group_b
     w_a, w_b = np.split(circuit.weights, [len(a)])
-    q = np.abs(s[..., a, :][..., b]) ** 2
+    q = q[..., a, :][..., b]
     return w_a[:, a] @ q @ w_b[:, b].T + w_a[:, b] @ np.swapaxes(q, -1, -2) @ w_b[:, a].T
 
 
@@ -590,8 +586,6 @@ def run_fmzi(
 
     return ExperimentResult(
         experiment="fmzi",
-        sweep_name="phase_rad",
-        sweep_values=phases,
         series=series,
         metrics=metrics,
         counts=counts_per_point,
@@ -614,7 +608,7 @@ def _hom(
     circuit = _circuit(chip, toggles, [
         _splitter(chip.dr3, (0, 1), transmissivity=1.0 - np.asarray(rs))
     ], (0,), (1,))
-    p_ind = _coincidences(circuit, _pair(circuit, 0, 1))[:, 0, 0]
+    p_ind = _coincidences(circuit, np.abs(_pair(circuit, 0, 1)) ** 2)[:, 0, 0]
     # marg[k, d, i]: detector d fires for the photon injected at bin i.
     marg = _singles(circuit, (0, 1))
     p_dist = marg[:, 0, 0] * marg[:, 1, 1] + marg[:, 1, 0] * marg[:, 0, 1]
@@ -678,8 +672,6 @@ def run_hom(
     hist = g2_histogram(tau, chip.source.photon_linewidth_mhz, chip.detector.coincidence_window_ps)
     return ExperimentResult(
         experiment="hom",
-        sweep_name="reflectivity",
-        sweep_values=reflectivities,
         series=series,
         metrics=metrics,
         counts=counts_per_point,
@@ -745,8 +737,8 @@ def _cz(
         ]
     circuit = _circuit(chip, toggles, stages, CZ_CONTROL_BINS, CZ_TARGET_BINS)
     s = np.concatenate([_pair(circuit, *bins) for bins in _CZ_INPUTS[basis].values()])
-    exact = _coincidences(circuit, s).reshape(4, 4)
-    return circuit, exact, (np.abs(s) ** 2).sum(axis=-1) @ circuit.weights.T
+    q = np.abs(s) ** 2
+    return circuit, _coincidences(circuit, q).reshape(4, 4), q.sum(axis=-1) @ circuit.weights.T
 
 
 def run_cz(
@@ -822,8 +814,6 @@ def run_cz(
 
     return ExperimentResult(
         experiment="cz",
-        sweep_name="input",
-        sweep_values=list(range(4)),
         series=series,
         metrics=metrics,
         counts=counts_per_point,
@@ -885,17 +875,15 @@ def _bell(
         _splitter(chip.dr2, (f3, f4), transmissivity=0.5, theta=np.asarray(phases)),
     ], (f1, f2), (f3, f4))
 
-    def detect(s: np.ndarray) -> np.ndarray:
-        return _coincidences(circuit, s).reshape(-1, 4)
-
     # The source state (|f1 f4> + |f2 f3>) / sqrt(2) and, as the dephased
     # reference, the equal mixture of its two product components.
     s00 = _pair(circuit, f1, f4)
     s11 = _pair(circuit, f2, f3)
-    coherent = detect((s00 + s11) / math.sqrt(2.0))
-    incoherent = 0.5 * (detect(s00) + detect(s11))
+    coherent = _coincidences(circuit, np.abs((s00 + s11) / math.sqrt(2.0)) ** 2)
+    incoherent = 0.5 * (_coincidences(circuit, np.abs(s00) ** 2)
+                        + _coincidences(circuit, np.abs(s11) ** 2))
     v = chip.source.indistinguishability
-    return circuit, indistinguishability_mix(coherent, incoherent, v)
+    return circuit, indistinguishability_mix(coherent, incoherent, v).reshape(-1, 4)
 
 
 def run_bell(
@@ -926,8 +914,6 @@ def run_bell(
 
     return ExperimentResult(
         experiment="bell",
-        sweep_name="phase_rad",
-        sweep_values=phases,
         series=series,
         metrics=metrics,
         counts=counts_per_point,
@@ -988,8 +974,6 @@ def run_spectroscopy(
             extras["fit_error"] = str(exc)
     return ExperimentResult(
         experiment="spectroscopy",
-        sweep_name="detuning_ghz",
-        sweep_values=scan.tolist(),
         series=series,
         metrics=metrics,
         extras=extras,

@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -245,13 +245,11 @@ def fock_state(grid: BinGrid, occupations: Mapping[int, int]) -> PureState:
 class ModeTransform:
     """Complex coupling matrix over an ordered subset of grid modes.
 
-    Physicality requires spectral norm <= 1.  ``is_unitary`` is derived at
-    construction (entrywise check of M^dag M against the identity).
+    Physicality requires spectral norm <= 1.
     """
 
     mode_subset: tuple[int, ...]
     matrix: np.ndarray
-    is_unitary: bool = field(init=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -265,11 +263,14 @@ class ModeTransform:
             raise ValidationError("matrix has a non-finite entry")
         if np.linalg.norm(m, 2) > 1.0 + _NORM_TOL:
             raise ValidationError("matrix spectral norm exceeds 1: not physical")
-        gram = m.conj().T @ m
-        unitary = bool(np.allclose(gram, np.eye(len(m)), atol=_UNITARY_ATOL, rtol=0.0))
         object.__setattr__(self, "mode_subset", subset)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "is_unitary", unitary)
+
+    @property
+    def is_unitary(self) -> bool:
+        """Whether M^dag M equals the identity, entry by entry."""
+        gram = self.matrix.conj().T @ self.matrix
+        return bool(np.allclose(gram, np.eye(self.size), atol=_UNITARY_ATOL, rtol=0.0))
 
     @property
     def size(self) -> int:

@@ -202,8 +202,8 @@ def _levenberg_marquardt(x, y, theta, lower, upper):
     """
     r, terms = _residuals(theta, x, y)
     cost = r @ r
-    if not np.isfinite(cost):  # no step lowers it; the caller's residual check rejects it
-        return theta, r
+    if not np.isfinite(cost):  # no step can lower it
+        raise FitError("no doublet found: the fit leaves the float range")
     evaluations = 1
     lam, growth = 1e-3, 2.0
     scale = np.zeros_like(theta)
@@ -258,9 +258,10 @@ def fit_doublet(detuning_ghz, transmission) -> DoubletFit:
     box.  Initial guesses come from the two deepest local minima of the
     raw data.  Raises `ValidationError` when the samples are mismatched,
     fewer than 50 or not finite, and `FitError` when the data show no
-    doublet, the fit does not converge within `MAX_EVALUATIONS` model
-    evaluations, or the fit does not explain the data: a fitted kappa_ex
-    above kappa1 (which `DRParams` rejects), or a residual RMS above
+    doublet, the fit starts past the float range, the fit does not
+    converge within `MAX_EVALUATIONS` model evaluations, or the fit does
+    not explain the data: a fitted kappa_ex above kappa1 (which
+    `DRParams` rejects), or a residual RMS above
     `MAX_RESIDUAL_PER_DEPTH` times the mean fitted dip depth.
     """
     x = np.asarray(detuning_ghz, dtype=float)

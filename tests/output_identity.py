@@ -22,8 +22,8 @@ leaves no files).  The inputs:
   the same bytes: the default dr1 doublet scanned over 601 points,
   ascending, descending and with 1% noise from a fixed seed; a 40-sample
   scan and a scan with a NaN sample, which are rejected; and the scan
-  with its transmission scaled to 1e200 and with its detunings scaled
-  to about +-9e307, which take the fit past the float range;
+  with its transmission scaled to 1e200, with its detunings scaled to
+  1e154 and to about +-9e307, which take the fit past the float range;
 * `ExperimentResult.to_json` of each runner, in process, with sampling on
   and off, and `CountRecord.to_json` of every record of a sampled fmzi,
   hom and bell run of 80 or more records (numpy-drawn), each read as
@@ -180,6 +180,7 @@ def fit_spectra() -> dict[str, str]:
         "fit-40-samples": _dr1_scan(40),
         "fit-nan-sample": nan_sample,
         "fit-transmission-1e200": [(d, y * 1e200) for d, y in scan],
+        "fit-detuning-1e154": [(d * 1e154, y) for d, y in scan],
         "fit-detuning-9e307": [(d * (9e307 / 15.0), y) for d, y in scan],
     }
     return {name: "detuning_ghz,transmission\n" + "".join(f"{d!r},{y!r}\n" for d, y in data)

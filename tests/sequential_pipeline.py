@@ -24,7 +24,7 @@ from freqbin.experiments import (
     CZ_CONTROL_BINS,
     CZ_TARGET_BINS,
     _CZ_INPUTS,
-    _detector_weights,
+    _routing,
 )
 from freqbin.fock import ModeTransform, PureState, apply_transform, fock_state, grid_from_indices
 
@@ -73,8 +73,10 @@ def _scale_uniform(state, power_transmission):
 
 
 def _weights(grid, det_bins, cfg, toggles):
-    rows = _detector_weights(grid, det_bins, cfg.filters, "crosstalk" in toggles)
-    return {d: rows[k] for k, d in enumerate(det_bins)}
+    """Each detector's row of the chip's routing matrix, zero on the
+    sideband modes of ``grid``."""
+    rows = _routing(cfg, "crosstalk" in toggles)
+    return {d: np.pad(rows[d], (0, grid.n_modes - len(rows))) for d in det_bins}
 
 
 def _joint_detection(state, weights, group_a, group_b):

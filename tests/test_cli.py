@@ -735,7 +735,7 @@ def test_non_finite_csv_value_writes_no_file(tmp_path):
     # Wrote result.json before the CSV check raised.  The first cell in
     # row order names the column: the infinity of row 1, not the NaN of
     # row 2 in an earlier column.
-    res = ExperimentResult("fmzi", "phase_rad", [0.0, 1.0, 2.0], {
+    res = ExperimentResult("fmzi", {
         "phase_rad": [0.0, 1.0, 2.0],
         "p_in1_port1": [0.5, 0.5, math.nan],
         "p_in1_port2": [0.5, math.inf, 0.5],
@@ -830,8 +830,9 @@ class TestFitCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
-    @pytest.mark.parametrize("scale_x, scale_y", [(1.0, 1e200), (9e307 / 15.0, 1.0)],
-                             ids=["transmission-1e200", "detuning-9e307"])
+    @pytest.mark.parametrize("scale_x, scale_y",
+                             [(1.0, 1e200), (1e154, 1.0), (9e307 / 15.0, 1.0)],
+                             ids=["transmission-1e200", "detuning-1e154", "detuning-9e307"])
     def test_fit_extreme_finite_spectrum_fails_without_numpy_warnings(
             self, scale_x, scale_y, tmp_path, capsys):
         # Printed "RuntimeWarning: overflow encountered in matmul" (or in

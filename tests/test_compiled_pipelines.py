@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import sequential_pipeline as ref
 from freqbin import experiments
-from freqbin.elements import fbs_blocks
+from freqbin.elements import FilterParams, fbs_blocks, filter_response
 from freqbin.errors import ValidationError
 from freqbin.experiments import (
     IMPERFECTION_NAMES,
@@ -25,6 +25,7 @@ from freqbin.experiments import (
     _fmzi,
     _hom,
     _pair,
+    _routing,
     default_chip_config,
     run_bell,
     run_cz,
@@ -134,7 +135,7 @@ def test_bell_source_coincidences():
     # qubit A, and exactly one photon reaches each qubit's pair of bins.
     identity = Circuit(np.eye(4, dtype=complex)[None], (0, 1), (2, 3), np.eye(4))
     s = (_pair(identity, 0, 3) + _pair(identity, 1, 2)) / math.sqrt(2.0)
-    p = _coincidences(identity, s)
+    p = _coincidences(identity, np.abs(s) ** 2)
     assert _gap(p, [[[0.0, 0.5], [0.5, 0.0]]]) < TOL
 
 
@@ -142,7 +143,7 @@ def test_sideband_photon_gives_no_coincidence():
     # One photon in bin 0 and one in a sideband mode (position 2), which
     # no detector sees: the (0, 1) coincidence never fires.
     identity = Circuit(np.eye(3, dtype=complex)[None], (0,), (1,), np.eye(3)[:2])
-    p = _coincidences(identity, _pair(identity, 0, 2))
+    p = _coincidences(identity, np.abs(_pair(identity, 0, 2)) ** 2)
     assert p.shape == (1, 1, 1) and p[0, 0, 0] == 0.0
 
 
@@ -305,3 +306,30 @@ def test_seam_circuits_are_scaled_unitaries(toggles, ts, thetas, etas, dbs, ring
     gates = [_cz(chip, toggles, basis)[0] for basis in ("xz", "zx", "zz")]
     for circuit in [c for c, _ in scaled] + gates:
         assert np.linalg.norm(circuit.u, 2, axis=(-2, -1)).max() <= 1.0 + TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    offset=st.floats(-20.0, 20.0), linewidth=st.floats(0.1, 40.0), fsr=st.floats(50.0, 400.0),
+    drop=st.floats(0.05, 1.0), spacing=st.floats(1.0, 40.0), n=st.integers(4, 8),
+)
+def test_routing_is_the_ascending_filter_cascade(offset, linewidth, fsr, drop, spacing, n):
+    # Row d is the cascade of filters 0..d alone, the same float
+    # operations in the same order, so every detector set that is a
+    # prefix of the bins reads the rows it read on its own; and a filter
+    # bank routes at most the power that reaches it.
+    filters = FilterParams(offset, linewidth, fsr, drop)
+    cfg = default_chip_config()
+    chip = replace(cfg, filters=filters, grid=replace(
+        cfg.grid, bins=tuple(map(Bin, range(n))), bin_spacing_ghz=spacing))
+    w = _routing(chip, True)
+    assert w.shape == (n, n)
+    for d in range(n):
+        for b in range(n):
+            residual = 1.0
+            for upstream in range(d):
+                residual *= abs(filter_response(filters, (b - upstream) * spacing)[1]) ** 2
+            dropped = abs(filter_response(filters, (b - d) * spacing)[0]) ** 2
+            assert w[d, b] == residual * dropped
+    assert np.all(w >= 0.0) and np.all(w.sum(axis=0) <= 1.0 + TOL)
+    assert np.array_equal(_routing(chip, False), np.eye(n))

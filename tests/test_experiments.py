@@ -384,13 +384,18 @@ class TestResultContainer:
     def test_series_length_validated(self, cfg):
         from freqbin.experiments import ExperimentResult
 
-        with pytest.raises(ValidationError):
-            ExperimentResult(
-                experiment="x",
-                sweep_name="s",
-                sweep_values=[1.0, 2.0],
-                series={"a": [1.0]},
-            )
+        with pytest.raises(ValidationError, match="^series 'a' length mismatch$"):
+            ExperimentResult(experiment="x", series={"s": [1.0, 2.0], "a": [1.0]})
+
+    def test_sweep_is_the_first_series_column(self):
+        from freqbin.experiments import ExperimentResult
+
+        res = ExperimentResult("x", {"s": [1.0, 2.0], "a": [3.0, 4.0]})
+        assert (res.sweep_name, res.sweep_values) == ("s", [1.0, 2.0])
+        assert [f.name for f in fields(res)][:4] == [
+            "experiment", "sweep_name", "sweep_values", "series"]
+        with pytest.raises(ValidationError, match="sweep column"):
+            ExperimentResult("x", {})
 
     def test_seed_derivation_is_stable_and_spread(self):
         a = derive_seed(12345, 3, 1)

@@ -169,18 +169,21 @@ class TestDoubletFit:
         with pytest.raises(FitError, match="exceeds the linewidth"):
             fit_doublet(x, y)
 
-    @pytest.mark.parametrize("scale", [1e154, 1e300])
-    def test_start_past_the_float_range_fails_in_one_evaluation(self, scale, monkeypatch):
-        # Detunings this large overflow g^2 of the start, so its cost is
-        # not finite and no step can lower it: the fit spent all 2,000
-        # evaluations before its FitError.
+    @pytest.mark.parametrize("scale_x, scale_y", [(1e154, 1.0), (1e300, 1.0), (1.0, 1e200)],
+                             ids=["1e154", "1e300", "transmission-1e200"])
+    def test_start_past_the_float_range_fails_in_one_evaluation(
+            self, scale_x, scale_y, monkeypatch):
+        # Detunings this large overflow g^2 of the start, and a transmission
+        # this large the cost, so no step can lower it.  The fit spent all
+        # 2,000 evaluations before its FitError, and later quoted a
+        # residual RMS of nan or inf, numbers it never had.
         x = np.linspace(-15.0, 15.0, 601)
         y = dr_through_spectrum(DRParams(), x)
         calls = []
         residuals = resonator._residuals
         monkeypatch.setattr(resonator, "_residuals", lambda *a: calls.append(1) or residuals(*a))
-        with pytest.raises(FitError, match="no doublet found"):
-            fit_doublet(x * scale, y)
+        with pytest.raises(FitError, match="^no doublet found: the fit leaves the float range$"):
+            fit_doublet(x * scale_x, y * scale_y)
         assert len(calls) == 1
 
     def test_noisy_roundtrip_many_seeds(self):
