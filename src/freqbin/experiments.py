@@ -21,25 +21,25 @@ Conventions, documented once here:
 * Every pipeline is linear optics.  A `Circuit` (`_circuit`) composes
   its elements, in order of application, to one single-photon matrix
   U[out, in], stacked over the sweep points as (n_points, n, n), and
-  names its detector groups.  Its mode positions are bin indices: the
-  chip's bins 0..n-1, then the sideband modes.  Each element updates
-  the rows of U on its modes and scales the others by its insertion
-  loss.  One evaluator reads any circuit in closed form: a photon
-  injected at i reaches mode p with probability |U[p, i]|^2
-  (`_singles`), and two photons injected at i != j leave one photon at
-  p and one at q != p with amplitude U[p, i] U[q, j] + U[q, i] U[p, j]
-  (the 2x2 permanent, `_pair`), whose |S|^2 `_coincidences` detects.  The
-  Fock engine and the permanent of `freqbin.fock` are the oracles the
-  tests check this against.
+  names its detector groups.  U acts on the chip's n bins alone, and
+  its mode positions are bin indices.  Each element updates the rows of
+  U on its bins and scales the others by its insertion loss.  One
+  evaluator reads any circuit in closed form: a photon injected at i
+  reaches mode p with probability |U[p, i]|^2 (`_singles`), and two
+  photons injected at i != j leave one photon at p and one at q != p
+  with amplitude U[p, i] U[q, j] + U[q, i] U[p, j] (the 2x2 permanent,
+  `_pair`), whose |S|^2 `_coincidences` detects.  The Fock engine and
+  the permanent of `freqbin.fock` are the oracles the tests check this
+  against.
 * Element efficiency is applied as frequency-uniform insertion loss:
   an element's matrix carries sqrt(eta) on every mode it does not
   couple, so every photon picks up sqrt(eta) of that element, whether or
   not its bin is coupled.  The chip-wide efficiency is a scalar on U.
   Post-selected quantities therefore depend only on relative amplitudes,
   which is what coincidence measurements normalize away.
-* Each beam splitter leaks into two dedicated bookkeeping sideband
-  modes after the chip's bins; no detector sees them, so leaked photons
-  are marginalized at detection.
+* Sideband leakage is insertion loss: a beam splitter's matrix on its
+  bins is the bin block sqrt(eta) s C of `fbs_blocks`, and the amplitude
+  it leaks to the sidebands reaches no bin again and no detector.
 * Detection is one linear map through the chip's routing matrix W
   (`_routing`): its drop filters, one per bin, form a series cascade in
   ascending bin order, and each circuit reads its detectors' rows.  A
@@ -335,14 +335,16 @@ def _sweep(
 def _splitter(dr: DrConfig, bins: tuple[int, int], transmissivity=None, theta=None) -> tuple:
     """The beam-splitter stage of ``dr`` on ``bins`` over the settings
     that ``transmissivity`` and ``theta`` (scalars or arrays, by default
-    the configured ones) broadcast to."""
+    the configured ones) broadcast to: the bins' block sqrt(eta) s C of
+    `fbs_blocks`.  What it leaks to the sidebands no later stage returns
+    to a bin, so it is insertion loss."""
     blocks = fbs_blocks(
         dr.fbs.transmissivity_T if transmissivity is None else transmissivity,
         dr.fbs.phase_theta if theta is None else theta,
         dr.fbs.efficiency_eta,
         dr.fbs.sideband_suppression_db,
     )
-    return bins, blocks, dr.fbs.efficiency_eta
+    return bins, blocks[:, :2, :2], dr.fbs.efficiency_eta
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,11 +352,10 @@ class Circuit:
     """One experiment on the chip, ready for detection.
 
     ``u`` is the single-photon matrix U[k, out, in] of sweep point k, the
-    chip-wide amplitude sqrt(global_efficiency) included.  Its mode
-    positions are bin indices: the chip's bins 0..n-1, then two sideband
-    modes per beam splitter.  Detector group A sits on the bins
-    ``group_a``, group B on ``group_b``; ``weights`` holds their rows
-    W[d, p] of the chip's routing matrix, A first.
+    chip-wide amplitude sqrt(global_efficiency) included, on the chip's
+    n bins: its mode positions are bin indices.  Detector group A sits on
+    the bins ``group_a``, group B on ``group_b``; ``weights`` holds their
+    rows W[d, b] of the chip's routing matrix, A first.
     """
 
     u: np.ndarray
@@ -373,30 +374,22 @@ def _circuit(
     """The circuit of ``stages``, listed in order of application.
 
     A stage (bins, blocks, eta) holds matrices blocks (k, m, m) over k
-    settings on ``bins`` and the insertion loss eta on every other mode.
-    A beam splitter's blocks act on two modes more than its bins: the
-    next pair of sideband modes, at n, n + 1, ... after the chip's n
-    bins.  Each stage updates the rows of U, starting from the identity:
-    its modes' rows become blocks @ U[modes] and every other row takes
-    sqrt(eta).  U is repeated over the sweep points at the first swept
-    stage and ends times sqrt(global_efficiency).  The detectors' rows of
-    `_routing` take zeros on the sideband modes.
+    settings on its m ``bins`` and the insertion loss eta on every other
+    bin.  Each stage updates the rows of U, starting from the n x n
+    identity: its bins' rows become blocks @ U[bins] and every other row
+    takes sqrt(eta).  U is repeated over the sweep points at the first
+    swept stage and ends times sqrt(global_efficiency).
     """
-    n = chip.grid.n_modes
-    n_fbs = sum(blocks.shape[-1] > len(bins) for bins, blocks, _ in stages)
-    free = iter(range(n, n + 2 * n_fbs))
-    u = np.eye(n + 2 * n_fbs, dtype=complex)[None]
+    u = np.eye(chip.grid.n_modes, dtype=complex)[None]
     for bins, blocks, eta in stages:
-        pos = [*bins] if blocks.shape[-1] == len(bins) else [*bins, next(free), next(free)]
-        rows = blocks @ u[:, pos]
+        rows = blocks @ u[:, bins]
         if len(rows) > len(u):
             u = u.repeat(len(rows), axis=0)
         u *= math.sqrt(eta)
-        u[:, pos] = rows
+        u[:, bins] = rows
     u *= math.sqrt(chip.global_efficiency)
-    weights = _routing(chip, "crosstalk" in toggles)[[*group_a, *group_b]]
     return Circuit(u, group_a, group_b,
-                   np.concatenate((weights, np.zeros((len(weights), 2 * n_fbs))), axis=1))
+                   _routing(chip, "crosstalk" in toggles)[[*group_a, *group_b]])
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +430,8 @@ def _pair(circuit: Circuit, i: int, j: int) -> np.ndarray:
 
     For p != q this is the amplitude of one photon at p and one at q (the
     2x2 permanent); S[p, p] is sqrt(2) times the amplitude of both at p,
-    so the mean photon number at p is sum_q |S[p, q]|^2.
+    so sum_q |S[p, q]|^2 is the mean photon number at p with the partner
+    on a bin.
     """
     outer = circuit.u[..., :, i, None] * circuit.u[..., None, :, j]
     return outer + np.swapaxes(outer, -1, -2)
@@ -718,9 +712,10 @@ def _cz(
     chip: ChipConfig, toggles: frozenset[str], basis: str
 ) -> tuple[Circuit, np.ndarray, np.ndarray]:
     """The circuit of `run_cz`, its exact truth table exact[row, outcome]
-    and the expected singles flux singles_rows[row, d] on each detector.
-    Rows follow the labels of ``_CZ_INPUTS[basis]``; the outcome columns
-    (c0 t0, c0 t1, c1 t0, c1 t1) share their order."""
+    and the expected singles flux singles_rows[row, d] on each detector,
+    counting events whose two photons both reach a bin.  Rows follow the
+    labels of ``_CZ_INPUTS[basis]``; the outcome columns (c0 t0, c0 t1,
+    c1 t0, c1 t1) share their order."""
     c0, c1 = CZ_CONTROL_BINS
     t0, t1 = CZ_TARGET_BINS
     stages = [

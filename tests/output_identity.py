@@ -30,7 +30,7 @@ leaves no files).  The inputs:
   ``res.counts[k][key]``;
 * the same, in a second process, of every runner on a chip of six bins
   (0..5) with every imperfection toggle on and sampling on, which pins
-  the sideband modes placed after more than four bins;
+  circuits and routing on more than four bins;
 * the demos 01-06 next to each tree.
 
 Prints one line per differing output and exits 1 if there is any, else

@@ -7,9 +7,11 @@ destination (each detector or loss) one occupation at a time.  It is
 slow and shares no composition or detection code with
 `freqbin.experiments`, whose compiled pipelines the tests check against
 it.  Each pipeline gives every beam splitter its own pair of sideband
-modes, three for the gate in every basis.  The element matrices, the
-routing weights and the gate's input bins are the model's inputs and are
-taken from the package.
+modes, three for the gate in every basis, and evolves the leaked
+amplitude with the rest: the compiled pipelines drop these modes and
+count leakage as insertion loss, and this reference checks that doing so
+is exact.  The element matrices, the routing weights and the gate's
+input bins are the model's inputs and are taken from the package.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ from freqbin.experiments import (
     _CZ_INPUTS,
     _routing,
 )
-from freqbin.fock import ModeTransform, PureState, apply_transform, fock_state, grid_from_indices
+from freqbin.fock import (
+    ROLE_SIDEBAND,
+    ModeTransform,
+    PureState,
+    apply_transform,
+    fock_state,
+    grid_from_indices,
+)
 
 
 def _grid(cfg, n_fbs):
@@ -81,20 +90,23 @@ def _weights(grid, det_bins, cfg, toggles):
 
 def _joint_detection(state, weights, group_a, group_b):
     """(outcome probabilities keyed by (detector in A, detector in B),
-    singles flux per detector, total accepted probability)."""
+    singles flux per detector from occupations with every photon on a
+    bin, total accepted probability)."""
     set_a = set(group_a)
     set_b = set(group_b)
     dets = list(weights)
     pos_a = {state.grid.position(i) for i in group_a}
     pos_b = {state.grid.position(i) for i in group_b}
+    sidebands = [p for p, b in enumerate(state.grid.bins) if b.role == ROLE_SIDEBAND]
     outcomes = {}
     singles = {d: 0.0 for d in dets}
     success = 0.0
     for occ, amp in state.items():
         p_key = abs(amp) ** 2
         photons = [p for p, c in enumerate(occ) for _ in range(c)]
-        for d in dets:
-            singles[d] += p_key * sum(weights[d][p] for p in photons)
+        if not any(occ[p] for p in sidebands):
+            for d in dets:
+                singles[d] += p_key * sum(weights[d][p] for p in photons)
         if sum(occ[p] for p in pos_a) != 1 or sum(occ[p] for p in pos_b) != 1:
             continue
         assignments = [((), p_key)]

@@ -483,7 +483,7 @@ _PINNED_RESULTS = {
             "01a98d5b9f5ba4b945b00b5cbd713518a37039bc9dc21ad1a37aca468d40dcca"),
     "cz": ({"basis": "both", "config": {"source": {"car": 14.0},
                                         "detector": {"integration_s": 1000.0}}},
-           "02ee1512ba55638b29c16f8b1b78f2bab08c6f73f5c7bf01d28ffc7846a101f3"),
+           "a5f4be146b72da9f03710b45e11f8f66f5a59f2e7c26262b63e9736399ca956a"),
     "bell": ({"config": {"source": {"car": 300.0, "indistinguishability": 0.97},
                          "detector": {"integration_s": 50.0}}},
              "e45374c7c09990b7eacd377ee251497a8d51e26e857c587af5b92997f8048788"),
