@@ -137,6 +137,17 @@ class TestNormGuard:
         with pytest.raises(ValidationError, match="matrix spectral norm exceeds 1"):
             fbs_blocks([0.0, 0.3, 0.5, 1.0], 0.7, 1.0 + 3e-9, [0.0, 24.0, 60.0, np.inf])
 
+    def test_non_unitary_blocks_are_rejected(self):
+        # A hand-made block has no eta to range-check; it meets the exact
+        # SVD guard of `ModeTransform`.  Norm 1.1 by one long column is
+        # rejected; norm 1 but not sqrt(eta) U is a lossy mode and passes.
+        stretched = np.eye(4, dtype=complex)
+        stretched[2, 0] = math.sqrt(1.1**2 - 1.0)
+        with pytest.raises(ValidationError, match="matrix spectral norm exceeds 1"):
+            ModeTransform((0, 1, 2, 3), stretched)
+        lossy = ModeTransform((0, 1, 2, 3), np.diag([1.0, 1.0, 1.0, 0.5]).astype(complex))
+        assert not lossy.is_unitary
+
     @settings(max_examples=200, deadline=None)
     @given(
         T=st.floats(0.0, 1.0),
