@@ -16,11 +16,11 @@ leaves the retained mode set is dropped, which is exactly the
 post-selected physics when only full coincidences are counted.  No
 unitary dilation is performed.
 
-`apply_transform` evolves an n-photon state as a dense symmetric tensor
-over the grid modes: the element's matrix is applied along each of the n
-axes, on the rows of its modes, and the outputs are read back at the
-ascending mode tuples.  The tensor holds at most 2**22 entries (4 photons
-on up to 45 modes).
+`apply_transform` evolves an n-photon state, held as arrays, as a dense
+symmetric tensor over the grid modes: the element's matrix is applied
+along each of the n axes, on the rows of its modes, and the outputs are
+read back at the ascending mode tuples through a table cached per sector.
+The tensor holds at most 2**22 entries (4 photons on up to 45 modes).
 A permanent-based transition amplitude (`transition_amplitude`) provides
 an independent brute-force oracle for it, on a code path the engine
 never calls: Ryser's formula vectorized over all column subsets,
@@ -30,7 +30,7 @@ O(n^2 2^n) numpy work for an n-photon amplitude, n <= 16.
 from __future__ import annotations
 
 import cmath
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -167,12 +167,12 @@ def _photon_counts(occ: Iterable, error: type[Exception]) -> Occupation:
 class PureState:
     """Sparse pure state in a fixed photon-number sector.
 
-    The squared norm lies in (0, 1]; it is exactly 1 after purely unitary
-    evolution and may shrink after subunitary (lossy) elements.  Instances
-    are treated as immutable values; operations return new states.
+    Its amplitudes are an array, keyed by the mapping it was constructed from
+    or, once evolved, by its rows in its sector's `_readout` tables; each key
+    is derived from the other on first use.  The squared norm lies in (0, 1];
+    it is exactly 1 after purely unitary evolution and may shrink after
+    subunitary (lossy) elements.  Instances are treated as immutable values.
     """
-
-    __slots__ = ("grid", "photon_number", "_amps")
 
     def __init__(
         self,
@@ -212,7 +212,18 @@ class PureState:
                 raise ValidationError(f"squared norm {nsq} exceeds 1")
         self.grid = grid
         self.photon_number = sum(next(iter(amps)))
+        self._amp = np.array(list(amps.values()), dtype=complex)
         self._amps = amps
+
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        modes = [[j for j, c in enumerate(occ) for _ in range(c)] for occ in self._amps]
+        return _readout(self.grid.n_modes, self.photon_number)[1][tuple(np.array(modes).T)]
+
+    @functools.cached_property
+    def _amps(self) -> dict[Occupation, complex]:
+        occ = _readout(self.grid.n_modes, self.photon_number)[2][self._rows]
+        return dict(zip(map(tuple, occ.tolist()), self._amp.tolist()))
 
     def items(self):
         return self._amps.items()
@@ -221,16 +232,14 @@ class PureState:
         return self._amps.get(tuple(occ), 0.0 + 0.0j)
 
     def norm_squared(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self._amps.values()))
+        return float(sum(abs(a) ** 2 for a in self._amp.tolist()))
 
     def __len__(self) -> int:
-        return len(self._amps)
+        return len(self._amp)
 
     def __repr__(self) -> str:
-        return (
-            f"PureState(n={self.photon_number}, terms={len(self._amps)}, "
-            f"norm2={self.norm_squared():.6f})"
-        )
+        return (f"PureState(n={self.photon_number}, terms={len(self)}, "
+                f"norm2={self.norm_squared():.6f})")
 
 
 def fock_state(grid: BinGrid, occupations: Mapping[int, int]) -> PureState:
@@ -325,6 +334,18 @@ def permanent(matrix: np.ndarray) -> complex:
 MAX_TENSOR_SIZE = 2**22
 
 
+@functools.lru_cache(maxsize=8)
+def _readout(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """Shared tables (never written to) of n photons on m modes: the flat
+    indices of the tensor's ascending mode tuples, each entry's row among
+    them, and each row's occupations and sqrt(prod occ!)."""
+    index = np.indices((m,) * n, dtype=np.min_scalar_type(m)).reshape(n, -1)
+    flat = np.flatnonzero((index[:-1] <= index[1:]).all(axis=0))
+    rank = np.searchsorted(flat, np.ravel_multi_index(np.sort(index, axis=0), (m,) * n))
+    new = (index[:, flat].T[..., None] == np.arange(m)).sum(axis=1, dtype=np.uint8)
+    return flat, rank.reshape((m,) * n), new, np.sqrt(np.take(_FACTORIALS, new).prod(axis=1))
+
+
 def apply_transform(state: PureState, t: ModeTransform) -> PureState:
     """Evolve a state under a (sub)unitary mode transform.
 
@@ -339,7 +360,7 @@ def apply_transform(state: PureState, t: ModeTransform) -> PureState:
     c sqrt(prod occ_i!) / n!.  Mapping each creation operator applies the
     grid matrix (M on the subset rows, the identity elsewhere) along each
     of the n axes, and an output occupation is read back at its ascending
-    mode tuple, times n! / sqrt(prod occ_i!).
+    mode tuple, times n! / sqrt(prod occ_i!).  Both steps index `_readout`.
     """
     grid = state.grid
     pos = np.array([grid.position(i) for i in t.mode_subset], dtype=np.intp)
@@ -347,13 +368,10 @@ def apply_transform(state: PureState, t: ModeTransform) -> PureState:
     if n > MAX_PHOTON_NUMBER or m**n > MAX_TENSOR_SIZE:
         raise DomainError(f"{n} photons on {m} modes exceed the state tensor "
                           f"({MAX_PHOTON_NUMBER} photons, {MAX_TENSOR_SIZE} entries)")
-    occ = np.array(list(state._amps), dtype=np.intp)
-    amps = np.fromiter(state._amps.values(), dtype=complex, count=len(state))
-    modes = np.tile(np.arange(m), len(occ)).repeat(occ.ravel()).reshape(-1, n)
-    value = amps * np.sqrt(np.take(_FACTORIALS, occ).prod(axis=1)) / math.factorial(n)
-    psi = np.zeros((m,) * n, dtype=complex)
-    for order in itertools.permutations(range(n)):
-        psi[tuple(modes[:, order].T)] = value
+    flat, rank, _, root = _readout(m, n)
+    vec = np.zeros(len(flat), dtype=complex)
+    vec[state._rows] = state._amp * root[state._rows] / math.factorial(n)
+    psi = vec[rank]
     # Each pass maps the leading axis and rotates it to the back, so after
     # n passes every axis is mapped and the axis order is restored.
     for _ in range(n):
@@ -361,16 +379,13 @@ def apply_transform(state: PureState, t: ModeTransform) -> PureState:
         psi[pos] = t.matrix @ psi[pos]
         psi = psi.T.copy()
     # Each output is read at its ascending mode tuple, i_1 <= ... <= i_n.
-    index = np.indices((m,) * n, dtype=np.min_scalar_type(m)).reshape(n, -1)
-    ascending = (index[:-1] <= index[1:]).all(axis=0)
-    modes = index[:, ascending].T
-    slots = (modes + m * np.arange(len(modes))[:, None]).ravel()
-    new = np.bincount(slots, minlength=m * len(modes)).reshape(-1, m)
-    amp = psi.ravel()[ascending] * math.factorial(n)
-    amp /= np.sqrt(np.take(_FACTORIALS, new).prod(axis=1))
+    amp = psi.ravel()[flat] * math.factorial(n) / root
     live = ~(np.abs(amp) < AMPLITUDE_PRUNE)
-    out = zip(zip(*new[live].T.tolist()), amp[live].tolist())
-    return PureState(grid, dict(out), validate=False)
+    if not live.any():
+        raise ValidationError("state has no amplitude above the pruning threshold")
+    out = PureState.__new__(PureState)
+    out.grid, out.photon_number, out._rows, out._amp = grid, n, np.flatnonzero(live), amp[live]
+    return out
 
 
 def transition_amplitude(

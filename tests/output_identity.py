@@ -31,6 +31,13 @@ leaves no files).  The inputs:
 * the same, in a second process, of every runner on a chip of six bins
   (0..5) with every imperfection toggle on and sampling on, which pins
   circuits and routing on more than four bins;
+* the Fock engine, in a third process: the sorted `items()` of seeded
+  random superpositions of 1 to 4 photons on the 14 modes of the
+  `oracle_verify` grid, each evolved through one 14-mode block and then
+  blocks of 2, 3, 4 and 4 modes, and of a few small states (a two-photon
+  state on 10 modes under a 3-mode block, a balanced beam splitter whose
+  coincidence term cancels, an attenuator and a phase), with every
+  amplitude printed by its repr so that the engine's bits are compared;
 * the demos 01-06 next to each tree.
 
 Prints one line per differing output and exits 1 if there is any, else
@@ -115,6 +122,51 @@ print(run_bell(bell_cfg, phases, imperfections=everything, sample=True).to_json(
 for basis in ("xz", "zx", "zz"):
     print(run_cz(cfg, basis, everything, seed=3, sample=True).to_json())
 print(run_spectroscopy(cfg, [0.05 * k - 15.0 for k in range(601)], "filters").to_json())
+"""
+
+ENGINE = """
+import math
+import numpy as np
+from freqbin.fock import ModeTransform, PureState, apply_transform, grid_from_indices
+
+def lossy_unitary(rng, size):
+    z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    q, r = np.linalg.qr(z)
+    return math.sqrt(rng.uniform(0.8, 1.0)) * q * (np.diag(r) / np.abs(np.diag(r)))
+
+def random_state(rng, grid, n, terms):
+    amps = {}
+    for _ in range(terms):
+        occ = [0] * grid.n_modes
+        for m in rng.choice(grid.n_modes, size=n):
+            occ[m] += 1
+        amps[tuple(occ)] = complex(rng.normal(), rng.normal())
+    scale = 0.999 / math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return PureState(grid, {occ: a * scale for occ, a in amps.items()})
+
+def show(label, state):
+    print(label, len(state), repr(state.norm_squared()))
+    for occ, amp in sorted(state.items()):
+        print(occ, repr(amp))
+
+rng = np.random.default_rng(22)
+grid = grid_from_indices(range(4), sideband=range(4, 14))
+for n in (1, 2, 3, 4):
+    for terms in (1, 3):
+        state = random_state(rng, grid, n, terms)
+        subsets = [tuple(range(14))] + [
+            tuple(sorted(rng.choice(14, size=w, replace=False).tolist())) for w in (2, 3, 4, 4)]
+        for subset in subsets:
+            state = apply_transform(state, ModeTransform(subset, lossy_unitary(rng, len(subset))))
+        show(f"oracle shape, {n} photons, {terms} input terms:", state)
+small = grid_from_indices(range(10))
+state = random_state(rng, small, 2, 3)
+show("two photons, 3-mode block:", apply_transform(state, ModeTransform((7, 2, 5), lossy_unitary(rng, 3))))
+pair = PureState(grid_from_indices(range(2)), {(1, 1): 1.0})
+splitter = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
+show("balanced beam splitter:", apply_transform(pair, ModeTransform((0, 1), splitter)))
+show("attenuator:", apply_transform(state, ModeTransform((7,), [[math.sqrt(0.3)]])))
+show("phase:", apply_transform(state, ModeTransform((2,), [[np.exp(0.7j)]])))
 """
 
 
@@ -214,6 +266,7 @@ def outputs(src: Path, work: Path) -> dict[str, dict[str, str]]:
         found[f"fit {name}"] = _process(src, ["-m", "freqbin.cli", "fit", "spectrum.csv"], case)
     found["in-process to_json"] = _process(src, ["-c", IN_PROCESS], work)
     found["in-process six-bin to_json"] = _process(src, ["-c", SIX_BINS], work)
+    found["in-process engine"] = _process(src, ["-c", ENGINE], work)
     for demo in sorted((src.parent / "demos").glob("0[1-6]_*.py")):
         found[f"demo {demo.name}"] = _process(src, [str(demo)], work)
     return found

@@ -481,3 +481,76 @@ def test_every_sector_in_one_call_matches_permanent_oracle(case):
         expected = sum(amp * transition_amplitude(oracle, occ_in, occ_out)
                        for occ_in, amp in terms.items())
         assert abs(out.amplitude(occ_out) - expected) < 1e-10
+
+
+ARRAY_GRID_MODES = 5
+#: Amplitudes exactly at the prune threshold, which are kept.
+AT_PRUNE = (AMPLITUDE_PRUNE, -AMPLITUDE_PRUNE, 1j * AMPLITUDE_PRUNE)
+
+
+@st.composite
+def amplitude_map_and_block(draw):
+    """A map of 1 to 4 photons on a 5-mode grid, with amplitudes above,
+    at and below the prune threshold, and a subunitary block."""
+    n = draw(st.integers(1, 4))
+    keys = draw(st.lists(st.sampled_from(list(occupations(ARRAY_GRID_MODES, n))),
+                         min_size=1, max_size=8, unique=True))
+    above = st.complex_numbers(min_magnitude=0.01, max_magnitude=0.3)
+    small = st.one_of(st.sampled_from(AT_PRUNE),
+                      st.floats(0.0, AMPLITUDE_PRUNE, exclude_max=True))
+    amps = [draw(above)] + [draw(st.one_of(above, small)) for _ in keys[1:]]
+    size = draw(st.integers(1, ARRAY_GRID_MODES))
+    subset = tuple(draw(st.permutations(range(ARRAY_GRID_MODES)))[:size])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = haar_unitary(size, rng) * math.sqrt(rng.uniform(0.5, 1.0))
+    return dict(zip(keys, amps)), subset, block
+
+
+def assert_reads_as(state, expected):
+    """Every reading of ``state`` agrees with the mapping ``expected``."""
+    assert dict(state.items()) == expected
+    assert len(state) == len(expected)
+    for occ in state_keys(state):
+        assert type(occ) is tuple and all(type(c) is int for c in occ)
+    for occ in occupations(ARRAY_GRID_MODES, state.photon_number):
+        assert state.amplitude(occ) == expected.get(occ, 0.0)
+    assert abs(state.norm_squared() - sum(abs(a) ** 2 for a in expected.values())) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(amplitude_map_and_block())
+def test_array_state_reads_as_its_mapping(case):
+    terms, subset, block = case
+    grid = grid_from_indices(range(ARRAY_GRID_MODES))
+    state = PureState(grid, terms)
+    kept = {occ: complex(a) for occ, a in terms.items() if not abs(a) < AMPLITUDE_PRUNE}
+    assert state_keys(state) == list(kept)
+    assert_reads_as(state, kept)
+    # An evolved state reads back its terms in ascending mode tuple order.
+    out = apply_transform(state, ModeTransform(subset, block))
+    expected = dict(out.items())
+    modes = [sorted(itertools.chain(*([m] * c for m, c in enumerate(occ))))
+             for occ in expected]
+    assert modes == sorted(modes)
+    assert_reads_as(out, expected)
+
+
+def test_evolving_a_state_twice_leaves_it_and_its_outputs_apart():
+    # States hold mutable arrays: an evolution must not write into its
+    # input, and each output must own its arrays.
+    grid = grid_from_indices(range(6))
+    t = ModeTransform((4, 1, 2), haar_unitary(3, np.random.default_rng(5)) * 0.9)
+    state = PureState(grid, {(1, 0, 2, 0, 1, 0): 0.6, (0, 1, 0, 0, 1, 2): -0.8j})
+    before, norm = list(state.items()), state.norm_squared()
+    first, second = apply_transform(state, t), apply_transform(state, t)
+    onward = [apply_transform(first, t) for _ in range(2)]
+    assert list(first.items()) == list(second.items())
+    assert list(onward[0].items()) == list(onward[1].items())
+    assert first.norm_squared() == second.norm_squared()
+    assert list(state.items()) == before and state.norm_squared() == norm
+
+
+def test_evolution_that_prunes_every_term_is_refused():
+    grid = grid_from_indices([0, 1, 2])
+    with pytest.raises(ValidationError, match="no amplitude above the pruning threshold"):
+        apply_transform(fock_state(grid, {0: 1, 2: 1}), ModeTransform((0,), [[0.0]]))
