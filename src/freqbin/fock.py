@@ -21,10 +21,10 @@ symmetric tensor over the grid modes: the element's matrix is applied
 along each of the n axes, on the rows of its modes, and the outputs are
 read back at the ascending mode tuples through a table cached per sector.
 The tensor holds at most 2**22 entries (4 photons on up to 45 modes).
-A permanent-based transition amplitude (`transition_amplitude`) provides
-an independent brute-force oracle for it, on a code path the engine
-never calls: Ryser's formula vectorized over all column subsets,
-O(n^2 2^n) numpy work for an n-photon amplitude, n <= 16.
+`transition_amplitude` is its independent brute-force oracle, on a code
+path the engine never calls: per call one validating pass over the output
+occupation and one Ryser permanent (O(n^2 2^n) numpy work over all column
+subsets, n <= 16) of the input's column block, which is memoised.
 """
 
 from __future__ import annotations
@@ -151,9 +151,10 @@ def grid_from_indices(
     return BinGrid(tuple(bins), bin_spacing_ghz=bin_spacing_ghz, anchor_thz=anchor_thz)
 
 
-def _photon_counts(occ: Iterable, error: type[Exception]) -> Occupation:
-    """``occ`` as a tuple of ints; ``error`` unless every count is a whole
-    number of photons."""
+def _photon_counts(occ: Iterable, error: type[Exception], weight: float = 1.0) -> tuple:
+    """``occ`` as a tuple of ints, its photon positions (mode j repeated occ[j]
+    times) and ``weight`` times prod occ!; ``error`` unless every count is a
+    whole number of photons.  Past MAX_PERMANENT_SIZE photons, no positions."""
     occ = tuple(occ)
     try:
         counts = tuple(map(int, occ))
@@ -161,7 +162,12 @@ def _photon_counts(occ: Iterable, error: type[Exception]) -> Occupation:
         counts = ()
     if counts != occ or min(counts, default=0) < 0:
         raise error(f"photon counts {occ} are not non-negative integers")
-    return counts
+    positions = []
+    for j, k in enumerate(counts if sum(counts) <= MAX_PERMANENT_SIZE else ()):
+        if k:
+            positions += [j] * k
+            weight *= _FACTORIALS[k]
+    return counts, positions, weight
 
 
 class PureState:
@@ -184,7 +190,7 @@ class PureState:
         if validate:
             amps: dict[Occupation, complex] = {}
             for occ, a in amplitudes.items():
-                occ = _photon_counts(occ, ValidationError)
+                occ = _photon_counts(occ, ValidationError)[0]
                 try:  # complex() would parse the string "1"
                     a = complex(a if not isinstance(a, (str, bytes)) else None)
                 except (TypeError, ValueError):
@@ -217,12 +223,14 @@ class PureState:
 
     @functools.cached_property
     def _rows(self) -> np.ndarray:
-        modes = [[j for j, c in enumerate(occ) for _ in range(c)] for occ in self._amps]
+        modes = [_photon_counts(occ, ValidationError)[1] for occ in self._amps]
         return _readout(self.grid.n_modes, self.photon_number)[1][tuple(np.array(modes).T)]
 
     @functools.cached_property
     def _amps(self) -> dict[Occupation, complex]:
-        occ = _readout(self.grid.n_modes, self.photon_number)[2][self._rows]
+        m, n = self.grid.n_modes, self.photon_number
+        modes = np.array(np.unravel_index(_readout(m, n)[0][self._rows], (m,) * n))
+        occ = (modes[..., None] == np.arange(m)).sum(axis=0, dtype=np.uint8)
         return dict(zip(map(tuple, occ.tolist()), self._amp.tolist()))
 
     def items(self):
@@ -295,10 +303,6 @@ _FACTORIALS = tuple(float(math.factorial(k)) for k in range(MAX_PERMANENT_SIZE +
 _RYSER_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _factorial_product(counts: Iterable[int]) -> float:
-    return math.prod(map(_FACTORIALS.__getitem__, counts))
-
-
 def _ryser_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     table = _RYSER_TABLES.get(n)
     if table is None:
@@ -338,12 +342,12 @@ MAX_TENSOR_SIZE = 2**22
 def _readout(m: int, n: int) -> tuple[np.ndarray, ...]:
     """Shared tables (never written to) of n photons on m modes: the flat
     indices of the tensor's ascending mode tuples, each entry's row among
-    them, and each row's occupations and sqrt(prod occ!)."""
+    them, and each row's sqrt(prod occ!), a product of equal-mode runs."""
     index = np.indices((m,) * n, dtype=np.min_scalar_type(m)).reshape(n, -1)
     flat = np.flatnonzero((index[:-1] <= index[1:]).all(axis=0))
     rank = np.searchsorted(flat, np.ravel_multi_index(np.sort(index, axis=0), (m,) * n))
-    new = (index[:, flat].T[..., None] == np.arange(m)).sum(axis=1, dtype=np.uint8)
-    return flat, rank.reshape((m,) * n), new, np.sqrt(np.take(_FACTORIALS, new).prod(axis=1))
+    runs = [(index[:k + 1, flat] == index[k, flat]).sum(axis=0) for k in range(n)]
+    return flat, rank.reshape((m,) * n), np.sqrt(np.prod(runs, axis=0, dtype=float))
 
 
 def apply_transform(state: PureState, t: ModeTransform) -> PureState:
@@ -368,7 +372,7 @@ def apply_transform(state: PureState, t: ModeTransform) -> PureState:
     if n > MAX_PHOTON_NUMBER or m**n > MAX_TENSOR_SIZE:
         raise DomainError(f"{n} photons on {m} modes exceed the state tensor "
                           f"({MAX_PHOTON_NUMBER} photons, {MAX_TENSOR_SIZE} entries)")
-    flat, rank, _, root = _readout(m, n)
+    flat, rank, root = _readout(m, n)
     vec = np.zeros(len(flat), dtype=complex)
     vec[state._rows] = state._amp * root[state._rows] / math.factorial(n)
     psi = vec[rank]
@@ -388,22 +392,33 @@ def apply_transform(state: PureState, t: ModeTransform) -> PureState:
     return out
 
 
-def transition_amplitude(
-    t: ModeTransform, n_in: Iterable[int], n_out: Iterable[int]
-) -> complex:
+@functools.lru_cache(maxsize=8)  # t.matrix is read-only, so t is a sound key
+def _columns(t: ModeTransform, n_in: tuple) -> tuple[np.ndarray, int, float]:
+    """M[:, photon positions of n_in] (clipped to M: a wrong length is refused
+    later), the photon number and prod n_in!."""
+    counts, cols, weight = _photon_counts(n_in, DomainError)
+    return t.matrix.take(cols, 1, mode="clip"), sum(counts), weight
+
+
+def transition_amplitude(t: ModeTransform, n_in: Iterable[int], n_out: Iterable[int]) -> complex:
     """Amplitude <n_out| applied-transform |n_in> via the matrix permanent.
 
-    Occupations are given over ``t.mode_subset`` in subset order.  The
-    amplitude is per(M[n_out | n_in]) / sqrt(prod n_in! prod n_out!) with
-    column i of M repeated n_in[i] times and row j repeated n_out[j]
-    times.  Serves as the independent oracle for `apply_transform`.
+    Occupations are over ``t.mode_subset`` in subset order; the amplitude
+    is per(M[n_out | n_in]) / sqrt(prod n_in! prod n_out!), column i of M
+    repeated n_in[i] times and row j n_out[j] times.  The independent
+    oracle for `apply_transform`: one validating pass over ``n_out`` and one
+    Ryser permanent per call, the input's column block memoised (`_columns`).
     """
-    nin = list(_photon_counts(n_in, DomainError))
-    nout = list(_photon_counts(n_out, DomainError))
-    if len(nin) != t.size or len(nout) != t.size:
+    n_in = tuple(n_in)
+    try:
+        cols, n, weight = _columns(t, n_in)
+    except TypeError:  # an unhashable count: validate without the memo
+        cols, n, weight = _columns.__wrapped__(t, n_in)
+    counts, rows, weight = _photon_counts(n_out, DomainError, weight)
+    if len(n_in) != t.size or len(counts) != len(n_in):
         raise DomainError("occupation length must match the transform size")
-    if sum(nin) != sum(nout):
+    if sum(counts) != n:
         raise DomainError("photon number mismatch between input and output")
-    modes = np.arange(t.size)
-    per = permanent(t.matrix.take(modes.repeat(nout), 0).take(modes.repeat(nin), 1))
-    return per / math.sqrt(_factorial_product(nin + nout))
+    if n > MAX_PERMANENT_SIZE:
+        raise DomainError(f"permanent supported up to n = {MAX_PERMANENT_SIZE}")
+    return permanent(cols.take(rows, 0)) / math.sqrt(weight)

@@ -38,6 +38,13 @@ leaves no files).  The inputs:
   state on 10 modes under a 3-mode block, a balanced beam splitter whose
   coincidence term cancels, an attenuator and a phase), with every
   amplitude printed by its repr so that the engine's bits are compared;
+  and, by repr, the oracle: `transition_amplitude` into every output of
+  two seeded inputs of each of 1 to 4 photons (repeated modes included)
+  on 14-mode matrices composed like the `oracle_verify` circuits, of
+  three inputs of each of 12 to 16 photons on a 2-mode transform, where
+  the product of factorials passes 2**53 (one square root per side in
+  place of one of the whole product moves 142 of these lines), and
+  `permanent` of seeded n x n matrices, n = 0..8;
 * the demos 01-06 next to each tree.
 
 Prints one line per differing output and exits 1 if there is any, else
@@ -125,9 +132,11 @@ print(run_spectroscopy(cfg, [0.05 * k - 15.0 for k in range(601)], "filters").to
 """
 
 ENGINE = """
+import itertools
 import math
 import numpy as np
-from freqbin.fock import ModeTransform, PureState, apply_transform, grid_from_indices
+from freqbin.fock import (ModeTransform, PureState, apply_transform, grid_from_indices,
+                         permanent, transition_amplitude)
 
 def lossy_unitary(rng, size):
     z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
@@ -167,6 +176,34 @@ splitter = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
 show("balanced beam splitter:", apply_transform(pair, ModeTransform((0, 1), splitter)))
 show("attenuator:", apply_transform(state, ModeTransform((7,), [[math.sqrt(0.3)]])))
 show("phase:", apply_transform(state, ModeTransform((2,), [[np.exp(0.7j)]])))
+
+def occupations(m, n):
+    for combo in itertools.combinations_with_replacement(range(m), n):
+        yield tuple(combo.count(j) for j in range(m))
+
+rng = np.random.default_rng(23)
+for n in (1, 2, 3, 4):
+    for _ in range(2):
+        composed = np.eye(14, dtype=complex)
+        subsets = [tuple(range(14))] + [
+            tuple(sorted(rng.choice(14, size=w, replace=False).tolist())) for w in (2, 3, 4, 4)]
+        for subset in subsets:
+            embed = np.eye(14, dtype=complex)
+            embed[np.ix_(subset, subset)] = lossy_unitary(rng, len(subset))
+            composed = embed @ composed
+        oracle = ModeTransform(tuple(range(14)), composed)
+        occ_in = tuple(np.bincount(rng.choice(14, size=n), minlength=14).tolist())
+        print("oracle, 14 modes, input", occ_in)
+        for occ_out in occupations(14, n):
+            print(occ_out, repr(transition_amplitude(oracle, occ_in, occ_out)))
+pair = ModeTransform((0, 1), lossy_unitary(rng, 2))
+for n in range(12, 17):
+    for occ_in in ((n, 0), (0, n), (n // 3, n - n // 3)):
+        print("oracle, 2 modes, input", occ_in)
+        for occ_out in occupations(2, n):
+            print(occ_out, repr(transition_amplitude(pair, occ_in, occ_out)))
+for n in range(9):
+    print("permanent", n, repr(permanent(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))))
 """
 
 

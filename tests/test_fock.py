@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -193,6 +194,28 @@ class TestApplyTransform:
                 tracemalloc.stop()
             assert peak < 2**20
 
+    def test_readout_tables_stay_within_twice_the_state_tensor(self):
+        # A sector's cached tables hold indices and weights, not a
+        # (terms, modes) occupation table, which on a wide grid with few
+        # photons outgrows the tensor itself.
+        grid = grid_from_indices(range(256))
+        state = fock_state(grid, {3: 1, 250: 1})
+        out = apply_transform(state, ModeTransform((3, 7, 250), haar_unitary(3, RNG) * 0.9))
+        tables = fock._readout(256, 2)
+        assert sum(a.nbytes for a in tables) <= 2 * 256**2 * np.dtype(complex).itemsize
+        for occ, _ in out.items():
+            assert sum(occ) == 2 and set(occ) <= {0, 1, 2} and len(occ) == 256
+        assert len(out) == 6
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (5, 4), (14, 2), (14, 4)])
+    def test_readout_weights_are_the_factorial_products(self, m, n):
+        # The ascending mode tuples in order, each with sqrt(prod occ!).
+        flat, _, root = fock._readout(m, n)
+        combos = list(itertools.combinations_with_replacement(range(m), n))
+        assert flat.tolist() == [np.ravel_multi_index(c, (m,) * n) for c in combos]
+        assert root.tolist() == [math.sqrt(math.prod(math.factorial(c.count(j)) for j in set(c)))
+                                 for c in combos]
+
     def test_subunitary_norm_decreases(self):
         grid = grid_from_indices([0, 1])
         att = ModeTransform((0,), np.array([[math.sqrt(0.5)]]))
@@ -262,6 +285,16 @@ class TestPermanentOracle:
         assert amp == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
         assert abs(amp) ** 2 == pytest.approx(0.5, abs=1e-12)
         assert transition_amplitude(bs, (1, 1), (1, 1)) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("count", [10**30, 2**63])
+    def test_huge_photon_counts_are_refused_before_allocation(self, count):
+        # The same refusal as 17 photons, before a matrix of count rows
+        # (or a position list of count entries) is built.
+        bs = ModeTransform((0, 1), beam_splitter(0.5))
+        for n_in, n_out in [((count, 0), (count, 0)), ((count, 0), (0, count)),
+                            ((17, 0), (0, 17))]:
+            with pytest.raises(DomainError, match="permanent supported up to n = 16"):
+                transition_amplitude(bs, n_in, n_out)
 
     def test_photon_number_mismatch(self):
         bs = ModeTransform((0, 1), beam_splitter(0.5))
@@ -554,3 +587,86 @@ def test_evolution_that_prunes_every_term_is_refused():
     grid = grid_from_indices([0, 1, 2])
     with pytest.raises(ValidationError, match="no amplitude above the pruning threshold"):
         apply_transform(fock_state(grid, {0: 1, 2: 1}), ModeTransform((0,), [[0.0]]))
+
+
+def parent_amplitude(t, n_in, n_out):
+    """The oracle's formula, written out: one permanent of M with its rows
+    and columns repeated, over the input's then the output's factorials."""
+    modes = np.arange(t.size)
+    per = permanent(t.matrix.take(modes.repeat(n_out), 0).take(modes.repeat(n_in), 1))
+    return per / math.sqrt(math.prod(float(math.factorial(k)) for k in [*n_in, *n_out]))
+
+
+@st.composite
+def memo_calls(draw):
+    """Two lossy transforms of 1-7 modes, 5-7 inputs of 0-6 photons
+    (repeated modes included) and a seed that picks the outputs."""
+    m = draw(st.integers(1, 7))
+    space = [occ for n in range(7) for occ in occupations(m, n)]
+    inputs = draw(st.lists(st.sampled_from(space), min_size=5, max_size=7, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    transforms = [ModeTransform(tuple(range(m)), haar_unitary(m, rng) * math.sqrt(rng.uniform(0.5, 1.0)))
+                  for _ in range(2)]
+    return transforms, inputs, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(memo_calls())
+def test_memoised_oracle_is_the_parent_formula(case):
+    transforms, inputs, rng = case
+    fock._columns.cache_clear()
+    for n_in in inputs:
+        outputs = list(occupations(transforms[0].size, sum(n_in)))
+        picks = [outputs[k] for k in rng.choice(len(outputs), size=2)]
+        # The second call on each transform hits its entry after a call on
+        # the other; a refused call in between changes nothing.
+        for n_out in picks:
+            for t in transforms:
+                assert transition_amplitude(t, n_in, n_out) == parent_amplitude(t, n_in, n_out)
+            with pytest.raises(DomainError):
+                transition_amplitude(transforms[0], n_in, (*n_out[:-1], n_out[-1] + 1))
+    # A second sweep over the inputs, in list form, after the evictions.
+    for n_in in inputs[::-1]:
+        n_out = list(occupations(transforms[1].size, sum(n_in)))[-1]
+        assert (transition_amplitude(transforms[1], list(n_in), n_out)
+                == parent_amplitude(transforms[1], n_in, n_out))
+    info = fock._columns.cache_info()
+    assert info.hits > 0 and info.misses > info.maxsize
+
+
+@pytest.mark.parametrize("count", [1.5, math.nan, math.inf, "1", -1])
+def test_bad_counts_are_refused_on_a_memo_hit(count):
+    bs = ModeTransform((0, 1), beam_splitter(0.5))
+    valid = transition_amplitude(bs, (1, 1), (2, 0))
+    for n_in, n_out, bad in [((count, 1), (1, 1), (count, 1)), ((1, 1), (1, count), (1, count)),
+                             ((1, 1), (count, 1), (count, 1))]:
+        for _ in range(2):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"photon counts {bad} are not non-negative integers")):
+                transition_amplitude(bs, n_in, n_out)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="occupation length must match"):
+            transition_amplitude(bs, (1, 1), (1, 1, 0))
+        with pytest.raises(DomainError, match="occupation length must match"):
+            transition_amplitude(bs, (1, 1, 0), (1, 1))
+        with pytest.raises(DomainError, match="photon number mismatch"):
+            transition_amplitude(bs, (1, 1), (1, 0))
+    assert transition_amplitude(bs, (1, 1), (2, 0)) == valid
+
+
+def test_unhashable_counts_are_validated_without_the_memo():
+    bs = ModeTransform((0, 1), beam_splitter(0.5))
+    for n_in, n_out in [(([1], 1), (1, 1)), ((1, 1), ([1], 1))]:
+        with pytest.raises(DomainError, match="not non-negative integers"):
+            transition_amplitude(bs, n_in, n_out)
+    # A 0-d array equals its integer, so it is a count, though unhashable.
+    assert (transition_amplitude(bs, (np.array(1), 1), (2, 0))
+            == transition_amplitude(bs, (1, 1), (2, 0)))
+
+
+def test_equal_inputs_of_other_types_give_the_identical_amplitude():
+    for first, second in [((1, 1), (np.int8(1), 1.0)), ((np.int8(1), 1.0), (1, 1))]:
+        bs = ModeTransform((0, 1), beam_splitter(0.3, 0.4))
+        a = transition_amplitude(bs, first, (2, 0))
+        b = transition_amplitude(bs, second, (2, 0))
+        assert a == b == parent_amplitude(bs, (1, 1), (2, 0))
