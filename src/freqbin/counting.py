@@ -18,15 +18,14 @@ curve (or outcome) c, all of a run's records in one `sample_grid` call,
 which keeps them as the columns of a `CountTable`: a `CountRecord` is
 built only when read.  Record (k, c) is exactly the stream of
 np.random.default_rng(derive_seed(seed, k, c)): four Poisson draws, true,
-accidental, singles A, singles B.  A large grid is drawn in numpy: the
-seeds are hashed to PCG64 states, each stream's first uniforms are
-generated in 32-bit limb arithmetic, and numpy's Poisson rule (PTRS for a
-mean of 10 or more) is evaluated on them for every record at once.  The
-records that pass cannot decide (a mean in (0, 10), a log test too close
-to call, a stream that needs more uniforms) and every record of a small
-grid are drawn by the reference loop: np.random.default_rng(seed) and its
-four draws, record by record.  So the counts do not depend on how the
-records are batched.  A mean too large to draw is a `DomainError`.
+accidental, singles A, singles B.  A grid is drawn in numpy: the seeds
+are hashed to PCG64 states, uniforms jump the streams in two uint64
+words, and numpy's Poisson rules (multiplication below a mean of 10,
+PTRS from 10) run in rounds on the records still drawing.  Only a record
+whose float test is within an ulp-sized margin, and every record of a
+grid with an invalid value, is drawn by the reference loop,
+np.random.default_rng(seed) and its four draws; a mean too large to
+draw is a `DomainError`.
 """
 
 from __future__ import annotations
@@ -240,180 +239,210 @@ def _seed_hash(seeds) -> np.ndarray:
     return _hashmix(pool[_OUTPUT_WORDS], _OUTPUT_HASH)
 
 
-# PCG64 runs a 128-bit LCG, held here as (4, n) uint64 arrays of 32-bit
-# limbs, least significant first.  A limb product state[i] * mult[j]
-# fits in 64 bits; it adds its low half to column i + j of the result
-# and its high half to column i + j + 1, and columns past 3 are dropped.
-# _SKEWED_MULT[i, c] is mult[c - i], 0 for c < i.
+# PCG64 runs a 128-bit LCG, held here as (high, low) pairs of uint64
+# words; `_mulhi` builds the high word of a 64-bit product from 32-bit
+# halves.  Draw t of a stream is one jump from its state x before
+# seeding: the seeding step and t + 1 more steps take x to
+# A_t * x + S_t * c modulo 2**128, c the stream's increment.
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_SKEWED_MULT = np.array(
-    [[_PCG64_MULT >> 32 * (c - i) & 0xFFFFFFFF if c >= i else 0 for c in range(4)]
-     for i in range(4)],
-    dtype=np.uint64,
-)[:, :, None]
-# Limbs of the initial state and the stream among the (8, n) seed words:
-# 64-bit words 0 and 1 are the high and low halves of the initial state,
-# words 2 and 3 those of the stream.
-_INITIAL_LIMBS, _STREAM_LIMBS = np.array([2, 3, 0, 1]), np.array([6, 7, 4, 5])
+_ONE, _SHIFT11, _SHIFT58, _SHIFT63 = (np.uint64(s) for s in (1, 11, 58, 63))
 
 
-def _carry(columns: np.ndarray) -> np.ndarray:
-    """Limbs modulo 2**128 of (4, n) column sums below 2**40."""
-    columns[1] += columns[0] >> _LIMB_BITS
-    columns[2] += columns[1] >> _LIMB_BITS
-    columns[3] += columns[2] >> _LIMB_BITS
-    return columns & _LIMB_MASK
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High words of a * b, uint64 words, each partial sum below 2**64."""
+    a0, a1, b0, b1 = a & _LIMB_MASK, a >> _LIMB_BITS, b & _LIMB_MASK, b >> _LIMB_BITS
+    low = a1 * b0 + (a0 * b0 >> _LIMB_BITS)
+    middle = (low & _LIMB_MASK) + a0 * b1
+    return a1 * b1 + (low >> _LIMB_BITS) + (middle >> _LIMB_BITS)
 
 
-def _lcg_step(state: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """state * _PCG64_MULT + inc modulo 2**128."""
-    products = state[:, None] * _SKEWED_MULT
-    columns = inc + np.add.reduce(products & _LIMB_MASK, axis=0)
-    columns[1:] += np.add.reduce(products[:, :3] >> _LIMB_BITS, axis=0)
-    return _carry(columns)
+def _jump_table(draws: int) -> np.ndarray:
+    """(4, draws) uint64 words A_hi, A_lo, S_hi, S_lo of draws 0, 1, ..."""
+    a, s, jumps = _PCG64_MULT, 1, []
+    for _ in range(draws):
+        a, s = a * _PCG64_MULT % 2**128, (s * _PCG64_MULT + 1) % 2**128
+        jumps.append((a >> 64, a & (2**64 - 1), s >> 64, s & (2**64 - 1)))
+    return np.array(jumps, dtype=np.uint64).T
 
 
-def _pcg64_seed(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """State and increment limbs of PCG64 seeded with the (8, n) uint32
-    seed words of `_seed_hash`: the increment is 2 * stream + 1, and
-    seeding is one LCG step from (increment + initial state), all modulo
-    2**128."""
-    words = words.astype(np.uint64)
-    initial, stream = words[_INITIAL_LIMBS], words[_STREAM_LIMBS]
-    inc = stream << np.uint64(1)
-    inc[0] |= np.uint64(1)
-    inc = _carry(inc)
-    return _lcg_step(_carry(initial + inc), inc), inc
+_JUMPS = _jump_table(128)
 
 
-def _uniforms(state: np.ndarray, inc: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` `Generator.random` draws of each record's
-    stream, (count, n): step the LCG, take the XSL-RR output of the new
-    state (the xor of its halves rotated right by its top six bits), and
-    keep its top 53 bits."""
-    states = np.empty((count, *state.shape), dtype=np.uint64)
-    for t in range(count):
-        state = states[t] = _lcg_step(state, inc)
-    l0, l1, l2, l3 = states.transpose(1, 0, 2)
-    xored = (l3 ^ l1) << _LIMB_BITS | (l2 ^ l0)
-    rot = l3 >> np.uint64(26)
-    out = xored >> rot | xored << ((np.uint64(64) - rot) & np.uint64(63))
-    return (out >> np.uint64(11)) * 2.0**-53
+def _pcg64_seed(words: np.ndarray) -> tuple[tuple, tuple]:
+    """State before seeding (increment + initial state) and increment
+    (2 * stream + 1) of PCG64 seeded with `_seed_hash` words: 64-bit
+    words 0, 1 (uint32 pairs, low first) hold the initial state, 2, 3 the stream."""
+    w = words.astype(np.uint64)
+    init_hi, init_lo, stream_hi, stream_lo = (w[i] | w[i + 1] << _LIMB_BITS for i in (0, 2, 4, 6))
+    inc = stream_hi << _ONE | stream_lo >> _SHIFT63, stream_lo << _ONE | _ONE
+    lo = init_lo + inc[1]
+    return (init_hi + inc[0] + (lo < inc[1]), lo), inc
 
 
-#: Margin of the PTRS log test, relative to the magnitude of its terms
-#: (1 + lam + k log lam + loggam(k + 1)), inside which the numpy pass
-#: leaves the draw to the generator.  np.log may differ from the C
-#: library's log in the last place, which moves the test by a few units
-#: in the last place of its largest term: about 1e-15 of it.
-_TIE = 1e-12
-_LOGGAM_COEFFS = (
+def _draws(t: np.ndarray, state: tuple, inc: tuple) -> np.ndarray:
+    """`Generator.random` draws t of the streams: the top 53 bits of the
+    jumped states' XSL-RR output (halves xored, rotated by the top six bits)."""
+    table = _JUMPS if t.max(initial=0) < _JUMPS.shape[1] else _jump_table(int(t.max()) + 1)
+    (a_hi, a_lo, s_hi, s_lo), (x_hi, x_lo), (c_hi, c_lo) = table[:, t], state, inc
+    lo_a = a_lo * x_lo
+    lo = lo_a + s_lo * c_lo
+    hi = (_mulhi(a_lo, x_lo) + a_lo * x_hi + a_hi * x_lo
+          + _mulhi(s_lo, c_lo) + s_lo * c_hi + s_hi * c_lo + (lo < lo_a))
+    xored, rot = hi ^ lo, hi >> _SHIFT58
+    out = xored >> rot | xored << ((np.uint64(64) - rot) & _SHIFT63)
+    return (out >> _SHIFT11) * 2.0**-53
+
+
+#: Margin of the draws' float tests inside which a record is left to the
+#: generator: 16 units of 2**-52 of the sum of their terms' magnitudes.
+#: np.log and np.exp may differ from C's in the last place; over 10**5 PTRS
+#: log tests (means 10 to 1e9) that moved the sides by at most 0.49 units.
+_TIE = 2.0**-48
+_LOGGAM_COEFFS = np.array([
     8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
     -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
     6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
     -1.39243221690590e+00,
-)
+])
+#: random_loggam at 0 (unused), 1, ..., 6: 0 at 1 and 2, and below that
+#: the series at 7 less log(6), ..., log(x), one at a time.
+_LOGGAM_BELOW_7 = np.zeros(7)
 
 
 def _loggam(x: np.ndarray) -> np.ndarray:
-    """numpy's random_loggam at whole numbers x >= 1: Stirling's series
-    at max(x, 7), less log(6), ..., log(x) below 7, and 0 at 1 and 2."""
+    """numpy's random_loggam at whole numbers x >= 1: its series from 7 on
+    (a dot product, within an ulp of Horner's order), `_LOGGAM_BELOW_7` below."""
     x0 = np.maximum(x, 7.0)
-    x2 = (1.0 / x0) * (1.0 / x0)
-    gl0 = _LOGGAM_COEFFS[9]
-    for coeff in _LOGGAM_COEFFS[8::-1]:
-        gl0 = gl0 * x2 + coeff
+    gl0 = np.power.outer((1.0 / x0) * (1.0 / x0), np.arange(10)) @ _LOGGAM_COEFFS
     gl = gl0 / x0 + 0.5 * 1.8378770664093453 + (x0 - 0.5) * np.log(x0) - x0
-    for j in range(6, 2, -1):
-        gl = np.where(x <= j, gl - math.log(j), gl)
-    return np.where(x <= 2.0, 0.0, gl)
+    return np.where(x < 7.0, _LOGGAM_BELOW_7[np.minimum(x, 6.0).astype(np.intp)], gl)
 
 
-def _ptrs(lam: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Numpy's PTRS Poisson draw (random_poisson_ptrs, for a mean of 10
-    or more) of mean lam[j, i] from record i's uniform pairs
-    (u[c, 0, i], v[c, 0, i]), c < P, started at each pair c: the draw's
-    count and the pair after its accepted attempt, as (P + 1, m, n)
-    arrays, the next pair -1 where the draw is undecided (row P stands
-    for a record out of pairs).
-
-    Each attempt is numpy's fast accept, reject and log test; a log test
-    within the `_TIE` margin, or at a k past the exact float range, is
-    undecided.  A mean below 10 in ``lam`` gives meaningless draws, which
-    the caller never reads.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slam = np.sqrt(lam)
-        loglam = np.log(lam)
-        b = 0.931 + 2.53 * slam
-        a = -0.059 + 0.02483 * b
-        invalpha = 1.1239 + 1.1328 / (b - 3.4)
-        vr = 0.9277 - 3.6224 / (b - 2)
-        u = u - 0.5
-        us = 0.5 - np.abs(u)
-        # us is 0 only at u = -0.5, where k is -inf: a reject.
-        k = np.floor((2 * a / us + b) * u + lam + 0.43)
-    accept = (us >= 0.07) & (v <= vr)
-    reject = ~accept & ((k < 0) | ((us < 0.013) & (v > us)))
-    tested = np.nonzero(~(accept | reject) & (k < 2.0**53) & (lam >= 10))
-
-    def at(x):
-        return np.broadcast_to(x, k.shape)[tested]
-
-    kt, lt, lt_log, ust = at(k), at(lam), at(loglam), at(us)
-    with np.errstate(divide="ignore"):  # log(0) of v = 0 is -inf: an accept
-        gam = _loggam(kt + 1.0)
-        lhs = np.log(at(v)) + np.log(at(invalpha)) - np.log(at(a) / (ust * ust) + at(b))
-    rhs = -lt + kt * lt_log - gam
-    decided = np.abs(lhs - rhs) > _TIE * (1.0 + lt + kt * lt_log + gam)
-    accept[tested] = decided & (lhs <= rhs)
-    reject[tested] = decided & (lhs > rhs)
-
-    pairs = k.shape[0]
-    count = np.zeros((pairs + 1, *k.shape[1:]), dtype=np.int64)
-    after = np.full((pairs + 1, *k.shape[1:]), -1, dtype=np.intp)
-    for c in range(pairs - 1, -1, -1):
-        count[c] = np.where(accept[c], k[c], np.where(reject[c], count[c + 1], 0))
-        after[c] = np.where(accept[c], c + 1, np.where(reject[c], after[c + 1], -1))
-    return count, after
+_LOGGAM_BELOW_7[6:2:-1] = np.cumsum([_loggam(np.array(7.0)),
+                                     *(-math.log(j) for j in range(6, 2, -1))])[1:]
 
 
-#: Uniform pairs of each record's stream the numpy pass reads: four
-#: draws of numpy's PTRS take one pair each when accepted at once.
-_PAIRS = 6
+def _log_test(v, us, k, lam, loglam, a, b, log_invalpha) -> tuple:
+    """The sides of PTRS's log test (accept where lhs <= rhs) and its margin
+    (terms but log V are nonnegative here; V = 0 makes it infinite)."""
+    log_v, log_d = np.log(v), np.log(a / (us * us) + b)
+    gam, k_loglam = _loggam(k + 1.0), k * loglam
+    lhs, rhs = log_v + log_invalpha - log_d, -lam + k_loglam - gam
+    return lhs, rhs, _TIE * (log_invalpha + log_d + lam + k_loglam + gam - log_v)
+
+
+#: Records drawing above which a PTRS round makes one attempt on each, not three.
+_MANY = 256
 #: Largest mean the numpy pass draws, below numpy's Poisson limit
 #: (about 2.1e9 where a C long has 32 bits).
 _BATCH_MAX_MEAN = 1e9
-#: Fewest records for which the numpy pass is cheaper than the loop
-#: (measured crossover 48-64 records on the sweep_dense grids).
-_BATCH_MIN_RECORDS = 56
 
 
-def _batch_counts(
-    state: np.ndarray, inc: np.ndarray, means: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """(4, n) counts of the draws of ``means`` (true, accidental and
-    singles, each an (n,) array or a scalar; singles is drawn twice) from
-    each record's stream, and the (n,) mask of the records this pass
-    cannot decide: a mean in (0, 10), which numpy draws by
-    multiplication, an undecided PTRS attempt, or more attempts than
-    `_PAIRS`.  A zero mean draws 0 and reads nothing."""
-    n = state.shape[1]
-    lam = np.stack([np.broadcast_to(mean, (n,)) for mean in means])
-    undecided = np.any((lam > 0) & (lam < 10), axis=0)
-    u = _uniforms(state, inc, 2 * _PAIRS)[:, None]
-    count, after = _ptrs(lam, u[0::2], u[1::2])
+class _NumpyPass:
+    """The four draws of each record i of means lam[:, i] (true,
+    accidental, singles twice) from its PCG64 stream (states before
+    seeding ``state``, increments ``inc``), in rounds on the records
+    still drawing: each makes the next attempts, or window of products,
+    of each one's current draw.  A zero mean draws 0 and reads nothing.
+    ``u[t, i]`` is stream i's draw t for t below ``size[i]``, made as
+    `read` needs them."""
 
-    counts = np.zeros((4, n), dtype=np.int64)
-    cursor = np.zeros(n, dtype=np.intp)
-    for row, j in zip(counts, (0, 1, 2, 2)):
-        drawn = np.flatnonzero((lam[j] > 0) & ~undecided)
-        at = cursor[drawn]
-        row[drawn] = count[at, j, drawn]
-        cursor[drawn] = after[at, j, drawn]
-        undecided[drawn] |= cursor[drawn] < 0
-        cursor[cursor < 0] = 0
-    return counts, undecided
+    def __init__(self, state: tuple, inc: tuple, lam: np.ndarray):
+        self.n = n = inc[0].size
+        self.state, self.inc = state, inc
+        after = np.full((5, n), 4)  # the first draw from j on with a nonzero mean
+        for j in range(3, -1, -1):
+            after[j] = np.where(lam[j] > 0, j, after[j + 1])
+        ptrs = lam >= 10
+        b = 0.931 + 2.53 * np.sqrt(lam)  # numpy's PTRS constants, meaningless below 10
+        constants = (lam, np.log(lam), -0.059 + 0.02483 * b, b,
+                     np.log(1.1239 + 1.1328 / (b - 3.4)), 0.9277 - 3.6224 / (b - 2))
+        rows = 2 * int(ptrs.any(axis=1).sum()) + (0 if n > _MANY else 8)  # 8: three attempts
+        self.u, self.size = _draws(np.arange(rows)[:, None], state, inc), np.full(n, rows)
+        # Flat over (draw j, record i) at j * n + i:
+        self.after, self.ptrs, self.lam = after.ravel(), ptrs.ravel(), lam.ravel()
+        self.constants, self.limit = np.reshape(constants, (6, -1)), np.exp(-self.lam)
+        self.counts = np.zeros(4 * n, dtype=np.int64)
+        # The draw each record makes next: 4 when done, 5 when undecided.
+        self.draw, self.cursor, self.prod = after[0].copy(), np.zeros(n, dtype=np.intp), np.ones(n)
+
+    def run(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (4, n) counts, and the mask of records too close to call."""
+        idx = np.flatnonzero(self.draw < 4)
+        while idx.size:
+            flat = self.draw[idx] * self.n + idx
+            ptrs = self.ptrs[flat]
+            if ptrs.any():
+                self._ptrs(idx[ptrs], flat[ptrs])
+            if not ptrs.all():
+                self._mult(idx[~ptrs], flat[~ptrs])
+            idx = idx[self.draw[idx] < 4]
+        return self.counts.reshape(4, -1), self.draw == 5
+
+    def read(self, i: np.ndarray, count: int) -> np.ndarray:
+        """(count, m) draws of streams i from their cursors; a short stream gets 8 or more."""
+        start = self.cursor[i]
+        short = start + count - self.size[i]
+        if short.max() > 0:
+            i_short = i[short > 0]
+            t = self.size[i_short] + np.arange(max(short.max(), 8))[:, None]
+            if t.max() >= len(self.u):  # at least doubled
+                self.u = np.concatenate([self.u, np.empty((t.max() + 1, self.n))])
+            self.u[t, i_short] = _draws(t, *((hi[i_short], lo[i_short])
+                                             for hi, lo in (self.state, self.inc)))
+            self.size[i_short] = t[-1] + 1
+        return self.u[start + np.arange(count)[:, None], i]
+
+    def _advance(self, i, flat, add, read, finished, tie) -> None:
+        """Add to the counts of records i's current draws (``flat``), move
+        their cursors past what they read, and go on where finished."""
+        self.counts[flat] += add
+        self.cursor[i] += read
+        self.draw[i[tie]] = 5
+        self.draw[i[finished]] = self.after[flat[finished] + self.n]
+
+    def _ptrs(self, i: np.ndarray, flat: np.ndarray) -> None:
+        """numpy's PTRS draw (random_poisson_ptrs, a mean of 10 or more):
+        the count of the first attempt not rejected, or undecided if its
+        log test is within the margin or at a k past the exact float range."""
+        pairs = 1 if i.size > _MANY else 3
+        lam, _, a, b, _, vr = self.constants[:, flat]
+        draws = self.read(i, 2 * pairs)
+        u, v = draws[0::2] - 0.5, draws[1::2]
+        us = 0.5 - np.abs(u)
+        k = np.floor((2 * a / us + b) * u + lam + 0.43)  # -inf, a reject, at us = 0
+        accept = (us >= 0.07) & (v <= vr)
+        reject = ~accept & ((k < 0) | ((us < 0.013) & (v > us)))
+        tested = np.nonzero(~(accept | reject))
+        if tested[0].size:
+            r, kt = tested[1], k[tested]
+            lhs, rhs, margin = _log_test(v[tested], us[tested], kt, *self.constants[:5, flat[r]])
+            decided = (np.abs(lhs - rhs) > margin) & (kt < 2.0**53)
+            accept[tested], reject[tested] = decided & (lhs <= rhs), decided & (lhs > rhs)
+        first = np.argmin(reject, axis=0)  # each record's first attempt not rejected
+        records = np.arange(i.size)
+        done, accepted = ~reject[first, records], accept[first, records]
+        count = np.where(accepted, k[first, records], 0.0).astype(np.int64)
+        self._advance(i, flat, count, np.where(done, 2 * first + 2, 2 * pairs), accepted,
+                      done & ~accepted)
+
+    def _mult(self, i: np.ndarray, flat: np.ndarray) -> None:
+        """numpy's multiplication draw (random_poisson_mult, a mean in (0,
+        10)): how many running products of the draws stay above exp(-lam),
+        a window a round; undecided if one is within `_TIE` of it."""
+        limit, lam = self.limit[flat], self.lam[flat].max()
+        window = int(lam + 3.0 * math.sqrt(lam)) + 2  # the count three deviations out, and one
+        draws = self.read(i, window)
+        draws[0] *= self.prod[i]  # numpy's order: ((1 * U0) * U1) * ...
+        prods = np.multiply.accumulate(draws, axis=0)
+        above = prods > limit
+        stop = np.argmin(above, axis=0)  # the first product at or below exp(-lam)
+        done = ~above[stop, np.arange(i.size)]
+        read = np.where(done, stop + 1, window)
+        tie = np.any((np.abs(prods - limit) <= _TIE * limit)
+                     & (np.arange(window)[:, None] < read), axis=0)
+        self.prod[i] = np.where(done, 1.0, prods[-1])
+        self._advance(i, flat, read - done, read, done & ~tie, tie)
 
 
 def _loop_counts(p, lam_true, lam_acc, lam_single: float, seeds) -> np.ndarray:
@@ -451,11 +480,11 @@ def sample_grid(
 
     Record (k, c) is exactly four draws of np.random.default_rng(seeds[k, c]):
     true, accidental, singles A and singles B counts, Poisson with the
-    means of the module docstring.  A grid of at least
-    `_BATCH_MIN_RECORDS` records, every p_true in [0, 1] and every mean
-    in [0, `_BATCH_MAX_MEAN`], is drawn in numpy (`_seed_hash`,
-    `_pcg64_seed`, `_batch_counts`), and `_loop_counts` draws the records
-    that pass leaves undecided; it draws every record of any other grid.
+    means of the module docstring.  A grid whose every p_true is in
+    [0, 1] and every mean in [0, `_BATCH_MAX_MEAN`] is drawn in numpy
+    (`_seed_hash`, `_pcg64_seed`, `_NumpyPass`), and `_loop_counts`
+    draws the records that pass finds too close to call; it draws every
+    record of any other grid.
     Raises `DomainError` at the first record, in row-major order, whose
     p_true is outside [0, 1] or whose Poisson mean the generator cannot
     draw (NaN, or too large for a 64-bit count).
@@ -476,17 +505,19 @@ def sample_grid(
 
     seeds = np.array(seeds, dtype=np.uint64).ravel()
     p_flat, true_flat, acc_flat = p.ravel(), lam_true.ravel(), lam_acc.ravel()
-    means = (true_flat, acc_flat, lam_single)
+    lam = np.empty((4, p.size))
+    lam[0], lam[1], lam[2:] = true_flat, acc_flat, lam_single
     with np.errstate(invalid="ignore"):  # NaN fails every range test
-        batch = (p.size >= _BATCH_MIN_RECORDS
-                 and np.all((0.0 <= p_flat) & (p_flat <= 1.0 + 1e-12))
-                 and all(np.all((0.0 <= lam) & (lam <= _BATCH_MAX_MEAN)) for lam in means))
-    counts, loop = np.zeros((p.size, 4), dtype=np.int64), slice(None)
+        batch = (np.all((0.0 <= p_flat) & (p_flat <= 1.0 + 1e-12))
+                 and np.all((0.0 <= lam) & (lam <= _BATCH_MAX_MEAN)))
+    counts, loop = np.zeros((p.size, 4), dtype=np.int64), np.arange(p.size)
     if batch:
-        counts, undecided = _batch_counts(*_pcg64_seed(_seed_hash(seeds)), means)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            counts, undecided = _NumpyPass(*_pcg64_seed(_seed_hash(seeds)), lam).run()
         counts, loop = counts.T, np.flatnonzero(undecided)
-    counts[loop] = _loop_counts(p_flat[loop], true_flat[loop], acc_flat[loop], lam_single,
-                                seeds[loop])
+    if loop.size:
+        counts[loop] = _loop_counts(p_flat[loop], true_flat[loop], acc_flat[loop], lam_single,
+                                    seeds[loop])
     return CountTable(counts.reshape(*p.shape, 4), lam_true, lam_acc, p, seeds.reshape(p.shape))
 
 

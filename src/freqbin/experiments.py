@@ -314,10 +314,11 @@ def _effective(cfg: ChipConfig, imperfections: Iterable[str]) -> tuple[frozenset
 def _sweep(
     values: Iterable[float], name: str, bounds: tuple[int, int] | None = None
 ) -> np.ndarray:
-    """The sweep ``values`` as a float array, checked by the one sweep
-    rule: at least one point, each finite and, where ``bounds`` are
-    given, within them.  Raises `ValidationError` naming the sweep."""
-    values = np.fromiter(values, dtype=float)
+    """The sweep ``values`` as a new float array (a 1-D float ndarray copied
+    whole), checked by the one sweep rule: at least one point, each finite
+    and, where ``bounds`` are given, within them, else a `ValidationError`."""
+    array = type(values) is np.ndarray and values.dtype == float and values.ndim == 1
+    values = values.copy() if array else np.fromiter(values, dtype=float)
     if not values.size:
         raise ValidationError(f"{name} need at least one point")
     low, high = bounds or (-math.inf, math.inf)

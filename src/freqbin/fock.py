@@ -341,13 +341,14 @@ MAX_TENSOR_SIZE = 2**22
 @functools.lru_cache(maxsize=8)
 def _readout(m: int, n: int) -> tuple[np.ndarray, ...]:
     """Shared tables (never written to) of n photons on m modes: the flat
-    indices of the tensor's ascending mode tuples, each entry's row among
-    them, and each row's sqrt(prod occ!), a product of equal-mode runs."""
+    indices of the tensor's ascending mode tuples, each entry's int32 row
+    among them, and each row's sqrt(prod occ!), a product of equal-mode runs."""
     index = np.indices((m,) * n, dtype=np.min_scalar_type(m)).reshape(n, -1)
     flat = np.flatnonzero((index[:-1] <= index[1:]).all(axis=0))
     rank = np.searchsorted(flat, np.ravel_multi_index(np.sort(index, axis=0), (m,) * n))
     runs = [(index[:k + 1, flat] == index[k, flat]).sum(axis=0) for k in range(n)]
-    return flat, rank.reshape((m,) * n), np.sqrt(np.prod(runs, axis=0, dtype=float))
+    root = np.sqrt(np.prod(runs, axis=0, dtype=float))
+    return flat, rank.astype(np.int32).reshape((m,) * n), root
 
 
 def apply_transform(state: PureState, t: ModeTransform) -> PureState:

@@ -184,8 +184,14 @@ def _jacobian(theta, terms) -> np.ndarray:
     tc = t.conj()
     h = 2.0 * kex * tc * inv_d * inv_d
     hc = h * (g * g) * inv_i * inv_i
-    return np.array([2.0 * g * (h * inv_i).real, 0.5 * h.real, -2.0 * (tc * inv_d).real,
-                     -0.5 * hc.real, -hc.imag, (h - hc).imag])
+    rows = np.empty((6, t.size))
+    np.multiply(2.0 * g, (h * inv_i).real, out=rows[0])
+    np.multiply(0.5, h.real, out=rows[1])
+    np.multiply(-2.0, (tc * inv_d).real, out=rows[2])
+    np.multiply(-0.5, hc.real, out=rows[3])
+    np.negative(hc.imag, out=rows[4])
+    np.subtract(h.imag, hc.imag, out=rows[5])
+    return rows
 
 
 def _levenberg_marquardt(x, y, theta, lower, upper):

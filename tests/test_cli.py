@@ -6,6 +6,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import asdict, fields
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freqbin
 from freqbin.cli import (
     EXPERIMENTS,
     RunManifest,
@@ -497,6 +501,37 @@ def test_sampled_result_bytes_are_pinned(experiment, tmp_path):
            "imperfections": sorted(IMPERFECTION_NAMES), **extra}
     assert _run(doc, tmp_path) == 0
     assert _sha(tmp_path / "result.json") == digest
+
+
+def _python(code: str) -> str:
+    """Stdout of ``code`` in a fresh interpreter that imports this
+    checkout's freqbin."""
+    src = str(Path(freqbin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_sampled_runs_leave_numpy_random_unloaded(tmp_path):
+    # The count sampler draws every record in numpy; its reference loop,
+    # and with it numpy.random, serves only a record too close to call
+    # and a grid it rejects.  The pinned manifests at the default seed
+    # and seeds 1-7 run in one interpreter.
+    if _python("import sys, numpy; print('numpy.random' in sys.modules)").strip() == "True":
+        pytest.skip("this numpy loads numpy.random with numpy itself")
+    paths = []
+    for experiment, (extra, _) in _PINNED_RESULTS.items():
+        for seed in (None, 1, 2, 3, 4, 5, 6, 7):
+            doc = {"experiment": experiment, "imperfections": sorted(IMPERFECTION_NAMES), **extra}
+            path = tmp_path / f"{experiment}-{seed}.json"
+            path.write_text(json.dumps(doc if seed is None else {**doc, "seed": seed}))
+            paths.append(str(path))
+    out = _python("import sys\nfrom freqbin.cli import main\n"
+                  f"for path in {paths!r}:\n"
+                  "    assert main(['run', path, '--out', path + '.out']) == 0\n"
+                  "print('numpy.random' in sys.modules)")
+    assert out.splitlines()[-1] == "False"
 
 
 class TestRunCommand:

@@ -24,8 +24,9 @@ from freqbin.counting import (
     visibility_hom,
     visibility_minmax,
 )
-from freqbin.counting import _exp_window_convolution, _seed_hash
-from freqbin.counting import _BATCH_MIN_RECORDS
+from freqbin import counting
+from freqbin.counting import _TIE, _draws, _exp_window_convolution, _log_test, _pcg64_seed
+from freqbin.counting import _seed_hash
 from freqbin.errors import DomainError, ValidationError
 from freqbin.experiments import (
     _jsonable,
@@ -122,7 +123,7 @@ class TestSampling:
         ]
 
 
-@pytest.mark.parametrize("rows", [1, 20])  # the loop's grid and the numpy pass's
+@pytest.mark.parametrize("rows", [1, 20])
 def test_grid_record_is_a_count_record(rows):
     p = np.linspace(0.0, 1.0, rows * 4).reshape(rows, 4)
     seeds = np.arange(rows * 4, dtype=np.uint64).reshape(rows, 4) + 2**63
@@ -155,8 +156,8 @@ class TestCountTable:
     @settings(max_examples=25, deadline=None)
     @given(rows=st.integers(1, 60), cols=st.integers(1, 4), seed=st.integers(0, 2**64 - 1),
            car=st.sampled_from([math.inf, 25.0]))
-    @example(rows=55, cols=1, seed=0, car=25.0)  # one short of the numpy pass
-    @example(rows=14, cols=4, seed=0, car=25.0)  # its smallest grid
+    @example(rows=55, cols=1, seed=0, car=25.0)
+    @example(rows=14, cols=4, seed=0, car=25.0)
     def test_rows_hold_count_records(self, rows, cols, seed, car):
         table = _grid(rows, cols, seed, car)
         assert len(table) == rows and table.counts.shape == (rows, cols, 4)
@@ -202,7 +203,7 @@ class TestCountTable:
         with pytest.raises(TypeError):
             table["a"]
 
-    @pytest.mark.parametrize("rows", [3, 20])  # the loop's grid and the numpy pass's
+    @pytest.mark.parametrize("rows", [3, 20])
     @pytest.mark.parametrize("keyed", [False, True])
     def test_json_is_that_of_the_records(self, rows, keyed):
         table = _grid(rows, 4, 2**63)
@@ -310,6 +311,18 @@ def test_batched_records_are_default_rng_draws(shape, setting, data):
         assert (rec.p_true, rec.seed) == (p_true, seed)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.lists(_UINT64, min_size=1, max_size=4))
+@example([0, 2**64 - 1])
+def test_stream_draws_are_generator_random(seeds):
+    # Draw t is one jump from the state before seeding; 300 draws run past
+    # the 128 tabled jumps.
+    state, inc = _pcg64_seed(_seed_hash(np.array(seeds, dtype=np.uint64)))
+    draws = _draws(np.arange(300)[:, None], state, inc)
+    for column, seed in zip(draws.T, seeds):
+        np.testing.assert_array_equal(column, np.random.default_rng(seed).random(300))
+
+
 def _default_rng_counts(seed, means):
     rng = np.random.default_rng(seed)
     return [int(rng.poisson(lam)) for lam in means]
@@ -329,24 +342,35 @@ _SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32 + 1, 2**64 - 1]), _UINT6
 
 @settings(max_examples=60, deadline=None)
 @given(
+    rows=st.integers(1, 80),
     cols=st.integers(1, 4),
-    extra_rows=st.integers(0, 6),
     singles=_MEANS.filter(lambda m: m > 0.0),
     car=st.sampled_from([math.inf, 2.0]),
-    data=st.data(),
+    true_means=st.lists(_MEANS, min_size=1, max_size=12),
+    acc_means=st.lists(_MEANS, min_size=1, max_size=12),
+    drawn=st.lists(_SEEDS, min_size=1, max_size=12),
 )
-def test_numpy_pass_records_are_default_rng_draws(cols, extra_rows, singles, car, data):
-    # Unit arm efficiency and no dark counts: the singles mean is the
-    # exposure, the true mean exposure * p, the accidental exposure / car * w.
-    # Means and seeds are drawn as short lists and repeated along the
-    # grid (drawing a value per record makes the test slow); the seed
-    # gains k // len(drawn) at record k, so no two records share a stream.
-    shape = (-(-_BATCH_MIN_RECORDS // cols) + extra_rows, cols)
+# Four draws by multiplication near a mean of 10, about 22 pairs a
+# record; at seed 3837 the first draw runs past its first window of products.
+@example(rows=3, cols=2, singles=9.9, car=2.0, true_means=[9.9], acc_means=[9.9],
+         drawn=[3837])
+# More records than one-attempt rounds take, and no PTRS draw at all.
+@example(rows=70, cols=4, singles=5.0, car=2.0, true_means=[3.0], acc_means=[0.0, 2.0],
+         drawn=[7])
+@example(rows=1, cols=1, singles=1e8, car=2.0, true_means=[40.0], acc_means=[0.0],
+         drawn=[2**64 - 1])
+def test_numpy_pass_records_are_default_rng_draws(rows, cols, singles, car, true_means,
+                                                  acc_means, drawn):
+    # Grids of every size from 1x1.  Unit arm efficiency and no dark
+    # counts: the singles mean is the exposure, the true mean exposure *
+    # p, the accidental exposure / car * w.  Means and seeds are short
+    # lists repeated along the grid (a value per record makes the test
+    # slow); the seed gains k // len(drawn) at record k, so no two
+    # records share a stream.
+    shape = (rows, cols)
     n = shape[0] * shape[1]
     d = DetectorSpec(efficiency=1.0, insertion_loss=1.0, integration_s=1.0)
     s = SourceSpec(pair_rate_hz=singles, car=car)
-    true_means, acc_means, drawn = (data.draw(st.lists(values, min_size=1, max_size=12))
-                                    for values in (_MEANS, _MEANS, _SEEDS))
     seeds = [(drawn[k % len(drawn)] + k // len(drawn)) % 2**64 for k in range(n)]
     p = np.minimum(np.resize(true_means, n) / singles, 1.0)
     w = np.resize(acc_means, n) / (singles / car) if math.isfinite(car) else np.ones(n)
@@ -362,9 +386,91 @@ def test_numpy_pass_records_are_default_rng_draws(cols, extra_rows, singles, car
         assert rec.seed == seed
 
 
+#: numpy's random_loggam coefficients (numpy/random/src/distributions/
+#: distributions.c).
+_LOGGAM_A = (8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
+             -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
+             6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
+             -1.39243221690590e+00)
+
+
+def _c_loggam(x: float) -> float:
+    """numpy's random_loggam line by line, with the C library's log."""
+    if x == 1.0 or x == 2.0:
+        return 0.0
+    n = int(7 - x) if x < 7.0 else 0
+    x0 = x + n
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = _LOGGAM_A[9]
+    for coeff in _LOGGAM_A[8::-1]:
+        gl0 = gl0 * x2 + coeff
+    gl = gl0 / x0 + 0.5 * 1.8378770664093453 + (x0 - 0.5) * math.log(x0) - x0
+    for _ in range(n):
+        gl -= math.log(x0 - 1.0)
+        x0 -= 1.0
+    return gl
+
+
+@settings(max_examples=50, deadline=None)
+@given(lam=st.one_of(st.floats(10.0, 40.0), st.floats(40.0, 1e9)), seed=_UINT64)
+@example(lam=4.25e8, seed=0)  # the gate's singles mean
+def test_tie_margin_is_ten_times_the_log_gap(lam, seed):
+    # PTRS attempts at mean lam that reach the log test: each side as the
+    # numpy pass computes it (np.log) against numpy's C formula with the
+    # C library's log (math.log); the margin must be ten times the gap.
+    b = 0.931 + 2.53 * math.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    invalpha = 1.1239 + 1.1328 / (b - 3.4)
+    vr = 0.9277 - 3.6224 / (b - 2)
+    rng = np.random.default_rng(seed)
+    u, v = rng.random(2000) - 0.5, rng.random(2000)
+    us = 0.5 - np.abs(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.floor((2 * a / us + b) * u + lam + 0.43)
+    tested = ~((us >= 0.07) & (v <= vr)) & (k >= 0) & ~((us < 0.013) & (v > us)) & (v > 0)
+    v, us, k = v[tested], us[tested], k[tested]
+    assert v.size > 100
+    lhs, rhs, margin = _log_test(v, us, k, lam, np.log(lam), a, b, np.log(invalpha))
+    for i in range(v.size):
+        lhs_c = math.log(v[i]) + math.log(invalpha) - math.log(a / (us[i] * us[i]) + b)
+        rhs_c = -lam + k[i] * math.log(lam) - _c_loggam(k[i] + 1.0)
+        assert 10 * abs((lhs[i] - rhs[i]) - (lhs_c - rhs_c)) <= margin[i]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(1e-12, 10.0, exclude_max=True), min_size=1, max_size=200))
+def test_tie_margin_is_ten_times_the_exp_gap(means):
+    # The multiplication rule compares running products with exp(-lam).
+    limit = np.exp(-np.array(means))
+    for lam, got in zip(means, limit):
+        assert 10 * abs(got - math.exp(-lam)) <= _TIE * got
+
+
+def test_valid_grids_never_reach_the_loop(monkeypatch):
+    # Every record of these grids is drawn by the numpy pass: the loop,
+    # and with it numpy.random, is left for ties and invalid grids.
+    def loop(*args):
+        raise AssertionError("a record reached the reference loop")
+
+    monkeypatch.setattr(counting, "_loop_counts", loop)
+    for seed in (0, 2**32 - 1, 2**32, 2**64 - 1):
+        for d, s in (BRIGHT, DIM):
+            sample_counts(0.4, d, s, seed, accidental_weight=0.7)
+    cfg = replace(default_chip_config(), source=replace(default_chip_config().source, car=14.0))
+    run_fmzi(cfg, np.linspace(0.0, 6.0, 41), mode="quantum", seed=5)
+    run_hom(cfg, np.linspace(0.0, 1.0, 41), seed=5, sample=True)
+    run_bell(cfg, np.linspace(0.0, 6.0, 41), seed=5, sample=True)
+    run_cz(cfg, "xz", {"car"}, seed=5, sample=True)
+    assert sample_grid(np.zeros((0, 3)), *BRIGHT, np.zeros((0, 3), np.uint64)).counts.shape \
+        == (0, 3, 4)
+
+
+_LARGE_GRID = 112
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    position=st.integers(0, 2 * _BATCH_MIN_RECORDS - 1),
+    position=st.integers(0, _LARGE_GRID - 1),
     bad=st.sampled_from([("p", 1.5), ("p", -0.1), ("p", math.nan),
                          ("w", math.nan), ("w", 1e300)]),
     seed=_UINT64,
@@ -373,7 +479,7 @@ def test_invalid_record_in_a_large_grid_is_the_loops_error(position, bad, seed):
     # A large grid with one invalid record raises what drawing that record
     # alone raises.
     d, s = BRIGHT
-    n = 2 * _BATCH_MIN_RECORDS
+    n = _LARGE_GRID
     p, w = np.full(n, 0.4), np.full(n, 0.7)
     field, value = bad
     (p if field == "p" else w)[position] = value

@@ -17,6 +17,7 @@ from freqbin.experiments import (
     CZ_TARGET_BINS,
     default_chip_config,
     _grid_seeds,
+    _sweep,
     derive_seed,
     run_bell,
     run_cz,
@@ -324,6 +325,37 @@ def test_one_sweep_rule(cfg, runner, values):
     with pytest.raises(ValidationError) as err:
         run(cfg, values)
     assert str(err.value) == message
+
+
+def _swept(values, bounds):
+    """`_sweep`'s array, or the message of its error."""
+    try:
+        return _sweep(values, "reflectivities", bounds)
+    except ValidationError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("values", [[], [0.25, 0.5, 1.0], [0.25, math.nan], [math.inf],
+                                    [0.5, -0.25], [1.5]])
+@pytest.mark.parametrize("bounds", [None, (0, 1)])
+def test_sweep_of_a_float_array_is_that_of_its_points(values, bounds):
+    # A 1-D float ndarray is copied whole, any other iterable is read
+    # point by point: the same values or the same error, never a view.
+    array = np.array(values, dtype=float)
+    want = _swept(iter(values), bounds)
+    got = _swept(array, bounds)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype == float and np.array_equal(got, want)
+        assert not np.shares_memory(got, array)
+        assert np.array_equal(_swept(array.astype(np.float32), bounds), want)
+    if values:  # a column of points is no 1-D array: numpy's own error, as before
+        with pytest.raises(ValueError) as from_points:
+            np.fromiter(array[:, None], dtype=float)
+        with pytest.raises(ValueError) as from_column:
+            _sweep(array[:, None], "reflectivities", bounds)
+        assert str(from_column.value) == str(from_points.value)
 
 
 @pytest.mark.parametrize("values", [[1.5], [0.5, -0.25]])
