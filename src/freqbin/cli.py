@@ -48,7 +48,6 @@ from . import experiments as xp
 from .elements import FbsSpec
 from .errors import FitError, FreqbinError, ManifestError
 from .experiments import ChipConfig, DrConfig, default_chip_config
-from .resonator import fit_doublet
 
 SCHEMA_VERSION = 1
 ENV_OUTPUT_DIR = "FREQBIN_OUTPUT_DIR"
@@ -418,6 +417,7 @@ def _cmd_fit(args) -> int:
     except (OSError, ValueError, csv.Error) as exc:
         print(f"error: cannot read spectrum: {exc}", file=sys.stderr)
         return 2
+    from .resonator import fit_doublet
     try:
         fit = fit_doublet(np.asarray(detuning), np.asarray(transmission))
     except FreqbinError as exc:

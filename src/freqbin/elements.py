@@ -1,5 +1,5 @@
-"""Physical element constructors: frequency beam splitters and microring
-filters.
+"""Physical element constructors and responses: frequency beam splitters,
+microring filters and the through spectrum of a double resonator.
 
 A frequency beam splitter couples two bins through a microwave-driven
 coupled double resonator.  `FbsSpec` holds its settings only;
@@ -28,6 +28,19 @@ s = 1/sqrt(1 + eps^2): sqrt(eta) times a unitary.  A photon already in a
 sideband mode passes through, with a back-coupling -s eps C, the time
 reverse of the leakage.  With S -> inf and eta = 1 the transform reduces
 exactly to the 2x2 core plus identity.
+
+The coupled double resonator (two microrings, one coupled to the bus) is
+modeled with temporal coupled-mode theory; `freqbin.resonator` fits it.
+The through port of the bus reads
+
+    t(d) = 1 - kappa_ex / ( i d + kappa1/2 + g^2 / ( i (d - dt) + kappa2/2 ) )
+
+with d the laser detuning from the shared resonance, g the inter-ring
+field coupling (mode splitting 2 g), kappa1 the total linewidth of the
+bus-coupled ring, kappa_ex <= kappa1 its bus coupling, kappa2 the inner
+ring's linewidth and dt the thermal detuning between the rings, all in
+GHz.  The single-ring limit (g -> 0) reaches a full extinction dip at
+critical coupling kappa_ex = kappa1 / 2.
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, check_finite
-from .fock import _NORM_TOL, ModeTransform
+from .grid import _NORM_TOL
 
 DEFAULT_SIDEBAND_SUPPRESSION_DB = 24.0
 
@@ -59,6 +72,25 @@ class FbsSpec:
             raise ValidationError("efficiency must lie in (0, 1]")
         _check_settings(self.transmissivity_T, self.phase_theta, self.efficiency_eta,
                         self.sideband_suppression_db)
+
+
+@dataclass(frozen=True)
+class DRParams:
+    """Physical parameters of one coupled double resonator."""
+
+    g_ghz: float = 6.475
+    kappa1_ghz: float = 2.0
+    kappa_ex_ghz: float = 1.0
+    kappa2_ghz: float = 2.0
+    eo_coeff_ghz_per_v: float = 0.226
+    thermal_detune_ghz: float = 0.0
+
+    def __post_init__(self):
+        if min(self.g_ghz, self.kappa1_ghz, self.kappa_ex_ghz, self.kappa2_ghz) <= 0:
+            raise ValidationError("all resonator rates must be positive")
+        if self.kappa_ex_ghz > self.kappa1_ghz:
+            raise ValidationError("bus coupling cannot exceed the total linewidth")
+        check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -136,10 +168,12 @@ def _check_settings(T, theta, eta, db) -> None:
             raise ValidationError(message)
 
 
-def fbs_transform(spec: FbsSpec, modes: Sequence[int]) -> ModeTransform:
-    """The 4-mode transform of one frequency beam splitter (see
+def fbs_transform(spec: FbsSpec, modes: Sequence[int]):
+    """The `freqbin.fock.ModeTransform` of one frequency beam splitter (see
     `fbs_blocks`) on four distinct grid modes, in the order (lo, hi, lo
-    sideband, hi sideband)."""
+    sideband, hi sideband).  Only the Fock engine uses it, so the engine
+    is imported here, not with this module."""
+    from .fock import ModeTransform
     matrix = fbs_blocks(spec.transmissivity_T, spec.phase_theta, spec.efficiency_eta,
                         spec.sideband_suppression_db)[0]
     return ModeTransform(tuple(modes), matrix)
@@ -163,3 +197,16 @@ def filter_response(p: FilterParams, detuning_ghz):
     through = 1.0 - root_eff * lorentz
     return drop, through
 
+
+def _through_field(detuning, g: float, kappa1: float, kappa_ex: float, kappa2: float,
+                   detune2: float):
+    d = np.asarray(detuning, dtype=float)
+    inner = 1j * (d - detune2) + kappa2 / 2.0
+    return 1.0 - kappa_ex / (1j * d + kappa1 / 2.0 + g * g / inner)
+
+
+def dr_through_spectrum(p: DRParams, detunings_ghz) -> np.ndarray:
+    """Through-port power transmission |t|^2 on a detuning grid."""
+    t = _through_field(detunings_ghz, p.g_ghz, p.kappa1_ghz, p.kappa_ex_ghz, p.kappa2_ghz,
+                       p.thermal_detune_ghz)
+    return np.abs(t) ** 2

@@ -77,7 +77,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,10 +94,10 @@ from .counting import (
     visibility_hom,
     visibility_minmax,
 )
-from .elements import FbsSpec, FilterParams, fbs_blocks, filter_response
+from .elements import (DRParams, FbsSpec, FilterParams, dr_through_spectrum, fbs_blocks,
+                       filter_response)
 from .errors import ConfigurationError, DomainError, FitError, ValidationError
-from .fock import Bin, BinGrid
-from .resonator import DRParams, dr_through_spectrum, fit_doublet
+from .grid import Bin, BinGrid
 
 # ---------------------------------------------------------------------------
 # Documented calibration values.  Absolute count rates and background levels
@@ -348,8 +348,7 @@ def _splitter(dr: DrConfig, bins: tuple[int, int], transmissivity=None, theta=No
     return bins, blocks[:, :2, :2], dr.fbs.efficiency_eta
 
 
-@dataclass(frozen=True, eq=False)
-class Circuit:
+class Circuit(NamedTuple):
     """One experiment on the chip, ready for detection.
 
     ``u`` is the single-photon matrix U[k, out, in] of sweep point k, the
@@ -958,6 +957,7 @@ def run_spectroscopy(
     series = {"detuning_ghz": scan.tolist(), **{k: v.tolist() for k, v in spectra.items()}}
     extras: dict = {"target": target}
     if target != "filters":
+        from .resonator import fit_doublet  # only a fitting run loads the fit
         try:
             fit = fit_doublet(scan, spectra["transmission"])
             fitted = {"fitted_splitting_ghz": fit.two_g_ghz,

@@ -1,21 +1,11 @@
-"""Classical double-resonator spectroscopy and drive calibration.
+"""Doublet fitting and drive calibration of the double resonators.
 
-The coupled double resonator (two microrings, one coupled to the bus
-waveguide) is modeled with temporal coupled-mode theory.  The through
-port of the bus reads
-
-    t(d) = 1 - kappa_ex / ( i d + kappa1/2 + g^2 / ( i (d - dt) + kappa2/2 ) )
-
-with d the laser detuning from the shared resonance, g the inter-ring
-field coupling (hybridized-mode splitting 2 g), kappa1 the total
-linewidth of the bus-coupled ring, kappa_ex <= kappa1 its bus-coupling
-contribution, kappa2 the inner-ring linewidth, and dt the thermal
-detuning between the rings.  All rates are in GHz.
-
-With this convention the single-ring limit (g -> 0) reaches a full
-extinction dip at critical coupling kappa_ex = kappa1 / 2.  `fit_doublet`
-fits |t|^2 to a scan by Levenberg-Marquardt, with the real Jacobian of
-its residuals built from the terms 1/I, 1/D and t of each evaluation.
+`fit_doublet` fits the coupled-mode through spectrum of a double
+resonator, ``dr_through_spectrum`` of `freqbin.elements` (which holds
+`DRParams` and the model; both are re-exported here), to a measured scan:
+|t|^2 by Levenberg-Marquardt, with the real Jacobian of its residuals
+built from the terms 1/I, 1/D and t of each evaluation.  Only a
+spectroscopy run and ``freqbin fit`` import this module.
 
 The microwave-drive calibration maps drive voltage to beam-splitter
 reflectivity through a cavity-converter cooperativity curve
@@ -30,26 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ValidationError, check_finite
-
-
-@dataclass(frozen=True)
-class DRParams:
-    """Physical parameters of one coupled double resonator."""
-
-    g_ghz: float = 6.475
-    kappa1_ghz: float = 2.0
-    kappa_ex_ghz: float = 1.0
-    kappa2_ghz: float = 2.0
-    eo_coeff_ghz_per_v: float = 0.226
-    thermal_detune_ghz: float = 0.0
-
-    def __post_init__(self):
-        if min(self.g_ghz, self.kappa1_ghz, self.kappa_ex_ghz, self.kappa2_ghz) <= 0:
-            raise ValidationError("all resonator rates must be positive")
-        if self.kappa_ex_ghz > self.kappa1_ghz:
-            raise ValidationError("bus coupling cannot exceed the total linewidth")
-        check_finite(self)
+from .elements import DRParams, _through_field, dr_through_spectrum  # noqa: F401
+from .errors import FitError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -78,20 +50,6 @@ class DriveSpec:
     def __post_init__(self):
         if self.drive_voltage_v < 0:
             raise ValidationError("drive voltage must be nonnegative")
-
-
-def _through_field(detuning, g: float, kappa1: float, kappa_ex: float, kappa2: float,
-                   detune2: float):
-    d = np.asarray(detuning, dtype=float)
-    inner = 1j * (d - detune2) + kappa2 / 2.0
-    return 1.0 - kappa_ex / (1j * d + kappa1 / 2.0 + g * g / inner)
-
-
-def dr_through_spectrum(p: DRParams, detunings_ghz) -> np.ndarray:
-    """Through-port power transmission |t|^2 on a detuning grid."""
-    t = _through_field(detunings_ghz, p.g_ghz, p.kappa1_ghz, p.kappa_ex_ghz, p.kappa2_ghz,
-                       p.thermal_detune_ghz)
-    return np.abs(t) ** 2
 
 
 def eo_resonance_shift(voltage_v: float, coeff_ghz_per_v: float) -> float:

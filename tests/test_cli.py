@@ -517,9 +517,11 @@ def test_sampled_runs_leave_numpy_random_unloaded(tmp_path):
     # The count sampler draws every record in numpy; its reference loop,
     # and with it numpy.random, serves only a record too close to call
     # and a grid it rejects.  The pinned manifests at the default seed
-    # and seeds 1-7 run in one interpreter.
-    if _python("import sys, numpy; print('numpy.random' in sys.modules)").strip() == "True":
-        pytest.skip("this numpy loads numpy.random with numpy itself")
+    # and seeds 1-7, then a spectroscopy run of every target, run in one
+    # interpreter, which reports the freqbin modules loaded after each
+    # run.  No run loads the Fock engine, and only spectroscopy, which
+    # fits its doublets, loads freqbin.resonator, the home of the fit and
+    # of the drive calibration.
     paths = []
     for experiment, (extra, _) in _PINNED_RESULTS.items():
         for seed in (None, 1, 2, 3, 4, 5, 6, 7):
@@ -527,11 +529,25 @@ def test_sampled_runs_leave_numpy_random_unloaded(tmp_path):
             path = tmp_path / f"{experiment}-{seed}.json"
             path.write_text(json.dumps(doc if seed is None else {**doc, "seed": seed}))
             paths.append(str(path))
-    out = _python("import sys\nfrom freqbin.cli import main\n"
+    spectroscopy = tmp_path / "spectroscopy.json"
+    spectroscopy.write_text('{"experiment": "spectroscopy", "target": "all"}')
+    paths.append(str(spectroscopy))
+    out = _python("import json, sys, numpy\n"
+                  "print('numpy.random' in sys.modules)\n"
+                  "from freqbin.cli import main\n"
                   f"for path in {paths!r}:\n"
                   "    assert main(['run', path, '--out', path + '.out']) == 0\n"
-                  "print('numpy.random' in sys.modules)")
-    assert out.splitlines()[-1] == "False"
+                  "    print('loaded', json.dumps([m for m in sys.modules"
+                  " if m.startswith('freqbin')]))\n"
+                  "print('numpy.random' in sys.modules)").splitlines()
+    loaded = [set(json.loads(line[7:])) for line in out if line.startswith("loaded ")]
+    assert len(loaded) == len(paths)
+    for path, modules in zip(paths, loaded):
+        assert "freqbin.fock" not in modules, path
+        assert ("freqbin.resonator" in modules) == (path == str(spectroscopy)), path
+    if out[0] == "True":
+        pytest.skip("this numpy loads numpy.random with numpy itself")
+    assert out[-1] == "False"
 
 
 class TestRunCommand:

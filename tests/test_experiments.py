@@ -13,8 +13,11 @@ from freqbin.counting import MetricResult
 from freqbin.elements import fbs_transform
 from freqbin.errors import ConfigurationError, DomainError, ValidationError
 from freqbin.experiments import (
+    _CZ_INPUTS,
     CZ_CONTROL_BINS,
     CZ_TARGET_BINS,
+    _cz,
+    _effective,
     default_chip_config,
     _grid_seeds,
     _sweep,
@@ -234,6 +237,70 @@ class TestCz:
         for occ, amp in state.items():
             oracle = transition_amplitude(big, tuple(n_in), occ)
             assert amp == pytest.approx(oracle, abs=1e-10)
+
+
+def gate_operator(chip, toggles) -> np.ndarray:
+    """M[out, in]: the post-selected gate between the zz coincidence inputs
+    and outputs (00, 01, 10, 11), each entry the permanent oracle's
+    two-photon amplitude under the zz circuit's single-photon matrix."""
+    toggles, chip = _effective(chip, toggles)
+    u = _cz(chip, toggles, "zz")[0].u[0]
+    t = ModeTransform(tuple(range(len(u))), u)
+
+    def occupation(bins):
+        return tuple(int(np.isin(m, bins)) for m in range(len(u)))
+
+    pairs = [occupation(bins) for bins in _CZ_INPUTS["zz"].values()]
+    return np.array([[transition_amplitude(t, n_in, n_out) for n_in in pairs]
+                     for n_out in pairs])
+
+
+def _process_fidelity(m: np.ndarray) -> float:
+    """|Tr(CZ^dag M)|^2 / (4 Tr(M^dag M)), the fidelity of the renormalized
+    post-selected process; the ideal gate flips the phase of input 10."""
+    cz = np.diag([1.0, 1.0, -1.0, 1.0])
+    return abs(np.trace(cz @ m)) ** 2 / (4.0 * np.trace(m.conj().T @ m).real)
+
+
+def _gate_chip(cfg, data, design_point: bool):
+    """A chip drawn for the bound: DR2 transmissivity T and the arm
+    transmissions r1, r2 in [0.2, 0.5] (1/3 at the design point), DR2
+    phase in [-0.5, 0.5], and efficiency and suppression on each splitter."""
+    third = st.just(1.0 / 3.0) if design_point else st.floats(0.2, 0.5)
+    t, r1, r2 = (data.draw(third) for _ in range(3))
+    drs = [replace(d, fbs=replace(d.fbs, efficiency_eta=data.draw(st.floats(0.3, 1.0)),
+                                  sideband_suppression_db=data.draw(st.floats(0.0, 60.0))))
+           for d in (cfg.dr1, cfg.dr2, cfg.dr3)]
+    drs[1] = replace(drs[1], fbs=replace(drs[1].fbs, transmissivity_T=t,
+                                         phase_theta=data.draw(st.floats(-0.5, 0.5))))
+    return replace(cfg, dr1=drs[0], dr2=drs[1], dr3=drs[2],
+                   r1_transmission=r1, r2_transmission=r2)
+
+
+_HARDWARE_TOGGLES = st.sets(st.sampled_from(["eta", "sideband"]))
+
+
+@settings(max_examples=75, deadline=None)
+@given(data=st.data(), toggles=_HARDWARE_TOGGLES)
+def test_process_fidelity_never_exceeds_a_basis_fidelity(cfg, data, toggles):
+    # Hofmann's upper inequality F_proc <= min(F_xz, F_zx) holds on every
+    # chip, on the design point or off it.
+    chip = _gate_chip(cfg, data, design_point=False)
+    char = run_cz_characterization(chip, toggles, allow_nonstandard=True)
+    f_proc = _process_fidelity(gate_operator(chip, toggles))
+    assert f_proc <= min(char["f_xz"], char["f_zx"]) + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), toggles=_HARDWARE_TOGGLES)
+def test_hofmann_bound_is_a_lower_bound_on_the_design_point(cfg, data, toggles):
+    # F_xz + F_zx - 1 <= F_proc needs the gate's success not to depend on
+    # its input: at DR2 T = r1 = r2 = 1/3 it holds whatever eta, sideband
+    # leakage and DR2 phase; off that point it can fail (see README).
+    chip = _gate_chip(cfg, data, design_point=True)
+    char = run_cz_characterization(chip, toggles)
+    f_proc = _process_fidelity(gate_operator(chip, toggles))
+    assert char["f_xz"] + char["f_zx"] - 1.0 <= f_proc + 1e-12
 
 
 class TestBell:
