@@ -11,7 +11,7 @@ experiment.  Its results (one, the two gate bases, or one per
 spectroscopy target) give all it writes: result.json, sweep.csv and
 report.txt into the output directory, and each warning of the run on
 stderr.  All three are built and checked before the first is written, so
-a run that fails (exit 2 or 3) writes no file.  The same manifest and
+a run that fails (exit 2) writes no file.  The same manifest and
 seed always produce byte-identical result.json.  ``fit`` reads a
 two-column CSV with header ``detuning_ghz,transmission`` and fits the
 coupled-resonator doublet.
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import experiments as xp
 from .elements import FbsSpec
-from .errors import FitError, FreqbinError, ManifestError
+from .errors import FreqbinError, ManifestError
 from .experiments import ChipConfig, DrConfig, default_chip_config
 
 SCHEMA_VERSION = 1
@@ -60,7 +60,7 @@ EXPERIMENTS = {
     "hom": "two-photon interference dip versus beam-splitter reflectivity,"
     " with the analytic visibility law and count records",
     "cz": "post-selected controlled-phase gate truth tables in two complementary"
-    " bases and the process-fidelity lower bound",
+    " bases and F_xz + F_zx - 1, a process-fidelity bound at the design point only",
     "bell": "entangled-pair fringe curves versus the analysis phase and their"
     " average visibility",
 }
@@ -381,7 +381,7 @@ def _cmd_run(args) -> int:
         metrics = _write_outputs(out_dir, manifest, results, numbers)
     except FreqbinError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, FitError) else 2
+        return 2
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
@@ -432,8 +432,13 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):  # the subcommands' parsers are _Parsers too
+    def error(self, message):  # a usage error: one line on stderr, exit 2
+        self.exit(2, f"error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freqbin",
         description="Simulate an electro-optic frequency-bin photonic processor.",
     )

@@ -158,10 +158,10 @@ def _check_settings(T, theta, eta, db) -> None:
     (1 + `_NORM_TOL`)^2."""
     for ok, message in (
         ((T >= 0.0) & (T <= 1.0), "transmissivity must lie in [0, 1]"),
-        (np.isfinite(theta), "phase must be finite"),
+        (np.abs(theta) < np.inf, "phase must be finite"),  # np.isfinite fails on ints past int64
         (np.isfinite(eta) & (eta >= 0.0), "efficiency must be finite and nonnegative"),
         (eta <= (1.0 + _NORM_TOL) ** 2, "matrix spectral norm exceeds 1: not physical"),
-        (~np.isnan(db), "sideband suppression must not be NaN"),
+        (db == db, "sideband suppression must not be NaN"),  # False for NaN alone
         (db >= 0.0, "sideband suppression must be nonnegative"),
     ):
         if not np.all(ok):

@@ -76,53 +76,43 @@ def _photon_counts(occ: Iterable, error: type[Exception], weight: float = 1.0) -
 
 
 class PureState:
-    """Sparse pure state in a fixed photon-number sector.
+    """Sparse pure state in a fixed photon-number sector; an immutable value.
 
-    Its amplitudes are an array, keyed by the mapping it was constructed from
-    or, once evolved, by its rows in its sector's `_readout` tables; each key
-    is derived from the other on first use.  The squared norm lies in (0, 1];
-    it is exactly 1 after purely unitary evolution and may shrink after
-    subunitary (lossy) elements.  Instances are treated as immutable values.
+    Every entry of the mapping it is built from is checked, and amplitudes
+    below AMPLITUDE_PRUNE are dropped.  Its amplitudes are an array, keyed by
+    that mapping or, once evolved, by its rows in its sector's `_readout`
+    tables; each key is derived from the other on first use.  The squared
+    norm lies in (0, 1] and falls only at subunitary (lossy) elements.
     """
 
-    def __init__(
-        self,
-        grid: BinGrid,
-        amplitudes: Mapping[Occupation, complex],
-        *,
-        validate: bool = True,
-    ):
-        if validate:
-            amps: dict[Occupation, complex] = {}
-            for occ, a in amplitudes.items():
-                occ = _photon_counts(occ, ValidationError)[0]
-                try:  # complex() would parse the string "1"
-                    a = complex(a if not isinstance(a, (str, bytes)) else None)
-                except (TypeError, ValueError):
-                    raise ValidationError(f"amplitude {a!r} is not a number") from None
-                if not cmath.isfinite(a):
-                    raise ValidationError(f"amplitude {a} is not finite")
-                if not abs(a) < AMPLITUDE_PRUNE:
-                    amps[occ] = a
-        else:  # unchecked: only the prune applies, and a NaN amplitude is kept
-            amps = {o: a for o, a in amplitudes.items() if not abs(a) < AMPLITUDE_PRUNE}
+    def __init__(self, grid: BinGrid, amplitudes: Mapping[Occupation, complex]):
+        amps: dict[Occupation, complex] = {}
+        for occ, a in amplitudes.items():
+            occ = _photon_counts(occ, ValidationError)[0]
+            try:  # complex() would parse the string "1"
+                a = complex(a if not isinstance(a, (str, bytes)) else None)
+            except (TypeError, ValueError):
+                raise ValidationError(f"amplitude {a!r} is not a number") from None
+            if not cmath.isfinite(a):
+                raise ValidationError(f"amplitude {a} is not finite")
+            if not abs(a) < AMPLITUDE_PRUNE:
+                amps[occ] = a
         if not amps:
             raise ValidationError("state has no amplitude above the pruning threshold")
-        if validate:
-            totals = {sum(occ) for occ in amps}
-            if len(totals) != 1:
-                raise ValidationError("occupations mix different total photon numbers")
-            (n,) = totals
-            if not 0 < n <= MAX_PHOTON_NUMBER:
-                raise ValidationError(
-                    f"photon number {n} outside supported range 1..{MAX_PHOTON_NUMBER}")
-            if any(len(occ) != grid.n_modes for occ in amps):
-                raise ValidationError("occupation length does not match the grid")
-            nsq = sum(abs(a) ** 2 for a in amps.values())
-            if nsq > 1.0 + 1e-9:
-                raise ValidationError(f"squared norm {nsq} exceeds 1")
+        totals = {sum(occ) for occ in amps}
+        if len(totals) != 1:
+            raise ValidationError("occupations mix different total photon numbers")
+        (n,) = totals
+        if not 0 < n <= MAX_PHOTON_NUMBER:
+            raise ValidationError(
+                f"photon number {n} outside supported range 1..{MAX_PHOTON_NUMBER}")
+        if any(len(occ) != grid.n_modes for occ in amps):
+            raise ValidationError("occupation length does not match the grid")
+        nsq = sum(abs(a) ** 2 for a in amps.values())
+        if nsq > 1.0 + 1e-9:
+            raise ValidationError(f"squared norm {nsq} exceeds 1")
         self.grid = grid
-        self.photon_number = sum(next(iter(amps)))
+        self.photon_number = n
         self._amp = np.array(list(amps.values()), dtype=complex)
         self._amps = amps
 
@@ -202,20 +192,15 @@ class ModeTransform:
 #: Largest n of an n x n matrix `permanent` accepts.
 MAX_PERMANENT_SIZE = 16
 _FACTORIALS = tuple(float(math.factorial(k)) for k in range(MAX_PERMANENT_SIZE + 1))
-# Per n: the indicator columns of the 2^n - 1 nonempty column subsets
-# (n x (2^n - 1), complex so that the product with a complex matrix needs
-# no cast; 16 MB at n = 16) and their signs (-1)^|S|.
-_RYSER_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
+@functools.lru_cache(maxsize=None)  # one entry per n <= MAX_PERMANENT_SIZE
 def _ryser_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    table = _RYSER_TABLES.get(n)
-    if table is None:
-        members = (np.arange(1, 1 << n) >> np.arange(n)[:, None]) & 1
-        signs = (-1.0) ** members.sum(axis=0)
-        table = (members.astype(complex), signs.astype(complex))
-        _RYSER_TABLES[n] = table
-    return table
+    """Indicator columns of the 2^n - 1 nonempty column subsets, n x (2^n - 1)
+    complex (no cast in A @ table; 16 MB at n = 16), and their signs (-1)^|S|."""
+    members = (np.arange(1, 1 << n) >> np.arange(n)[:, None]) & 1
+    signs = (-1.0) ** members.sum(axis=0)
+    return members.astype(complex), signs.astype(complex)
 
 
 def permanent(matrix: np.ndarray) -> complex:
@@ -275,7 +260,7 @@ def apply_transform(state: PureState, t: ModeTransform) -> PureState:
     grid = state.grid
     pos = np.array([grid.position(i) for i in t.mode_subset], dtype=np.intp)
     m, n = grid.n_modes, state.photon_number
-    if n > MAX_PHOTON_NUMBER or m**n > MAX_TENSOR_SIZE:
+    if m**n > MAX_TENSOR_SIZE:
         raise DomainError(f"{n} photons on {m} modes exceed the state tensor "
                           f"({MAX_PHOTON_NUMBER} photons, {MAX_TENSOR_SIZE} entries)")
     flat, rank, root = _readout(m, n)

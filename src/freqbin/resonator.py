@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import DRParams, _through_field, dr_through_spectrum  # noqa: F401
-from .errors import FitError, ValidationError
+from .errors import FitError, ValidationError, check_finite
 
 
 @dataclass(frozen=True)
@@ -36,20 +36,20 @@ class CalibCurve:
             raise ValidationError("peak reflectivity must lie in (0, 1]")
         if self.beta_per_v <= 0:
             raise ValidationError("conversion slope must be positive")
+        check_finite(self)
 
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Microwave drive applied to a double resonator."""
+    """Microwave drive at a double resonator's splitting: voltage, calibration."""
 
-    drive_freq_ghz: float = 12.95
     drive_voltage_v: float = 0.0
-    drive_phase_rad: float = 0.0
     calib: CalibCurve = CalibCurve()
 
     def __post_init__(self):
         if self.drive_voltage_v < 0:
             raise ValidationError("drive voltage must be nonnegative")
+        check_finite(self)
 
 
 def eo_resonance_shift(voltage_v: float, coeff_ghz_per_v: float) -> float:
@@ -61,9 +61,11 @@ def drive_to_splitting(d: DriveSpec) -> tuple[float, float]:
     """Map a drive setting to (T, R) of the beam splitter.
 
     R(V) = r_peak * 4C/(1+C)^2 with cooperativity C = (beta V)^2; R grows
-    until C = 1 and rolls off beyond, and T = 1 - R always.
+    until C = 1 and rolls off beyond (as R(C) = R(1/C), past C = 1 from 1/C,
+    which tends to 0 without overflow), and T = 1 - R always.
     """
-    c = (d.calib.beta_per_v * d.drive_voltage_v) ** 2
+    x = d.calib.beta_per_v * d.drive_voltage_v
+    c = x**2 if x <= 1.0 else (1.0 / x) ** 2
     r = d.calib.r_peak * 4.0 * c / (1.0 + c) ** 2
     return 1.0 - r, r
 

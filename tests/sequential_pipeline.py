@@ -71,14 +71,14 @@ def _apply_with_insertion(state, t, eta):
     for occ, amp in out.items():
         outside = sum(c for p, c in enumerate(occ) if p not in positions)
         scaled[occ] = amp * eta ** (outside / 2.0)
-    return PureState(out.grid, scaled, validate=False)
+    return PureState(out.grid, scaled)
 
 
 def _scale_uniform(state, power_transmission):
     if power_transmission >= 1.0:
         return state
     factor = power_transmission ** (state.photon_number / 2.0)
-    return PureState(state.grid, {occ: a * factor for occ, a in state.items()}, validate=False)
+    return PureState(state.grid, {occ: a * factor for occ, a in state.items()})
 
 
 def _weights(grid, det_bins, cfg, toggles):

@@ -14,6 +14,7 @@ from freqbin.counting import (
     CountRecord,
     CountTable,
     DetectorSpec,
+    MetricResult,
     SourceSpec,
     g2_histogram,
     hofmann_bound,
@@ -465,6 +466,54 @@ def test_valid_grids_never_reach_the_loop(monkeypatch):
         == (0, 3, 4)
 
 
+def _assert_default_rng_records(table, singles):
+    for row, seeds in zip(table, table.seeds.tolist()):
+        for rec, seed in zip(row, seeds):
+            want = _default_rng_counts(seed, (rec.expected_true, rec.expected_accidental,
+                                              singles, singles))
+            assert [rec.true_coincidences, rec.accidental_coincidences,
+                    rec.singles_a, rec.singles_b] == want
+
+
+def _loop_calls(monkeypatch) -> list:
+    """Record the number of records of each `_loop_counts` call."""
+    calls, loop = [], counting._loop_counts
+
+    def counted(p, *args):
+        calls.append(len(p))
+        return loop(p, *args)
+
+    monkeypatch.setattr(counting, "_loop_counts", counted)
+    return calls
+
+
+def test_records_too_close_to_call_are_the_loops(monkeypatch):
+    # With a margin of 1 the numpy pass finds its float tests too close to
+    # call and leaves those records to the reference loop.
+    monkeypatch.setattr(counting, "_TIE", 1.0)
+    calls = _loop_calls(monkeypatch)
+    d = DetectorSpec(efficiency=1.0, insertion_loss=1.0, integration_s=1.0)
+    s = SourceSpec(pair_rate_hz=30.0, car=2.0)
+    p = np.array([[0.0, 0.1, 0.5], [1.0, 0.02, 0.9]])
+    seeds = np.arange(6, dtype=np.uint64).reshape(2, 3) + np.uint64(2**63)
+    table = sample_grid(p, d, s, seeds, accidental_weight=0.3)
+    assert calls and sum(calls) <= p.size
+    _assert_default_rng_records(table, 30.0)
+
+
+def test_means_past_the_numpy_pass_are_the_loops(monkeypatch):
+    # A singles mean of 4e9, above _BATCH_MAX_MEAN: every record is drawn
+    # by the reference loop.
+    calls = _loop_calls(monkeypatch)
+    d = DetectorSpec(efficiency=1.0, insertion_loss=1.0, integration_s=1.0)
+    s = SourceSpec(pair_rate_hz=4e9, car=2.0)
+    assert 4e9 > counting._BATCH_MAX_MEAN
+    p = np.array([[1e-3, 0.5], [0.0, 1e-9]])
+    table = sample_grid(p, d, s, np.array([[1, 2], [3, 2**64 - 1]], dtype=np.uint64), 1e-6)
+    assert calls == [p.size]
+    _assert_default_rng_records(table, 4e9)
+
+
 _LARGE_GRID = 112
 
 
@@ -490,6 +539,43 @@ def test_invalid_record_in_a_large_grid_is_the_loops_error(position, bad, seed):
     with pytest.raises(DomainError) as whole:
         sample_grid(p.reshape(-1, 2), d, s, seeds.reshape(-1, 2), w.reshape(-1, 2))
     assert str(whole.value) == str(alone.value)
+
+
+_RAISE_SITES = {
+    "sigma NaN": (lambda: MetricResult(0.5, math.nan), ValidationError,
+                  "sigma must be finite and nonnegative"),
+    "sigma negative": (lambda: MetricResult(0.5, -0.1), ValidationError,
+                       "sigma must be finite and nonnegative"),
+    "mix parameter": (lambda: indistinguishability_mix(0.2, 0.3, 1.5), DomainError,
+                      r"mixing parameter must lie in \[0, 1\]"),
+    "g2 linewidth": (lambda: g2_histogram([0.0], 0.0, 512.0), DomainError,
+                     "linewidth and window must be positive"),
+    "g2 window": (lambda: g2_histogram([0.0], 202.0, -1.0), DomainError,
+                  "linewidth and window must be positive"),
+    "fringe of one value": (lambda: visibility_minmax([1.0]), DomainError,
+                            "need at least two values"),
+    "negative fringe": (lambda: visibility_minmax([1.0, -0.5]), DomainError,
+                        "fringe values must be nonnegative"),
+    "negative dip counts": (lambda: visibility_hom(10.0, -1.0), DomainError,
+                            "counts must be nonnegative"),
+    # Twelve zeros and four ones, but two of the ones share column 0.
+    "ideal column sums": (lambda: truth_table_fidelity(np.ones((4, 4)), np.eye(4)[[0, 0, 2, 3]]),
+                          ValidationError, "ideal table must be a permutation matrix"),
+    "empty measured row": (lambda: truth_table_fidelity(np.diag([1.0, 1.0, 0.0, 1.0]),
+                                                        np.eye(4)),
+                           ValidationError, "measured table has an empty row"),
+    "basis fidelity above 1": (lambda: hofmann_bound(1.2, 0.5), DomainError,
+                               r"basis fidelities must lie in \[0, 1\]"),
+    "basis fidelity NaN": (lambda: hofmann_bound(0.9, math.nan), DomainError,
+                           r"basis fidelities must lie in \[0, 1\]"),
+}
+
+
+@pytest.mark.parametrize("site", list(_RAISE_SITES))
+def test_raise_sites(site):
+    call, error, message = _RAISE_SITES[site]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 class TestHistogram:

@@ -22,7 +22,8 @@ SCHEMA = json.loads(
 def test_demo_runs(demo, tmp_path):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    # -W error: no warning (a numpy deprecation, an overflow) passes unseen.
+    done = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()

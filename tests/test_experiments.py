@@ -479,6 +479,20 @@ def test_chip_grid_of_six_bins_gives_the_four_bin_results(cfg):
             assert got.series[name] == pytest.approx(column, abs=1e-15)
 
 
+_RAISE_SITES = {
+    "fmzi mode": (lambda cfg: run_fmzi(cfg, PHASES, mode="coherent"),
+                  "unknown interferometer mode 'coherent'"),
+    "gate basis": (lambda cfg: run_cz(cfg, "xx"), r"basis must be one of \('xz', 'zx', 'zz'\)"),
+}
+
+
+@pytest.mark.parametrize("site", list(_RAISE_SITES))
+def test_raise_sites(cfg, site):
+    call, message = _RAISE_SITES[site]
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        call(cfg)
+
+
 class TestResultContainer:
     def test_series_length_validated(self, cfg):
         from freqbin.experiments import ExperimentResult

@@ -417,16 +417,41 @@ class TestInvariants:
         state = PureState(grid, {(1, 0): 1.0, (0, 1): 1e-16})
         assert len(state) == 1
 
-    def test_unvalidated_state_prunes_and_keeps_entries_as_given(self):
+    def test_state_prunes_and_keeps_entries_as_given(self):
         grid = grid_from_indices([0, 1, 2])
         kept = 0.6 - 0.8j
-        state = PureState(
-            grid,
-            {(1, 1, 0): kept, (0, 1, 1): AMPLITUDE_PRUNE / 2, (2, 0, 0): 0.0},
-            validate=False,
-        )
+        state = PureState(grid, {(1, 1, 0): kept, (0, 1, 1): AMPLITUDE_PRUNE / 2, (2, 0, 0): 0.0})
         assert list(state.items()) == [((1, 1, 0), kept)]
         assert state.photon_number == 2
+
+
+_GRID = grid_from_indices([0, 1])
+_RAISE_SITES = {
+    "everything pruned": (lambda: PureState(_GRID, {(1, 0): AMPLITUDE_PRUNE / 2, (0, 1): 0.0}),
+                          ValidationError, "state has no amplitude above the pruning threshold"),
+    "no photon": (lambda: PureState(_GRID, {(0, 0): 1.0}), ValidationError,
+                  r"photon number 0 outside supported range 1\.\.4"),
+    "five photons": (lambda: PureState(_GRID, {(5, 0): 1.0}), ValidationError,
+                     r"photon number 5 outside supported range 1\.\.4"),
+    "occupation length": (lambda: PureState(_GRID, {(1, 0, 0): 1.0}), ValidationError,
+                          "occupation length does not match the grid"),
+    "norm": (lambda: PureState(_GRID, {(1, 0): 0.8, (0, 1): 0.8}), ValidationError,
+             r"squared norm 1\.28\d* exceeds 1"),
+    "matrix of another size": (lambda: ModeTransform((0, 1), np.eye(3)), ValidationError,
+                               "matrix must be square and match the mode subset"),
+    "matrix not square": (lambda: ModeTransform((0, 1), np.ones((2, 3))), ValidationError,
+                          "matrix must be square and match the mode subset"),
+    "bin role": (lambda: Bin(0, "pump"), ValidationError, "unknown bin role 'pump'"),
+    "frequency without an anchor": (lambda: _GRID.frequency_thz(0), ConfigurationError,
+                                    "grid has no absolute frequency anchor"),
+}
+
+
+@pytest.mark.parametrize("site", list(_RAISE_SITES))
+def test_raise_sites(site):
+    call, error, message = _RAISE_SITES[site]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 N_GRID_MODES = 6

@@ -1,5 +1,6 @@
 """Double-resonator spectroscopy, drive calibration, and fitting tests."""
 
+import math
 import os
 import subprocess
 import sys
@@ -127,6 +128,50 @@ class TestDriveCalibration:
               for v in (0.2, 0.6, 1.0, 1.8, 3.0)]
         assert rs[0] < rs[1] < rs[2]
         assert rs[2] > rs[3] > rs[4]
+
+
+    @pytest.mark.parametrize("cls, name", [(CalibCurve, "beta_per_v"),
+                                           (DriveSpec, "drive_voltage_v")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_settings_rejected(self, cls, name, value):
+        # Were accepted, and the splitting came out (nan, nan).
+        with pytest.raises(ValidationError, match=f"^{name} must be finite$"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("beta, volts", [(1.0, 1e200), (1e10, 1.7e308), (1e200, 1e200)])
+    def test_large_drive_rolls_off_to_full_transmission(self, beta, volts):
+        # (beta V)**2 raised a bare OverflowError.
+        d = DriveSpec(drive_voltage_v=volts, calib=CalibCurve(beta_per_v=beta))
+        assert drive_to_splitting(d) == (1.0, 0.0)
+
+    def test_cooperativity_curve_where_it_is_finite(self):
+        # R = r_peak 4C / (1 + C)^2 with C = (beta V)^2, as written, wherever
+        # that form stays inside the float range.
+        calib = CalibCurve(beta_per_v=1.0, r_peak=0.95)
+        for v in np.logspace(-150.0, 70.0, 2201):
+            c = float(v) ** 2
+            want = 0.95 * 4.0 * c / (1.0 + c) ** 2
+            t, r = drive_to_splitting(DriveSpec(drive_voltage_v=float(v), calib=calib))
+            assert abs(r - want) <= 1e-15 and abs(t - (1.0 - want)) <= 1e-15
+
+
+_RAISE_SITES = {
+    "peak reflectivity 0": (lambda: CalibCurve(r_peak=0.0), "peak reflectivity"),
+    "peak reflectivity above 1": (lambda: CalibCurve(r_peak=1.5), "peak reflectivity"),
+    "slope 0": (lambda: CalibCurve(beta_per_v=0.0), "conversion slope must be positive"),
+    "negative voltage": (lambda: DriveSpec(drive_voltage_v=-1.0), "must be nonnegative"),
+    "fit of unequal lengths": (lambda: fit_doublet(np.zeros(60), np.zeros(59)),
+                               "equal-length 1-d arrays"),
+    "fit of a 2-d scan": (lambda: fit_doublet(np.zeros((60, 2)), np.zeros((60, 2))),
+                          "equal-length 1-d arrays"),
+}
+
+
+@pytest.mark.parametrize("site", list(_RAISE_SITES))
+def test_raise_sites(site):
+    call, message = _RAISE_SITES[site]
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 class TestDoubletFit:
