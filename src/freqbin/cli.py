@@ -46,7 +46,7 @@ import numpy as np
 
 from . import experiments as xp
 from .elements import FbsSpec
-from .errors import FreqbinError, ManifestError
+from .errors import FreqbinError, ManifestError, finite
 from .experiments import ChipConfig, DrConfig, default_chip_config
 
 SCHEMA_VERSION = 1
@@ -101,9 +101,8 @@ class RunManifest:
 
 def _expect_keys(obj: dict, allowed: dict[str, type | tuple], loc: str) -> None:
     """Reject unknown keys, values of the wrong type, booleans where a
-    number is expected, and numbers that are no finite float (JSON NaN,
-    Infinity, or an overflowing literal such as 1e400 or 1 followed by 400
-    zeros)."""
+    number is expected, and numbers that are not `finite`: JSON NaN,
+    Infinity, 1e400 or an integer of 400 digits."""
     for key in obj:
         if key not in allowed:
             raise ManifestError(f"unknown key {key!r}", f"{loc}/{key}")
@@ -113,13 +112,8 @@ def _expect_keys(obj: dict, allowed: dict[str, type | tuple], loc: str) -> None:
         value = obj[key]
         if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
             raise ManifestError(f"expected {_KINDS[types]}", f"{loc}/{key}")
-        if isinstance(value, (int, float)):
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an integer past the float range
-                finite = False
-            if not finite:
-                raise ManifestError("expected a finite number", f"{loc}/{key}")
+        if isinstance(value, (int, float)) and not finite(value):
+            raise ManifestError("expected a finite number", f"{loc}/{key}")
 
 
 _NUM = (int, float)

@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, check_finite
+from .errors import ValidationError, check_settings
 from .grid import _NORM_TOL
 
 DEFAULT_SIDEBAND_SUPPRESSION_DB = 24.0
@@ -68,8 +68,7 @@ class FbsSpec:
     sideband_suppression_db: float = DEFAULT_SIDEBAND_SUPPRESSION_DB
 
     def __post_init__(self):
-        if not 0.0 < self.efficiency_eta <= 1.0:
-            raise ValidationError("efficiency must lie in (0, 1]")
+        check_settings(self, ideal_inf=("sideband_suppression_db",), unit=("efficiency_eta",))
         _check_settings(self.transmissivity_T, self.phase_theta, self.efficiency_eta,
                         self.sideband_suppression_db)
 
@@ -86,11 +85,9 @@ class DRParams:
     thermal_detune_ghz: float = 0.0
 
     def __post_init__(self):
-        if min(self.g_ghz, self.kappa1_ghz, self.kappa_ex_ghz, self.kappa2_ghz) <= 0:
-            raise ValidationError("all resonator rates must be positive")
+        check_settings(self, positive=("g_ghz", "kappa1_ghz", "kappa_ex_ghz", "kappa2_ghz"))
         if self.kappa_ex_ghz > self.kappa1_ghz:
             raise ValidationError("bus coupling cannot exceed the total linewidth")
-        check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -103,11 +100,9 @@ class FilterParams:
     drop_efficiency: float = 0.946
 
     def __post_init__(self):
-        if not 0.0 < self.linewidth_fwhm_ghz < self.fsr_ghz:
+        check_settings(self, unit=("drop_efficiency",), positive=("linewidth_fwhm_ghz",))
+        if not self.linewidth_fwhm_ghz < self.fsr_ghz:
             raise ValidationError("need 0 < linewidth < free spectral range")
-        if not 0.0 < self.drop_efficiency <= 1.0:
-            raise ValidationError("drop efficiency must lie in (0, 1]")
-        check_finite(self)
 
 
 def fbs_blocks(

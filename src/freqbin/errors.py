@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and one finiteness rule."""
+"""Exception types shared across the package, and the one finiteness and
+range rule of every settings class (`check_settings`); a rule relating
+two fields stays with its class."""
 
 import math
 from dataclasses import fields
+from numbers import Real
 
 
 class FreqbinError(Exception):
@@ -42,11 +45,34 @@ class ManifestError(FreqbinError, ValueError):
         self.location = location
 
 
-def check_finite(settings, ideal_inf: tuple[str, ...] = ()) -> None:
-    """Raise `ValidationError` naming the first NaN or infinite float field
-    of a settings dataclass; +inf is the ideal of the fields in ``ideal_inf``."""
+def finite(value) -> bool:
+    """Whether a real number is finite; an integer past the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+# The ranges of `check_settings`, in the order of its arguments.
+_RANGES = ((lambda x: 0.0 < x <= 1.0, "lie in (0, 1]"),
+           (lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]"),
+           (lambda x: x > 0.0, "be positive"), (lambda x: x >= 0.0, "be nonnegative"))
+
+
+def check_settings(settings, ideal_inf=(), unit=(), fraction=(), positive=(), nonnegative=()):
+    """Raise `ValidationError` naming the first field of a settings dataclass
+    that breaks the rule: every real-number field, numpy scalars and ints
+    included, is finite ("<field> must be finite"), +inf allowed in
+    ``ideal_inf``; then ``unit`` fields lie in (0, 1], ``fraction`` in [0, 1],
+    ``positive`` above 0 and ``nonnegative`` at or above 0 ("<field> must
+    lie in (0, 1]", "<field> must be positive", ...)."""
     for f in fields(settings):
         value = getattr(settings, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
+        # float first: most fields are one, and it skips the slower Real test.
+        if isinstance(value, (float, Real)) and not finite(value):
             if not (f.name in ideal_inf and value == math.inf):
                 raise ValidationError(f"{f.name} must be finite")
+    for names, (inside, rule) in zip((unit, fraction, positive, nonnegative), _RANGES):
+        for name in names:
+            if not inside(getattr(settings, name)):
+                raise ValidationError(f"{name} must {rule}")

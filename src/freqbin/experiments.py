@@ -96,7 +96,7 @@ from .counting import (
 )
 from .elements import (DRParams, FbsSpec, FilterParams, dr_through_spectrum, fbs_blocks,
                        filter_response)
-from .errors import ConfigurationError, DomainError, FitError, ValidationError
+from .errors import ConfigurationError, DomainError, FitError, ValidationError, check_settings
 from .grid import Bin, BinGrid
 
 # ---------------------------------------------------------------------------
@@ -186,12 +186,9 @@ class ChipConfig:
     detector: DetectorSpec = DetectorSpec()
 
     def __post_init__(self):
+        check_settings(self, unit=("r1_transmission", "r2_transmission", "global_efficiency"))
         if self.grid.computational_indices != tuple(range(max(4, self.grid.n_modes))):
             raise ValidationError("the chip's grid must be the computational bins 0..n-1, n >= 4")
-        for name in ("r1_transmission", "r2_transmission", "global_efficiency"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValidationError(f"{name} must lie in (0, 1]")
 
 
 def default_chip_config() -> ChipConfig:
@@ -206,20 +203,12 @@ def default_chip_config() -> ChipConfig:
         bin_spacing_ghz=12.95,
         anchor_thz=192.02052,
     )
-    eta = 0.69
-    dr1 = DrConfig(
-        fbs=FbsSpec(transmissivity_T=0.5, efficiency_eta=eta),
-        cavity=DRParams(eo_coeff_ghz_per_v=0.226),
-    )
-    dr2 = DrConfig(
-        fbs=FbsSpec(transmissivity_T=1.0 / 3.0, efficiency_eta=eta),
-        cavity=DRParams(eo_coeff_ghz_per_v=0.255),
-    )
-    dr3 = DrConfig(
-        fbs=FbsSpec(transmissivity_T=0.5, efficiency_eta=eta),
-        cavity=DRParams(eo_coeff_ghz_per_v=0.222),
-    )
-    return ChipConfig(grid=grid, dr1=dr1, dr2=dr2, dr3=dr3)
+
+    def dr(transmissivity: float, eo_coeff_ghz_per_v: float) -> DrConfig:
+        return DrConfig(FbsSpec(transmissivity_T=transmissivity, efficiency_eta=0.69),
+                        DRParams(eo_coeff_ghz_per_v=eo_coeff_ghz_per_v))
+
+    return ChipConfig(grid=grid, dr1=dr(0.5, 0.226), dr2=dr(1.0 / 3.0, 0.255), dr3=dr(0.5, 0.222))
 
 
 @dataclass
@@ -625,8 +614,8 @@ def run_hom(
     (reference - observed) / reference, matching a dip quoted against
     the far-delay coincidence level.  ``visibility_at_balanced`` is that
     visibility at the sweep point nearest R = 0.5; with no point within
-    `BALANCED_TOLERANCE` of it, the metric is left out and a warning
-    names the nearest R.
+    `BALANCED_TOLERANCE` of it, or, sampled, with no reference counts
+    there, the metric is left out and a warning says why.
     """
     toggles, chip = _effective(cfg, imperfections)
     reflectivities = _sweep(reflectivities, "reflectivities", (0, 1)).tolist()
@@ -652,12 +641,12 @@ def run_hom(
             f"visibility_at_balanced undefined: no sweep point within {BALANCED_TOLERANCE}"
             f" of R = 0.5 (nearest R = {reflectivities[half_idx]:g})"
         )
+    elif sample and not totals[half_idx, 1]:
+        warnings.append("visibility_at_balanced undefined: no reference counts at"
+                        f" R = {reflectivities[half_idx]:g}")
     elif sample:
         n_obs, n_ref = totals[half_idx].tolist()
-        metrics["visibility_at_balanced"] = (
-            visibility_hom(n_ref, n_obs) if n_ref > 0
-            else MetricResult(0.0, 0.0, "empty reference")
-        )
+        metrics["visibility_at_balanced"] = visibility_hom(n_ref, n_obs)
     else:
         metrics["visibility_at_balanced"] = MetricResult(
             float(vis[half_idx]), 0.0, "probability ratio")

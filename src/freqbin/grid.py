@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ConfigurationError, ValidationError, check_finite
+from .errors import ConfigurationError, ValidationError, check_settings
 
 ROLE_COMPUTATIONAL = "computational"
 ROLE_SIDEBAND = "sideband"
@@ -48,8 +48,7 @@ class BinGrid:
     anchor_thz: float | None = None
 
     def __post_init__(self):
-        if self.bin_spacing_ghz <= 0:
-            raise ValidationError("bin spacing must be positive")
+        check_settings(self, positive=("bin_spacing_ghz",))
         ordered = tuple(sorted(self.bins, key=lambda b: b.index))
         object.__setattr__(self, "bins", ordered)
         indices = [b.index for b in ordered]
@@ -69,7 +68,6 @@ class BinGrid:
                         f"computational bin {b.index} at {f:.4f} THz is outside "
                         f"the coupler window [{lo}, {hi}] THz"
                     )
-        check_finite(self)
         object.__setattr__(
             self, "_pos", {b.index: k for k, b in enumerate(ordered)}
         )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import DRParams, _through_field, dr_through_spectrum  # noqa: F401
-from .errors import FitError, ValidationError, check_finite
+from .errors import FitError, ValidationError, check_settings
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,7 @@ class CalibCurve:
     r_peak: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.r_peak <= 1.0:
-            raise ValidationError("peak reflectivity must lie in (0, 1]")
-        if self.beta_per_v <= 0:
-            raise ValidationError("conversion slope must be positive")
-        check_finite(self)
+        check_settings(self, unit=("r_peak",), positive=("beta_per_v",))
 
 
 @dataclass(frozen=True)
@@ -47,9 +43,7 @@ class DriveSpec:
     calib: CalibCurve = CalibCurve()
 
     def __post_init__(self):
-        if self.drive_voltage_v < 0:
-            raise ValidationError("drive voltage must be nonnegative")
-        check_finite(self)
+        check_settings(self, nonnegative=("drive_voltage_v",))
 
 
 def eo_resonance_shift(voltage_v: float, coeff_ghz_per_v: float) -> float:

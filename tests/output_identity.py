@@ -12,12 +12,14 @@ leaves no files).  The inputs:
 * fmzi classical and quantum, hom, bell and cz in the bases xz, zx, zz
   and both, each under six imperfection toggle sets;
 * a nonstandard gate, an unbalanced interferometer, a bell sweep whose
-  fringes are zero throughout, a hom run with its own sweep, and
-  spectroscopy of all targets, of dr1 alone and of the filters alone;
+  fringes are zero throughout, a hom run with its own sweep, a hom run
+  with no reference counts at R = 0.5, and spectroscopy of all targets,
+  of dr1 alone and of the filters alone;
 * runs that fail, whose stderr, exit code and files left (none, read as
   "<missing>") are compared too: an unknown manifest key, a nonstandard
   gate without ``allow_nonstandard``, a Poisson mean too large to draw,
-  and a dr1 and a filter spectrum past the float range;
+  a dr1 and a filter spectrum past the float range, and a setting out of
+  range in each settings object a manifest reaches (`SETTINGS_ERRORS`);
 * `freqbin fit` of spectra this file writes itself, so both trees read
   the same bytes: the default dr1 doublet scanned over 601 points,
   ascending, descending and with 1% noise from a fixed seed; a 40-sample
@@ -81,6 +83,17 @@ TOGGLE_SETS = (
 OUTPUT_FILES = ("result.json", "sweep.csv", "report.txt")
 #: Most differing JSON paths listed under one differing output.
 MAX_PATHS = 20
+
+#: One value out of range for each settings object a manifest reaches.
+SETTINGS_ERRORS = {
+    "source": {"source": {"pair_rate_hz": 0}},
+    "detector": {"detector": {"dark_rate_hz": -1}},
+    "splitter": {"dr1": {"efficiency_eta": 0}},
+    "cavity": {"dr2": {"cavity": {"kappa2_ghz": 0}}},
+    "filters": {"filters": {"drop_efficiency": 1.5}},
+    "chip": {"global_efficiency": 0},
+    "grid-spacing": {"bin_spacing_ghz": 0},
+}
 
 IN_PROCESS = """
 from dataclasses import replace
@@ -242,6 +255,10 @@ def manifests() -> dict[str, dict]:
                                   "config": {"dr1": {"cavity": {"g_ghz": 1e200}}}}
     cases["fail-filters-spectrum"] = {"experiment": "spectroscopy", "target": "filters",
                                       "config": {"filters": {"linewidth_fwhm_ghz": 1e-320}}}
+    cases["hom-empty-reference"] = {"experiment": "hom",
+                                    "config": {"detector": {"integration_s": 1e-9}}}
+    for name, config in SETTINGS_ERRORS.items():
+        cases[f"fail-settings-{name}"] = {"experiment": "hom", "config": config}
     return cases
 
 

@@ -761,6 +761,17 @@ class TestRunCommand:
         report = (tmp_path / "report.txt").read_text().splitlines()
         assert ["visibility_at_balanced", "n/a", "0.9490"] in [line.split() for line in report]
 
+    def test_hom_with_an_empty_balanced_reference(self, tmp_path):
+        # Reported visibility_at_balanced 0.000000 against the reference.
+        doc = {"experiment": "hom", "config": {"detector": {"integration_s": 1e-9}}}
+        code, lines = _checked_run(doc, tmp_path)
+        assert code == 0
+        assert lines == ["warning: visibility_at_balanced undefined: no reference counts"
+                         " at R = 0.5"]
+        assert json.loads((tmp_path / "result.json").read_text())["result"]["metrics"] == {}
+        report = (tmp_path / "report.txt").read_text().splitlines()
+        assert ["visibility_at_balanced", "n/a", "0.9490"] in [line.split() for line in report]
+
     def test_integer_sweep_bound_past_int64(self, tmp_path):
         # Made the sweep an object array: a numpy casting error and exit 1.
         manifest = tmp_path / "m.json"

@@ -37,6 +37,7 @@ from freqbin.fock import (
     grid_from_indices,
     transition_amplitude,
 )
+from freqbin.resonator import CalibCurve, DriveSpec
 
 PHASES = np.linspace(0.0, 2.0 * math.pi, 41)
 
@@ -136,6 +137,16 @@ class TestHom:
                                 " within 0.01 of R = 0.5 (nearest R = 0.9)"]
         near = run_hom(cfg, [0.495, 1.0], sample=sample)
         assert "visibility_at_balanced" in near.metrics and near.warnings == []
+
+    def test_empty_balanced_reference_leaves_the_metric_undefined(self, cfg):
+        # Reported visibility_at_balanced 0.0 with sigma 0 ("empty
+        # reference"), a number no count supports.
+        cfg = replace(cfg, detector=replace(cfg.detector, integration_s=1e-9))
+        res = run_hom(cfg, [0.0, 0.5, 1.0], sample=True)
+        assert res.series["counts_reference"][1] == 0
+        assert "visibility_at_balanced" not in res.metrics
+        assert res.warnings == ["visibility_at_balanced undefined: no reference counts"
+                                " at R = 0.5"]
 
 
 class TestCz:
@@ -437,14 +448,17 @@ def _settings_of_a_chip(cfg):
             cfg.detector]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, np.float32("nan")],
+                         ids=["nan", "inf", "-inf", "int-past-float", "float32-nan"])
 def test_settings_reject_non_finite_numbers(cfg, value):
     # NaN passed in 13 fields and fsr_ghz took inf; a NaN filter offset
-    # made every fmzi visibility NaN without a warning.  +inf is the ideal
-    # of the CAR and of the sideband suppression.
+    # made every fmzi visibility NaN without a warning.  An integer past
+    # the float range and a numpy NaN passed in every field, and several
+    # messages named a range instead of the field.  +inf is the ideal of
+    # the CAR and of the sideband suppression.
     ideal = {("SourceSpec", "car"), ("FbsSpec", "sideband_suppression_db")}
     checked = 0
-    for spec in _settings_of_a_chip(cfg):
+    for spec in [*_settings_of_a_chip(cfg), CalibCurve(), DriveSpec()]:
         for f in fields(spec):
             if not isinstance(getattr(spec, f.name), float):
                 continue
@@ -452,9 +466,9 @@ def test_settings_reject_non_finite_numbers(cfg, value):
             if value == math.inf and (type(spec).__name__, f.name) in ideal:
                 assert getattr(replace(spec, **{f.name: value}), f.name) == math.inf
                 continue
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError, match=f"^{f.name} must be finite$"):
                 replace(spec, **{f.name: value})
-    assert checked == 28
+    assert checked == 31
 
 
 @pytest.mark.parametrize("bins", [
@@ -509,6 +523,15 @@ class TestResultContainer:
             "experiment", "sweep_name", "sweep_values", "series"]
         with pytest.raises(ValidationError, match="sweep column"):
             ExperimentResult("x", {})
+
+    def test_array_series_serialize_as_lists(self):
+        from freqbin.experiments import ExperimentResult
+
+        columns = {"s": [0.0, 0.5, 1.0], "a": [1.5, math.inf, -2.0]}
+        as_arrays = ExperimentResult("x", {k: np.asarray(v) for k, v in columns.items()})
+        as_lists = ExperimentResult("x", columns)
+        assert as_arrays.to_jsonable()["series"]["a"] == [1.5, "inf", -2.0]
+        assert as_arrays.to_json() == as_lists.to_json()
 
     def test_seed_derivation_is_stable_and_spread(self):
         a = derive_seed(12345, 3, 1)

@@ -156,9 +156,9 @@ class TestDriveCalibration:
 
 
 _RAISE_SITES = {
-    "peak reflectivity 0": (lambda: CalibCurve(r_peak=0.0), "peak reflectivity"),
-    "peak reflectivity above 1": (lambda: CalibCurve(r_peak=1.5), "peak reflectivity"),
-    "slope 0": (lambda: CalibCurve(beta_per_v=0.0), "conversion slope must be positive"),
+    "peak reflectivity 0": (lambda: CalibCurve(r_peak=0.0), r"r_peak must lie in \(0, 1\]"),
+    "peak reflectivity above 1": (lambda: CalibCurve(r_peak=1.5), r"r_peak must lie in \(0, 1\]"),
+    "slope 0": (lambda: CalibCurve(beta_per_v=0.0), "beta_per_v must be positive"),
     "negative voltage": (lambda: DriveSpec(drive_voltage_v=-1.0), "must be nonnegative"),
     "fit of unequal lengths": (lambda: fit_doublet(np.zeros(60), np.zeros(59)),
                                "equal-length 1-d arrays"),
