@@ -68,9 +68,8 @@ class FbsSpec:
     sideband_suppression_db: float = DEFAULT_SIDEBAND_SUPPRESSION_DB
 
     def __post_init__(self):
-        check_settings(self, ideal_inf=("sideband_suppression_db",), unit=("efficiency_eta",))
-        _check_settings(self.transmissivity_T, self.phase_theta, self.efficiency_eta,
-                        self.sideband_suppression_db)
+        check_settings(self, ideal_inf=("sideband_suppression_db",), unit=("efficiency_eta",),
+                       fraction=("transmissivity_T",), nonnegative=("sideband_suppression_db",))
 
 
 @dataclass(frozen=True)
@@ -118,8 +117,8 @@ def fbs_blocks(
     sideband).  Columns all have norm sqrt(eta) exactly, so a single
     photon entering any of the four modes exits the set with total
     probability eta, and the spectral norm is sqrt(eta).  Raises
-    `ValidationError` for a setting out of range, an efficiency above
-    (1 + `_NORM_TOL`)^2 included.
+    `ValidationError` for a setting out of range, before any arithmetic
+    warns, an efficiency above (1 + `_NORM_TOL`)^2 included.
     """
     T, theta, eta, db = (
         a.ravel()
@@ -128,7 +127,16 @@ def fbs_blocks(
               (transmissivity_T, phase_theta, efficiency_eta, sideband_suppression_db))
         )
     )
-    _check_settings(T, theta, eta, db)
+    for ok, message in (
+        ((T >= 0.0) & (T <= 1.0), "transmissivity must lie in [0, 1]"),
+        (np.isfinite(theta), "phase must be finite"),
+        (np.isfinite(eta) & (eta >= 0.0), "efficiency must be finite and nonnegative"),
+        (eta <= (1.0 + _NORM_TOL) ** 2, "matrix spectral norm exceeds 1: not physical"),
+        (~np.isnan(db), "sideband suppression must not be NaN"),
+        (db >= 0.0, "sideband suppression must be nonnegative"),
+    ):
+        if not np.all(ok):
+            raise ValidationError(message)
     t = np.sqrt(T)
     r = np.sqrt(1.0 - T)
     eps = np.sqrt((1.0 - T) * 10.0 ** (-db / 10.0))
@@ -143,24 +151,6 @@ def fbs_blocks(
     u[:, :2, 2:] = -eps[:, None, None] * u[:, :2, :2]
     u[:, 2, 2] = u[:, 3, 3] = s
     return np.sqrt(eta)[:, None, None] * u
-
-
-def _check_settings(T, theta, eta, db) -> None:
-    """Raise `ValidationError` for beam-splitter settings (scalars or arrays)
-    out of range, before any arithmetic warns.  An infinite suppression is
-    the ideal splitter.  The matrix is sqrt(eta) times a unitary, so its
-    spectral norm exceeds 1 + `_NORM_TOL` exactly where eta does
-    (1 + `_NORM_TOL`)^2."""
-    for ok, message in (
-        ((T >= 0.0) & (T <= 1.0), "transmissivity must lie in [0, 1]"),
-        (np.abs(theta) < np.inf, "phase must be finite"),  # np.isfinite fails on ints past int64
-        (np.isfinite(eta) & (eta >= 0.0), "efficiency must be finite and nonnegative"),
-        (eta <= (1.0 + _NORM_TOL) ** 2, "matrix spectral norm exceeds 1: not physical"),
-        (db == db, "sideband suppression must not be NaN"),  # False for NaN alone
-        (db >= 0.0, "sideband suppression must be nonnegative"),
-    ):
-        if not np.all(ok):
-            raise ValidationError(message)
 
 
 def fbs_transform(spec: FbsSpec, modes: Sequence[int]):

@@ -1,10 +1,11 @@
-"""Exception types shared across the package, and the one finiteness and
+"""Exception types shared across the package, and the one number and
 range rule of every settings class (`check_settings`); a rule relating
 two fields stays with its class."""
 
 import math
 from dataclasses import fields
-from numbers import Real
+
+import numpy as np
 
 
 class FreqbinError(Exception):
@@ -61,17 +62,22 @@ _RANGES = ((lambda x: 0.0 < x <= 1.0, "lie in (0, 1]"),
 
 def check_settings(settings, ideal_inf=(), unit=(), fraction=(), positive=(), nonnegative=()):
     """Raise `ValidationError` naming the first field of a settings dataclass
-    that breaks the rule: every real-number field, numpy scalars and ints
-    included, is finite ("<field> must be finite"), +inf allowed in
-    ``ideal_inf``; then ``unit`` fields lie in (0, 1], ``fraction`` in [0, 1],
-    ``positive`` above 0 and ``nonnegative`` at or above 0 ("<field> must
-    lie in (0, 1]", "<field> must be positive", ...)."""
+    that breaks the rule.  A number field, annotated ``float`` or ``float |
+    None`` with None for unset (annotations are postponed, so the type is
+    that string), holds an int, float or numpy real scalar but no bool
+    ("<field> must be a real number") that is finite ("<field> must be
+    finite"), +inf allowed in ``ideal_inf``; then ``unit`` fields lie in
+    (0, 1], ``fraction`` in [0, 1], ``positive`` above 0 and ``nonnegative``
+    at or above 0 ("<field> must lie in (0, 1]", "<field> must be positive")."""
     for f in fields(settings):
         value = getattr(settings, f.name)
-        # float first: most fields are one, and it skips the slower Real test.
-        if isinstance(value, (float, Real)) and not finite(value):
-            if not (f.name in ideal_inf and value == math.inf):
-                raise ValidationError(f"{f.name} must be finite")
+        if f.type != "float" and (f.type != "float | None" or value is None):
+            continue  # nested settings check themselves
+        if type(value) is not float and (isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating))):
+            raise ValidationError(f"{f.name} must be a real number")
+        if not finite(value) and not (f.name in ideal_inf and value == math.inf):
+            raise ValidationError(f"{f.name} must be finite")
     for names, (inside, rule) in zip((unit, fraction, positive, nonnegative), _RANGES):
         for name in names:
             if not inside(getattr(settings, name)):

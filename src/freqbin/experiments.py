@@ -428,8 +428,8 @@ def _pair(circuit: Circuit, i: int, j: int) -> np.ndarray:
 
 def _coincidences(circuit: Circuit, q: np.ndarray) -> np.ndarray:
     """Probability P[..., x, y] that detector x of group A and detector y
-    of group B both fire, for two-photon probabilities ``q`` = |S|^2 of
-    the amplitudes S of `_pair`, or a convex mix of such.
+    of group B both fire, for two-photon probabilities ``q``: |S|^2 of
+    `_pair`'s amplitudes S, those of two distinguishable photons, or a mix.
 
     The frequency demux measures bin occupations first, so only
     occupations with exactly one photon on the group-A bins and one on
@@ -704,7 +704,9 @@ def _cz(
     and the expected singles flux singles_rows[row, d] on each detector,
     counting events whose two photons both reach a bin.  Rows follow the
     labels of ``_CZ_INPUTS[basis]``; the outcome columns (c0 t0, c0 t1,
-    c1 t0, c1 t1) share their order."""
+    c1 t0, c1 t1) share their order.  Both read Q = v |S|^2 + (1 - v) Q_dist
+    at the source's overlap v; distinguishable photons add their two ways
+    in probability, so Q_dist is `_pair` of |U|^2."""
     c0, c1 = CZ_CONTROL_BINS
     t0, t1 = CZ_TARGET_BINS
     stages = [
@@ -720,8 +722,10 @@ def _cz(
             _splitter(chip.dr3, h_bins, transmissivity=0.5, theta=0.0),
         ]
     circuit = _circuit(chip, toggles, stages, CZ_CONTROL_BINS, CZ_TARGET_BINS)
-    s = np.concatenate([_pair(circuit, *bins) for bins in _CZ_INPUTS[basis].values()])
-    q = np.abs(s) ** 2
+    inputs = _CZ_INPUTS[basis].values()
+    power = circuit._replace(u=np.abs(circuit.u) ** 2)
+    s, q_dist = (np.concatenate([_pair(c, *bins) for bins in inputs]) for c in (circuit, power))
+    q = indistinguishability_mix(np.abs(s) ** 2, q_dist, chip.source.indistinguishability)
     return circuit, _coincidences(circuit, q).reshape(4, 4), q.sum(axis=-1) @ circuit.weights.T
 
 

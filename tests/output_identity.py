@@ -19,7 +19,8 @@ leaves no files).  The inputs:
   "<missing>") are compared too: an unknown manifest key, a nonstandard
   gate without ``allow_nonstandard``, a Poisson mean too large to draw,
   a dr1 and a filter spectrum past the float range, and a setting out of
-  range in each settings object a manifest reaches (`SETTINGS_ERRORS`);
+  range in each settings object a manifest reaches, and in each ranged
+  field of the splitter (`SETTINGS_ERRORS`);
 * `freqbin fit` of spectra this file writes itself, so both trees read
   the same bytes: the default dr1 doublet scanned over 601 points,
   ascending, descending and with 1% noise from a fixed seed; a 40-sample
@@ -89,6 +90,8 @@ SETTINGS_ERRORS = {
     "source": {"source": {"pair_rate_hz": 0}},
     "detector": {"detector": {"dark_rate_hz": -1}},
     "splitter": {"dr1": {"efficiency_eta": 0}},
+    "splitter-transmissivity": {"dr1": {"transmissivity_T": 1.5}},
+    "splitter-suppression": {"dr3": {"sideband_suppression_db": -1}},
     "cavity": {"dr2": {"cavity": {"kappa2_ghz": 0}}},
     "filters": {"filters": {"drop_efficiency": 1.5}},
     "chip": {"global_efficiency": 0},

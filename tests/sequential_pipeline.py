@@ -88,21 +88,39 @@ def _weights(grid, det_bins, cfg, toggles):
     return {d: np.pad(rows[d], (0, grid.n_modes - len(rows))) for d in det_bins}
 
 
-def _joint_detection(state, weights, group_a, group_b):
+def _probabilities(state):
+    """{occupation: probability} of a state."""
+    return {occ: abs(amp) ** 2 for occ, amp in state.items()}
+
+
+def _distinguishable(first, second):
+    """{occupation: probability} of two distinguishable photons, the one
+    in the single-photon state ``first`` and the other in ``second``: they
+    evolve independently, so their probabilities multiply, and the ways
+    to one occupation add in probability."""
+    probs = {}
+    for occ_a, p_a in _probabilities(first).items():
+        for occ_b, p_b in _probabilities(second).items():
+            occ = tuple(a + b for a, b in zip(occ_a, occ_b))
+            probs[occ] = probs.get(occ, 0.0) + p_a * p_b
+    return probs
+
+
+def _joint_detection(grid, probs, weights, group_a, group_b):
     """(outcome probabilities keyed by (detector in A, detector in B),
     singles flux per detector from occupations with every photon on a
-    bin, total accepted probability)."""
+    bin, total accepted probability) of the occupation probabilities
+    ``probs`` on ``grid``."""
     set_a = set(group_a)
     set_b = set(group_b)
     dets = list(weights)
-    pos_a = {state.grid.position(i) for i in group_a}
-    pos_b = {state.grid.position(i) for i in group_b}
-    sidebands = [p for p, b in enumerate(state.grid.bins) if b.role == ROLE_SIDEBAND]
+    pos_a = {grid.position(i) for i in group_a}
+    pos_b = {grid.position(i) for i in group_b}
+    sidebands = [p for p, b in enumerate(grid.bins) if b.role == ROLE_SIDEBAND]
     outcomes = {}
     singles = {d: 0.0 for d in dets}
     success = 0.0
-    for occ, amp in state.items():
-        p_key = abs(amp) ** 2
+    for occ, p_key in probs.items():
         photons = [p for p, c in enumerate(occ) for _ in range(c)]
         if not any(occ[p] for p in sidebands):
             for d in dets:
@@ -182,7 +200,8 @@ def hom_columns(cfg, reflectivities, toggles, v_indist):
             psi = _apply_with_insertion(fock_state(grid, occupations), bs, eta3)
             return _scale_uniform(psi, _global_eta(cfg, toggles))
 
-        outcome, _, _ = _joint_detection(evolve({0: 1, 1: 1}), weights, [0], [1])
+        outcome, _, _ = _joint_detection(grid, _probabilities(evolve({0: 1, 1: 1})), weights,
+                                         [0], [1])
         p_ind = outcome.get((0, 1), 0.0)
         marg = [_single_photon_probs(evolve({b: 1}), weights) for b in bins]
         p_dist = marg[0][0] * marg[1][1] + marg[0][1] * marg[1][0]
@@ -195,8 +214,12 @@ def hom_columns(cfg, reflectivities, toggles, v_indist):
 
 def cz_tables(cfg, basis, toggles):
     """Exact truth table, success per row, and the accidental weight of
-    every outcome (max success times the normalized singles product)."""
+    every outcome (max success times the normalized singles product).
+    Each row detects the mix, at the source's overlap v, of the photon
+    pair evolved as one two-photon state and of the two photons evolved
+    as two independent single-photon states."""
     grid, sb = _grid(cfg, 3)
+    v = cfg.source.indistinguishability if "distinguishability" in toggles else 1.0
     c0, c1 = CZ_CONTROL_BINS
     t0, t1 = CZ_TARGET_BINS
     h_bins = (c0, c1) if basis == "xz" else (t0, t1)
@@ -208,8 +231,9 @@ def cz_tables(cfg, basis, toggles):
     exact = np.zeros((4, 4))
     success = np.zeros(4)
     singles_rows = []
-    for row, bins in enumerate(_CZ_INPUTS[basis].values()):
-        psi = fock_state(grid, {b: 1 for b in bins})
+
+    def evolve(occupations):
+        psi = fock_state(grid, occupations)
         if basis != "zz":
             psi = _apply_with_insertion(psi, prep, eta1)
         psi = apply_transform(psi, ModeTransform((c0,), [[math.sqrt(cfg.r1_transmission)]]))
@@ -217,8 +241,14 @@ def cz_tables(cfg, basis, toggles):
         psi = _apply_with_insertion(psi, gate, eta2)
         if basis != "zz":
             psi = _apply_with_insertion(psi, analysis, eta3)
-        psi = _scale_uniform(psi, _global_eta(cfg, toggles))
-        outcome, singles, succ = _joint_detection(psi, weights, (c0, c1), (t0, t1))
+        return _scale_uniform(psi, _global_eta(cfg, toggles))
+
+    for row, (i, j) in enumerate(_CZ_INPUTS[basis].values()):
+        together = _probabilities(evolve({i: 1, j: 1}))
+        apart = _distinguishable(evolve({i: 1}), evolve({j: 1}))
+        mixed = {occ: v * together.get(occ, 0.0) + (1.0 - v) * apart.get(occ, 0.0)
+                 for occ in {*together, *apart}}
+        outcome, singles, succ = _joint_detection(grid, mixed, weights, (c0, c1), (t0, t1))
         for col, pair in enumerate(det_pairs):
             exact[row, col] = outcome.get(pair, 0.0)
         success[row] = succ
@@ -255,7 +285,7 @@ def bell_curves(cfg, phases, toggles):
             out = _apply_with_insertion(state, analyzer_a, eta1)
             out = _apply_with_insertion(out, analyzer_b, eta2)
             out = _scale_uniform(out, _global_eta(cfg, toggles))
-            return _joint_detection(out, weights, (f1, f2), (f3, f4))[0]
+            return _joint_detection(grid, _probabilities(out), weights, (f1, f2), (f3, f4))[0]
 
         coherent = project(bell_state)
         parts = [project(s) for s in products]

@@ -14,6 +14,7 @@ from freqbin.elements import fbs_transform
 from freqbin.errors import ConfigurationError, DomainError, ValidationError
 from freqbin.experiments import (
     _CZ_INPUTS,
+    CZ_BASES,
     CZ_CONTROL_BINS,
     CZ_TARGET_BINS,
     _cz,
@@ -201,6 +202,21 @@ class TestCz:
         chip = replace(cfg, source=replace(cfg.source, car=14.0), **change)
         with pytest.raises(DomainError, match=f"{basis} basis: .*{reason}"):
             run_cz_characterization(chip, {"car", "eta"}, 3, sample, allow_nonstandard=True)
+
+    def test_source_overlap_enters_the_truth_tables(self, cfg):
+        # The tables read |S|^2 alone, so the distinguishability toggle
+        # left the gate unchanged at every overlap.
+        def chip(v):
+            return replace(cfg, source=replace(cfg.source, indistinguishability=v))
+
+        for basis in CZ_BASES:
+            ideal, mixed = (run_cz(chip(v), basis, {"distinguishability"}).extras["table_exact"]
+                            for v in (1.0, 0.9))
+            assert np.max(np.abs(np.subtract(ideal, mixed))) > 1e-3
+        char = run_cz_characterization(chip(0.9), {"eta", "sideband", "crosstalk",
+                                                   "distinguishability"})
+        assert [char["f_xz"], char["f_zx"], char["hofmann_bound"]] == pytest.approx(
+            [0.9109, 0.9114, 0.8223], abs=5e-5)
 
     def test_wrong_splitting_rejected(self, cfg):
         bad = replace(

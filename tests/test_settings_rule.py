@@ -1,10 +1,13 @@
-"""The range half of the one settings rule (`freqbin.errors.check_settings`):
-each ranged field of the nine settings classes, with a message naming it;
-the finiteness half is `test_experiments.test_settings_reject_non_finite_numbers`."""
+"""The number and range halves of the one settings rule
+(`freqbin.errors.check_settings`): each number field of the nine settings
+classes holds a real number, and each ranged field keeps its range, with
+a message naming the field; the finiteness half is
+`test_experiments.test_settings_reject_non_finite_numbers`."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from freqbin.counting import DetectorSpec, SourceSpec
@@ -38,6 +41,8 @@ RANGED = [
     (DetectorSpec(), "integration_s", "positive"),
     (DetectorSpec(), "dark_rate_hz", "nonnegative"),
     (FbsSpec(), "efficiency_eta", "unit"),
+    (FbsSpec(), "transmissivity_T", "fraction"),
+    (FbsSpec(), "sideband_suppression_db", "nonnegative"),
     (DRParams(), "g_ghz", "positive"),
     (DRParams(), "kappa1_ghz", "positive"),
     (DRParams(), "kappa_ex_ghz", "positive"),
@@ -52,6 +57,32 @@ RANGED = [
     (CalibCurve(), "beta_per_v", "positive"),
     (DriveSpec(), "drive_voltage_v", "nonnegative"),
 ]
+
+
+# The 31 number fields `test_settings_reject_non_finite_numbers` counts.
+NUMBER_FIELDS = [
+    (spec, f.name)
+    for spec in (CHIP, CHIP.grid, CHIP.dr1.fbs, CHIP.dr1.cavity, CHIP.filters, CHIP.source,
+                 CHIP.detector, CalibCurve(), DriveSpec())
+    for f in fields(spec) if isinstance(getattr(spec, f.name), float)
+]
+NOT_REAL = ["1", None, [0.5], np.array([0.5, 0.5]), 1j, True]
+
+
+@pytest.mark.parametrize("case", NUMBER_FIELDS, ids=_id)
+def test_number_field_holds_a_real_number(case):
+    # A string, None, a list, an array or a complex number passed (a
+    # spectroscopy run then ended in a UFuncTypeError), or ended in a bare
+    # TypeError; a bool passed as 0 or 1.
+    spec, name = case
+    for value in NOT_REAL:
+        if value is None and name == "anchor_thz":  # unset
+            assert replace(spec, **{name: value}).anchor_thz is None
+            continue
+        with pytest.raises(ValidationError, match=f"^{name} must be a real number$"):
+            replace(spec, **{name: value})
+    value = np.float32(getattr(spec, name))
+    assert getattr(replace(spec, **{name: value}), name) is value
 
 
 @pytest.mark.parametrize("case", RANGED, ids=_id)
