@@ -25,12 +25,11 @@ Conventions, documented once here:
   its mode positions are bin indices.  Each element updates the rows of
   U on its bins and scales the others by its insertion loss.  One
   evaluator reads any circuit in closed form: a photon injected at i
-  reaches mode p with probability |U[p, i]|^2 (`_singles`), and two
-  photons injected at i != j leave one photon at p and one at q != p
-  with amplitude U[p, i] U[q, j] + U[q, i] U[p, j] (the 2x2 permanent,
-  `_pair`), whose |S|^2 `_coincidences` detects.  The Fock engine and
-  the permanent of `freqbin.fock` are the oracles the tests check this
-  against.
+  reaches mode p with probability |U[p, i]|^2, and two photons injected
+  at i != j leave one photon at p and one at q != p with amplitude
+  U[p, i] U[q, j] + U[q, i] U[p, j] (the 2x2 permanent, `_pair`).  The
+  Fock engine and the permanent of `freqbin.fock` are the oracles the
+  tests check this against.
 * Element efficiency is applied as frequency-uniform insertion loss:
   an element's matrix carries sqrt(eta) on every mode it does not
   couple, so every photon picks up sqrt(eta) of that element, whether or
@@ -46,8 +45,13 @@ Conventions, documented once here:
   photon reaching detector d from bin b carries the Lorentzian drop power
   W[d, b] at their frequency offset times the through power of every
   upstream filter.  Crosstalk therefore flows one way along the cascade.
-  Single-photon detection probabilities are W |U[:, i]|^2; coincidences
-  contract the two-photon probabilities Q = |S|^2 with W on both photons.
+  Single-photon detection probabilities are W |U[:, i]|^2.  One map
+  detects every photon pair (`_coincidences`): P = W_A (M * Q) W_B^T
+  routes both photons of the pair probabilities Q (|S|^2, `_pair` of
+  |U|^2 for distinguishable photons, or their mix), and the mask M keeps
+  one photon on group A's bins and one on group B's.  hom's reference is
+  the map with M all ones: with every toggle on it reads 0.100972 at
+  R = 0.5, against 0.098672 masked; without crosstalk the two are equal.
 * Sampled runs draw counts in `_sample` only: the probability p[k, c]
   of sweep point or truth-table row k and curve or outcome c becomes one
   count record with seed derive_seed(seed, k, c), a column entry of one
@@ -407,12 +411,6 @@ def _routing(chip: ChipConfig, crosstalk: bool) -> np.ndarray:
     return weights
 
 
-def _singles(circuit: Circuit, bins: Sequence[int]) -> np.ndarray:
-    """P[k, d, i]: detector d (group A, then B) fires for one photon
-    injected at bins[i], W |U[:, i]|^2."""
-    return circuit.weights @ np.abs(circuit.u[:, :, bins]) ** 2
-
-
 def _pair(circuit: Circuit, i: int, j: int) -> np.ndarray:
     """Two-photon output S[k, p, q] = U[p, i] U[q, j] + U[q, i] U[p, j]
     for one photon injected at each of the distinct bins i and j.
@@ -426,26 +424,26 @@ def _pair(circuit: Circuit, i: int, j: int) -> np.ndarray:
     return outer + np.swapaxes(outer, -1, -2)
 
 
-def _coincidences(circuit: Circuit, q: np.ndarray) -> np.ndarray:
+def _coincidences(circuit: Circuit, q: np.ndarray, post_select: bool = True) -> np.ndarray:
     """Probability P[..., x, y] that detector x of group A and detector y
-    of group B both fire, for two-photon probabilities ``q``: |S|^2 of
-    `_pair`'s amplitudes S, those of two distinguishable photons, or a mix.
+    of group B both fire, for symmetric pair probabilities ``q`` over the
+    chip's bins: |S|^2 of `_pair`'s amplitudes S, `_pair` of |U|^2 for
+    two distinguishable photons, or a mix.  W_A and W_B route the two
+    photons, P = W_A (M * Q) W_B^T.
 
-    The frequency demux measures bin occupations first, so only
-    occupations with exactly one photon on the group-A bins and one on
-    the group-B bins are routed onto detectors, with routing rows W:
-
-        P[x, y] = sum_ab Q[a, b] (W[x, a] W[y, b] + W[y, a] W[x, b])
-
-    Routing misdirection that breaks the detector-level pattern rejects
-    the event; leakage that promotes a non-coincident occupation into a
-    fake pattern is a background contribution left to the accidental
-    model.
+    The frequency demux measures bin occupations first, so the mask M
+    keeps only occupations with exactly one photon on the group-A bins
+    and one on the group-B bins.  Routing misdirection that breaks the
+    detector-level pattern rejects the event; leakage that promotes a
+    non-coincident occupation into a fake pattern is a background
+    contribution left to the accidental model.  Without ``post_select``,
+    M is all ones: every occupation is routed.
     """
-    a, b = circuit.group_a, circuit.group_b
-    w_a, w_b = np.split(circuit.weights, [len(a)])
-    q = q[..., a, :][..., b]
-    return w_a[:, a] @ q @ w_b[:, b].T + w_a[:, b] @ np.swapaxes(q, -1, -2) @ w_b[:, a].T
+    side = np.zeros(q.shape[-1])  # +1 on group A's bins, -1 on group B's
+    side[[*circuit.group_a]], side[[*circuit.group_b]] = 1.0, -1.0
+    mask = np.multiply.outer(side, side) < 0.0 if post_select else True
+    w_a, w_b = np.split(circuit.weights, [len(circuit.group_a)])
+    return w_a @ (mask * q) @ w_b.T
 
 
 def _sample(
@@ -530,7 +528,8 @@ def _fmzi(
         ((1,), np.exp(1j * np.asarray(phases))[:, None, None], 1.0),
         _splitter(chip.dr3, bins),
     ], bins)
-    return circuit, np.swapaxes(_singles(circuit, bins), 1, 2).reshape(len(phases), 4)
+    p = circuit.weights @ np.abs(circuit.u[:, :, bins]) ** 2  # p[k, d, i]: W |U[:, i]|^2
+    return circuit, np.swapaxes(p, 1, 2).reshape(len(phases), 4)
 
 
 def run_fmzi(
@@ -587,14 +586,14 @@ def _hom(
     chip: ChipConfig, toggles: frozenset[str], rs: list[float]
 ) -> tuple[Circuit, np.ndarray]:
     """The circuit of `run_hom` and p[k, c]: the coincidence probability
-    (c = 0) and its distinguishable reference (c = 1)."""
+    (c = 0) and its distinguishable reference (c = 1), `_pair` of |U|^2
+    detected without the post-selection."""
     circuit = _circuit(chip, toggles, [
         _splitter(chip.dr3, (0, 1), transmissivity=1.0 - np.asarray(rs))
     ], (0,), (1,))
+    power = circuit._replace(u=np.abs(circuit.u) ** 2)
     p_ind = _coincidences(circuit, np.abs(_pair(circuit, 0, 1)) ** 2)[:, 0, 0]
-    # marg[k, d, i]: detector d fires for the photon injected at bin i.
-    marg = _singles(circuit, (0, 1))
-    p_dist = marg[:, 0, 0] * marg[:, 1, 1] + marg[:, 1, 0] * marg[:, 0, 1]
+    p_dist = _coincidences(circuit, _pair(power, 0, 1), post_select=False)[:, 0, 0]
     p_cc = indistinguishability_mix(p_ind, p_dist, chip.source.indistinguishability)
     return circuit, np.stack([p_cc, p_dist], axis=1)
 
@@ -609,8 +608,9 @@ def run_hom(
     """Two-photon interference at DR3 versus its reflectivity.
 
     A photon pair enters on bins (0, 1); DR3 runs at T = 1 - R per sweep
-    point.  The distinguishable reference is computed by routing each
-    photon independently, and the reported visibility per point is
+    point.  The distinguishable reference routes every occupation of
+    two distinguishable photons, without the coincidence post-selection
+    of the observed curve, and the reported visibility per point is
     (reference - observed) / reference, matching a dip quoted against
     the far-delay coincidence level.  ``visibility_at_balanced`` is that
     visibility at the sweep point nearest R = 0.5; with no point within
@@ -855,8 +855,8 @@ def run_cz_characterization(
 def _bell(
     chip: ChipConfig, toggles: frozenset[str], phases: list[float]
 ) -> tuple[Circuit, np.ndarray]:
-    """The circuit of `run_bell` and the fringe probabilities mixed[k, c]
-    of the outcomes (f1 f3, f1 f4, f2 f3, f2 f4)."""
+    """The circuit of `run_bell` and the fringe probabilities p[k, c] of
+    the outcomes (f1 f3, f1 f4, f2 f3, f2 f4), for Q mixed at coherence v."""
     f1, f2, f3, f4 = BELL_BINS
     circuit = _circuit(chip, toggles, [
         _splitter(chip.dr1, (f1, f2), transmissivity=0.5, theta=0.0),
@@ -867,11 +867,10 @@ def _bell(
     # reference, the equal mixture of its two product components.
     s00 = _pair(circuit, f1, f4)
     s11 = _pair(circuit, f2, f3)
-    coherent = _coincidences(circuit, np.abs((s00 + s11) / math.sqrt(2.0)) ** 2)
-    incoherent = 0.5 * (_coincidences(circuit, np.abs(s00) ** 2)
-                        + _coincidences(circuit, np.abs(s11) ** 2))
-    v = chip.source.indistinguishability
-    return circuit, indistinguishability_mix(coherent, incoherent, v).reshape(-1, 4)
+    q = indistinguishability_mix(np.abs((s00 + s11) / math.sqrt(2.0)) ** 2,
+                                 0.5 * (np.abs(s00) ** 2 + np.abs(s11) ** 2),
+                                 chip.source.indistinguishability)
+    return circuit, _coincidences(circuit, q).reshape(-1, 4)
 
 
 def run_bell(

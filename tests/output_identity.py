@@ -53,9 +53,11 @@ leaves no files).  The inputs:
 Prints one line per differing output and exits 1 if there is any, else
 prints the number of compared runs and exits 0.  Under the line of a
 differing JSON output (result.json, or the JSON documents the in-process
-run prints one after another) it lists each differing JSON path with
-both values, and the largest absolute difference of the numbers among
-them, so that a declared output change can be checked field by field.
+run prints one after another) it names each differing document by its
+index, with the number of its paths that differ, how many of them are
+integer leaves, and the largest absolute and relative differences of
+their numbers, then lists up to `MAX_PATHS` of its paths with both
+values, so that a declared output change can be checked field by field.
 pytest does not collect this file; it takes about a minute on two cores.
 """
 
@@ -82,7 +84,7 @@ TOGGLE_SETS = (
     sorted(common.ALL_IMPERFECTIONS),
 )
 OUTPUT_FILES = ("result.json", "sweep.csv", "report.txt")
-#: Most differing JSON paths listed under one differing output.
+#: Most differing JSON paths listed under one differing JSON document.
 MAX_PATHS = 20
 
 #: One value out of range for each settings object a manifest reaches.
@@ -359,22 +361,31 @@ def _leaf_differences(a, b, path: str):
 
 
 def _json_report(parent: str, change: str) -> list[str]:
-    """Indented lines naming each differing path of two JSON outputs and
-    the largest absolute difference of their numbers; [] when either
-    side is not JSON."""
+    """Indented lines for two JSON outputs, [] when either side is not
+    JSON: per differing document, its index, the number of paths that
+    differ, how many of those are integer leaves (a count, a seed) and
+    the largest absolute and relative differences of their numbers, then
+    up to `MAX_PATHS` of its paths with both values."""
     docs = [_json_documents(parent), _json_documents(change)]
     if None in docs or len(docs[0]) != len(docs[1]):
         return []
-    single = len(docs[0]) == 1
-    found = [d for k, (a, b) in enumerate(zip(*docs))
-             for d in _leaf_differences(a, b, "" if single else f"/doc{k + 1}")]
-    lines = [f"    {path or '/'}: {a!r} -> {b!r}" for path, a, b in found[:MAX_PATHS]]
-    if len(found) > MAX_PATHS:
-        lines.append(f"    ... and {len(found) - MAX_PATHS} more paths")
-    numbers = [abs(a - b) for _, a, b in found
-               if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))]
-    if numbers:
-        lines.append(f"    largest absolute difference: {max(numbers):.3g}")
+    lines = []
+    for k, (a, b) in enumerate(zip(*docs)):
+        found = list(_leaf_differences(a, b, ""))
+        if not found:
+            continue
+        integers = sum(type(x) is int or type(y) is int for _, x, y in found)
+        head = f"    doc {k + 1}: {len(found)} paths differ, {integers} integer leaves"
+        pairs = [(x, y) for _, x, y in found if all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))]
+        if pairs:
+            absolute = max(abs(x - y) for x, y in pairs)
+            relative = max(abs(x - y) / (max(abs(x), abs(y)) or 1.0) for x, y in pairs)
+            head += f"; largest difference {absolute:.3g} absolute, {relative:.3g} relative"
+        lines.append(head)
+        lines += [f"      {path or '/'}: {x!r} -> {y!r}" for path, x, y in found[:MAX_PATHS]]
+        if len(found) > MAX_PATHS:
+            lines.append(f"      ... and {len(found) - MAX_PATHS} more paths")
     return lines
 
 

@@ -17,8 +17,12 @@ from freqbin.experiments import (
     CZ_BASES,
     CZ_CONTROL_BINS,
     CZ_TARGET_BINS,
+    IMPERFECTION_NAMES,
+    _coincidences,
     _cz,
     _effective,
+    _hom,
+    _pair,
     default_chip_config,
     _grid_seeds,
     _sweep,
@@ -128,6 +132,30 @@ class TestHom:
         res = run_hom(cfg, [0.5], imperfections={"distinguishability"})
         assert res.series["visibility"][0] == pytest.approx(0.949, abs=1e-12)
 
+
+    @pytest.mark.parametrize("crosstalk, reference, masked", [
+        (False, None, None), (True, 0.100972, 0.098672)])
+    def test_reference_is_the_pair_map_without_its_post_selection(
+        self, cfg, crosstalk, reference, masked
+    ):
+        # The reference routes every occupation of two distinguishable
+        # photons, the observed curve only one photon on each detector's
+        # bin.  Filter crosstalk alone tells them apart: at R = 0.5 with
+        # every toggle on, the reference is 2.3% above the masked map.
+        cfg = replace(cfg, source=replace(cfg.source, indistinguishability=0.949))
+        toggles, chip = _effective(
+            cfg, IMPERFECTION_NAMES if crosstalk else IMPERFECTION_NAMES - {"crosstalk"})
+        circuit, p = _hom(chip, toggles, [0.5])
+        q = _pair(circuit._replace(u=np.abs(circuit.u) ** 2), 0, 1)
+        unmasked, kept = (_coincidences(circuit, q, post_select=on)[0, 0, 0]
+                          for on in (False, True))
+        assert unmasked == p[0, 1] == run_hom(cfg, [0.5], imperfections=toggles).extras[
+            "p_distinguishable"][0]
+        if crosstalk:
+            assert unmasked == pytest.approx(reference, abs=1e-6)
+            assert kept == pytest.approx(masked, abs=1e-6)
+        else:
+            assert unmasked == kept
 
     @pytest.mark.parametrize("sample", [False, True])
     def test_sweep_without_a_balanced_point(self, cfg, sample):
