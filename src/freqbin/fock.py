@@ -24,9 +24,14 @@ along each of the n axes, on the rows of its modes, and the outputs are
 read back at the ascending mode tuples through a table cached per sector.
 The tensor holds at most 2**22 entries (4 photons on up to 45 modes).
 `transition_amplitude` is its independent brute-force oracle, on a code
-path the engine never calls: per call one validating pass over the output
-occupation and one Ryser permanent (O(n^2 2^n) numpy work over all column
-subsets, n <= 16) of the input's column block, which is memoised.
+path the engine never calls: per call one Ryser permanent (O(n^2 2^n) numpy
+work over all column subsets, n <= 16) of the input's columns and the
+output's rows.  Each side is validated and expanded once, then memoised:
+the column block per (transform, input), 8 entries, and the output's rows
+and prod n_out! per occupation, 4,096 entries (every output of 1-4 photons
+on 14 modes fits).  A cyclic sweep past that bound, such as 4 photons on
+20 modes (8,855 outputs), misses on every call and costs what the unmemoised
+call did, about 10 us against 6 us on a hit (2-core x86_64 VM).
 """
 
 from __future__ import annotations
@@ -56,23 +61,45 @@ MAX_PHOTON_NUMBER = 4
 _UNITARY_ATOL = 1e-9
 
 
-def _photon_counts(occ: Iterable, error: type[Exception], weight: float = 1.0) -> tuple:
+def _photon_counts(occ: Iterable, error: type[Exception]) -> tuple:
     """``occ`` as a tuple of ints, its photon positions (mode j repeated occ[j]
-    times) and ``weight`` times prod occ!; ``error`` unless every count is a
-    whole number of photons.  Past MAX_PERMANENT_SIZE photons, no positions."""
-    occ = tuple(occ)
+    times) and prod occ!; ``error`` unless every count is a whole number of
+    photons.  Past MAX_PERMANENT_SIZE photons, no positions and 1.0."""
     try:
+        occ = tuple(occ)
         counts = tuple(map(int, occ))
     except (TypeError, ValueError, OverflowError):
         counts = ()
     if counts != occ or min(counts, default=0) < 0:
         raise error(f"photon counts {occ} are not non-negative integers")
-    positions = []
+    positions, weight = [], 1.0
     for j, k in enumerate(counts if sum(counts) <= MAX_PERMANENT_SIZE else ()):
         if k:
             positions += [j] * k
             weight *= _FACTORIALS[k]
     return counts, positions, weight
+
+
+def _mode_index(i) -> int:
+    """``i`` as an int; ValidationError unless it is a whole number."""
+    try:
+        if int(i) == i:
+            return int(i)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"mode index {i!r} is not an integer")
+
+
+def _complex_matrix(matrix, error: type[Exception]) -> np.ndarray:
+    """A complex copy of ``matrix``; ``error`` unless its entries are numbers
+    (a string or None is not)."""
+    try:
+        a = np.asarray(matrix)
+        if a.dtype.kind in "biufc":
+            return a.astype(complex)
+    except (TypeError, ValueError):  # a ragged nesting
+        pass
+    raise error("matrix entries are not all numbers")
 
 
 class PureState:
@@ -164,9 +191,9 @@ class ModeTransform:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = _complex_matrix(self.matrix, ValidationError)
         m.setflags(write=False)
-        subset = tuple(int(i) for i in self.mode_subset)
+        subset = tuple(map(_mode_index, self.mode_subset))
         if len(set(subset)) != len(subset):
             raise ValidationError("mode subset contains duplicates")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(subset):
@@ -211,7 +238,9 @@ def permanent(matrix: np.ndarray) -> complex:
     subset are ``A @ table`` with a cached table of subset indicator
     columns.  O(n^2 2^n) numpy work; n <= 16.
     """
-    a = np.asarray(matrix, dtype=complex)
+    a = matrix
+    if type(a) is not np.ndarray or a.dtype != complex:
+        a = _complex_matrix(a, DomainError)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("permanent requires a square matrix")
     n = a.shape[0]
@@ -220,7 +249,7 @@ def permanent(matrix: np.ndarray) -> complex:
     if n > MAX_PERMANENT_SIZE:
         raise DomainError(f"permanent supported up to n = {MAX_PERMANENT_SIZE}")
     members, signs = _ryser_table(n)
-    return (-1.0) ** n * complex((a @ members).prod(axis=0).dot(signs))
+    return (-1.0) ** n * complex(np.multiply.reduce(a @ members, axis=0).dot(signs))
 
 
 #: Largest state tensor `apply_transform` builds: m**n complex entries for
@@ -291,25 +320,41 @@ def _columns(t: ModeTransform, n_in: tuple) -> tuple[np.ndarray, int, float]:
     return t.matrix.take(cols, 1, mode="clip"), sum(counts), weight
 
 
+@functools.lru_cache(maxsize=4096)  # every output of 1-4 photons on 14 modes: 3,059
+def _output_rows(n_out: tuple) -> tuple[tuple, int, float]:
+    """The photon positions of n_out, its photon number and prod n_out!."""
+    counts, rows, weight = _photon_counts(n_out, DomainError)
+    return tuple(rows), sum(counts), weight
+
+
 def transition_amplitude(t: ModeTransform, n_in: Iterable[int], n_out: Iterable[int]) -> complex:
     """Amplitude <n_out| applied-transform |n_in> via the matrix permanent.
 
     Occupations are over ``t.mode_subset`` in subset order; the amplitude
     is per(M[n_out | n_in]) / sqrt(prod n_in! prod n_out!), column i of M
     repeated n_in[i] times and row j n_out[j] times.  The independent
-    oracle for `apply_transform`: one validating pass over ``n_out`` and one
-    Ryser permanent per call, the input's column block memoised (`_columns`).
+    oracle for `apply_transform`: one Ryser permanent per call.  The input's
+    column block (`_columns`) and the output's rows and prod n_out!
+    (`_output_rows`, the 4,096 most recently used occupations) are memoised,
+    so each occupation is validated once per miss; an unhashable count is
+    validated without the memo.
     """
-    n_in = tuple(n_in)
+    try:
+        n_in, n_out = tuple(n_in), tuple(n_out)
+    except TypeError:
+        raise DomainError("occupations must be sequences of photon counts") from None
     try:
         cols, n, weight = _columns(t, n_in)
     except TypeError:  # an unhashable count: validate without the memo
         cols, n, weight = _columns.__wrapped__(t, n_in)
-    counts, rows, weight = _photon_counts(n_out, DomainError, weight)
-    if len(n_in) != t.size or len(counts) != len(n_in):
+    try:
+        rows, n_photons, w_out = _output_rows(n_out)
+    except TypeError:
+        rows, n_photons, w_out = _output_rows.__wrapped__(n_out)
+    if len(n_in) != t.size or len(n_out) != len(n_in):
         raise DomainError("occupation length must match the transform size")
-    if sum(counts) != n:
+    if n_photons != n:
         raise DomainError("photon number mismatch between input and output")
     if n > MAX_PERMANENT_SIZE:
         raise DomainError(f"permanent supported up to n = {MAX_PERMANENT_SIZE}")
-    return permanent(cols.take(rows, 0)) / math.sqrt(weight)
+    return permanent(cols.take(rows, 0)) / math.sqrt(weight * w_out)

@@ -43,9 +43,13 @@ leaves no files).  The inputs:
   amplitude printed by its repr so that the engine's bits are compared;
   and, by repr, the oracle: `transition_amplitude` into every output of
   two seeded inputs of each of 1 to 4 photons (repeated modes included)
-  on 14-mode matrices composed like the `oracle_verify` circuits, of
-  three inputs of each of 12 to 16 photons on a 2-mode transform, where
-  the product of factorials passes 2**53 (one square root per side in
+  on 14-mode matrices composed like the `oracle_verify` circuits, the
+  last of them again with its outputs reversed (each a hit of the
+  oracle's output memo), of one 4-photon input on a 17-mode matrix into
+  its 4,845 outputs, more than the memo holds, forward and then reversed
+  (misses, evictions, hits and misses of evicted outputs), of three
+  inputs of each of 12 to 16 photons on a 2-mode transform, where the
+  product of factorials passes 2**53 (one square root per side in
   place of one of the whole product moves 142 of these lines), and
   `permanent` of seeded n x n matrices, n = 0..8;
 * the demos 01-06 next to each tree.
@@ -214,6 +218,16 @@ for n in (1, 2, 3, 4):
         print("oracle, 14 modes, input", occ_in)
         for occ_out in occupations(14, n):
             print(occ_out, repr(transition_amplitude(oracle, occ_in, occ_out)))
+print("oracle, 14 modes, input", occ_in, "again, reversed")
+for occ_out in list(occupations(14, 4))[::-1]:
+    print(occ_out, repr(transition_amplitude(oracle, occ_in, occ_out)))
+wide = ModeTransform(tuple(range(17)), lossy_unitary(np.random.default_rng(24), 17))
+occ_in = (1, 0, 0, 2) + (0,) * 12 + (1,)
+outputs = list(occupations(17, 4))
+for sweep in (outputs, outputs[::-1]):
+    print("oracle, 17 modes, input", occ_in)
+    for occ_out in sweep:
+        print(occ_out, repr(transition_amplitude(wide, occ_in, occ_out)))
 pair = ModeTransform((0, 1), lossy_unitary(rng, 2))
 for n in range(12, 17):
     for occ_in in ((n, 0), (0, n), (n // 3, n - n // 3)):

@@ -273,6 +273,16 @@ class TestPermanentOracle:
             permanent(np.ones((2, 3)))
         assert permanent(np.zeros((0, 0))) == 1.0
 
+    def test_numeric_matrices_of_every_kind_are_accepted(self):
+        # Only input that is not already a complex array is checked for
+        # numbers, and it reads as the complex array of its values.
+        values = [[1, 0], [2, 3]]
+        for matrix in [values, [[True, False], [True, True]], np.array(values, dtype=np.int8),
+                       np.array(values, dtype=np.float32), np.array(values, dtype=np.complex64),
+                       [[1 + 0j, 0.0], [2, np.float64(3)]]]:
+            assert permanent(matrix) == permanent(np.asarray(matrix, dtype=complex))
+            assert ModeTransform((0, 1), np.asarray(matrix) / 4).matrix.dtype == complex
+
     def test_identity_diagonal_transition(self):
         ident = ModeTransform((0, 1, 2), np.eye(3))
         assert transition_amplitude(ident, (2, 1, 0), (2, 1, 0)) == pytest.approx(1.0)
@@ -426,6 +436,7 @@ class TestInvariants:
 
 
 _GRID = grid_from_indices([0, 1])
+_SPLITTER = ModeTransform((0, 1), beam_splitter(0.5))
 _RAISE_SITES = {
     "everything pruned": (lambda: PureState(_GRID, {(1, 0): AMPLITUDE_PRUNE / 2, (0, 1): 0.0}),
                           ValidationError, "state has no amplitude above the pruning threshold"),
@@ -441,6 +452,26 @@ _RAISE_SITES = {
                                "matrix must be square and match the mode subset"),
     "matrix not square": (lambda: ModeTransform((0, 1), np.ones((2, 3))), ValidationError,
                           "matrix must be square and match the mode subset"),
+    "mode index not whole": (lambda: ModeTransform((0.5, 1), np.eye(2)), ValidationError,
+                             r"mode index 0\.5 is not an integer"),
+    "mode index a string": (lambda: ModeTransform(("1", 2), np.eye(2)), ValidationError,
+                            "mode index '1' is not an integer"),
+    "mode index None": (lambda: ModeTransform((0, None), np.eye(2)), ValidationError,
+                        "mode index None is not an integer"),
+    "matrix of strings": (lambda: ModeTransform((0,), [["x"]]), ValidationError,
+                          "matrix entries are not all numbers"),
+    "occupation None": (lambda: PureState(_GRID, {None: 1.0}), ValidationError,
+                        "photon counts None are not non-negative integers"),
+    "permanent of a string": (lambda: permanent([["a"]]), DomainError,
+                              "matrix entries are not all numbers"),
+    "permanent of None": (lambda: permanent([[None]]), DomainError,
+                          "matrix entries are not all numbers"),
+    "permanent of a ragged nesting": (lambda: permanent([[1, 2], [3]]), DomainError,
+                                      "matrix entries are not all numbers"),
+    "no output occupation": (lambda: transition_amplitude(_SPLITTER, (1, 1), None), DomainError,
+                             "occupations must be sequences of photon counts"),
+    "no input occupation": (lambda: transition_amplitude(_SPLITTER, None, (1, 1)), DomainError,
+                            "occupations must be sequences of photon counts"),
     "bin role": (lambda: Bin(0, "pump"), ValidationError, "unknown bin role 'pump'"),
     "frequency without an anchor": (lambda: _GRID.frequency_thz(0), ConfigurationError,
                                     "grid has no absolute frequency anchor"),
@@ -618,7 +649,7 @@ def parent_amplitude(t, n_in, n_out):
     """The oracle's formula, written out: one permanent of M with its rows
     and columns repeated, over the input's then the output's factorials."""
     modes = np.arange(t.size)
-    per = permanent(t.matrix.take(modes.repeat(n_out), 0).take(modes.repeat(n_in), 1))
+    per = fock.permanent(t.matrix.take(modes.repeat(n_out), 0).take(modes.repeat(n_in), 1))
     return per / math.sqrt(math.prod(float(math.factorial(k)) for k in [*n_in, *n_out]))
 
 
@@ -695,3 +726,49 @@ def test_equal_inputs_of_other_types_give_the_identical_amplitude():
         a = transition_amplitude(bs, first, (2, 0))
         b = transition_amplitude(bs, second, (2, 0))
         assert a == b == parent_amplitude(bs, (1, 1), (2, 0))
+
+
+def test_a_second_sweep_over_the_outputs_hits_the_output_memo():
+    t = ModeTransform(tuple(range(5)), haar_unitary(5, np.random.default_rng(8)) * 0.9)
+    outputs = list(occupations(5, 3))
+    fock._output_rows.cache_clear()
+    first = [transition_amplitude(t, (1, 0, 2, 0, 0), occ) for occ in outputs]
+    assert fock._output_rows.cache_info()[:2] == (0, len(outputs))
+    second = [transition_amplitude(t, [1, 0, 2, 0, 0], occ) for occ in outputs[::-1]]
+    assert fock._output_rows.cache_info()[:2] == (len(outputs), len(outputs))
+    expected = [parent_amplitude(t, (1, 0, 2, 0, 0), occ) for occ in outputs]
+    assert first == second[::-1] == expected
+
+
+def test_a_sweep_past_the_output_memo_evicts_and_keeps_the_amplitudes():
+    # 4 photons on 17 modes have 4,845 outputs, more than the memo holds:
+    # the reversed second sweep hits the newest 4,096 and misses the rest.
+    t = ModeTransform(tuple(range(17)), haar_unitary(17, np.random.default_rng(9)) * 0.9)
+    n_in = (0, 2, 0, 0, 1) + (0,) * 11 + (1,)
+    outputs = list(occupations(17, 4))
+    maxsize = fock._output_rows.cache_info().maxsize
+    assert len(outputs) > maxsize
+    fock._output_rows.cache_clear()
+    for occ in outputs:
+        assert transition_amplitude(t, n_in, occ) == parent_amplitude(t, n_in, occ)
+    assert fock._output_rows.cache_info().currsize == maxsize
+    for occ in outputs[::-1]:
+        assert transition_amplitude(t, n_in, occ) == parent_amplitude(t, n_in, occ)
+    info = fock._output_rows.cache_info()
+    assert info.currsize == maxsize
+    assert (info.hits, info.misses) == (maxsize, 2 * len(outputs) - maxsize)
+
+
+def test_two_mode_amplitudes_are_the_parent_formula_bit_for_bit(monkeypatch):
+    # At 15 and 16 photons 60 products of factorials pass 2**53 and are
+    # rounded, so their order could matter: the input's product times the
+    # output's memoised one must give the bits of the parent's running
+    # product.  Past 10 photons both sides take the sum of the block in
+    # place of its permanent (5 ms at n = 16), leaving the factorials.
+    t = ModeTransform((0, 1), beam_splitter(0.3, 0.4) * 0.95)
+    for n in range(17):
+        if n == 11:
+            monkeypatch.setattr(fock, "permanent", lambda a: complex(a.sum()))
+        for n_in in occupations(2, n):
+            for n_out in occupations(2, n):
+                assert transition_amplitude(t, n_in, n_out) == parent_amplitude(t, n_in, n_out)
