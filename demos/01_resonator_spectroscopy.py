@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Characterize the coupled double resonators the way the lab would:
 sweep a probe across the doublet, fit the spectrum, and read off the
-mode splitting, linewidths, and electro-optic tuning slope.
+mode splitting, linewidths, the parameter sets that explain them, and
+the electro-optic tuning slope.
 
 Run:  python3 demos/01_resonator_spectroscopy.py
 """
@@ -23,16 +24,27 @@ for k in range(0, len(detuning), 75):
     bar = "#" * int(40 * transmission[k])
     print(f"  {detuning[k]:+7.2f}  {transmission[k]:.3f}  {bar}")
 
+# The fit is closed-form: a rational fit of |t|^2 gives the two hybrid
+# poles, whose splitting and widths are what the spectrum determines.
 fit = fit_doublet(detuning, transmission)
-print(f"\nfitted mode splitting 2g : {fit.two_g_ghz:.3f} GHz (true 13.490)")
-print(f"fitted linewidths        : {fit.linewidths_ghz[0]:.3f}, "
+print(f"\npole splitting           : {fit.splitting_ghz:.3f} GHz (true 2g 13.490)")
+print(f"pole linewidths          : {fit.linewidths_ghz[0]:.3f}, "
       f"{fit.linewidths_ghz[1]:.3f} GHz")
 print(f"dip depths               : {fit.dip_depths[0]:.3f}, {fit.dip_depths[1]:.3f}")
+
+# The zeros are known only up to conjugation, so each choice gives a
+# parameter set.  With no thermal detune two of them explain the spectrum
+# exactly: the true rings and a twin that no scan can tell apart.
+print("candidates (g, kappa1, kappa_ex, kappa2, detune in GHz; rms residual):")
+for c in fit.candidates:
+    print(f"  {c.g_ghz:.3f}  {c.kappa1_ghz:.3f}  {c.kappa_ex_ghz:.3f}  {c.kappa2_ghz:.3f}"
+          f"  {round(c.thermal_detune_ghz, 3) + 0.0:+.3f}  {c.residual_rms:.1e}")
+print(f"note: {fit.warning}")
 
 # The same fit still works on a noisy trace.
 rng = np.random.default_rng(1)
 noisy_fit = fit_doublet(detuning, transmission + rng.normal(0.0, 0.01, len(detuning)))
-print(f"with 1% detector noise   : 2g = {noisy_fit.two_g_ghz:.3f} GHz")
+print(f"with 1% detector noise   : pole splitting {noisy_fit.splitting_ghz:.3f} GHz")
 
 # A DC voltage on the inner ring pulls its resonance linearly.  The three
 # resonators respond at 0.226, 0.255, and 0.222 GHz/V.

@@ -417,12 +417,16 @@ def _cmd_fit(args) -> int:
     except FreqbinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(f"mode splitting 2g : {fit.two_g_ghz:.4f} GHz")
-    print(f"linewidths        : {fit.linewidths_ghz[0]:.4f}, "
+    print(f"pole splitting    : {fit.splitting_ghz:.4f} GHz")
+    print(f"pole linewidths   : {fit.linewidths_ghz[0]:.4f}, "
           f"{fit.linewidths_ghz[1]:.4f} GHz")
     print(f"dip depths        : {fit.dip_depths[0]:.4f}, {fit.dip_depths[1]:.4f}")
-    print(f"bus coupling      : {fit.kappa_ex_ghz:.4f} GHz")
     print(f"rms residual      : {fit.residual_rms:.3e}")
+    print("candidates        : g, kappa1, kappa_ex, kappa2, detune, center (GHz), rms residual")
+    for c in fit.candidates:  # round first, so that -1e-14 prints as 0.0000
+        print("  " + "".join(f"{round(v, 4) + 0.0:10.4f}" for v in c[:6]) + f"  {c[6]:.3e}")
+    if fit.warning:
+        print(f"warning: {fit.warning}", file=sys.stderr)
     return 0
 
 

@@ -923,7 +923,8 @@ def run_spectroscopy(
 ) -> ExperimentResult:
     """Laser-scan characterization of one resonator or the filter bank.
     Settings that take the model past the float range (a coupling of
-    1e200 GHz, a filter linewidth of 1e-320 GHz) are a `DomainError`."""
+    1e200 GHz, a filter linewidth of 1e-320 GHz) are a `DomainError`.  A
+    double resonator's ``fitted_*`` metrics are the poles of `fit_doublet`."""
     if target not in SPECTROSCOPY_TARGETS:
         raise ConfigurationError(f"target must be one of {SPECTROSCOPY_TARGETS}")
     scan = _sweep(scan_ghz, "detunings")
@@ -948,16 +949,19 @@ def run_spectroscopy(
         raise DomainError(f"the {target} response leaves the float range for these settings")
     series = {"detuning_ghz": scan.tolist(), **{k: v.tolist() for k, v in spectra.items()}}
     extras: dict = {"target": target}
+    warnings = []
     if target != "filters":
         from .resonator import fit_doublet  # only a fitting run loads the fit
         try:
             fit = fit_doublet(scan, spectra["transmission"])
-            fitted = {"fitted_splitting_ghz": fit.two_g_ghz,
+            fitted = {"fitted_splitting_ghz": fit.splitting_ghz,
                       "fitted_linewidth1_ghz": fit.linewidths_ghz[0],
                       "fitted_linewidth2_ghz": fit.linewidths_ghz[1]}
             for name, value in fitted.items():
-                metrics[name] = MetricResult(value, fit.residual_rms, "doublet fit")
-            extras["fit"] = asdict(fit)
+                metrics[name] = MetricResult(value, fit.residual_rms, "doublet fit poles")
+            extras["fit"] = {**asdict(fit), "candidates": [c._asdict() for c in fit.candidates]}
+            if fit.warning:
+                warnings.append(f"{target} doublet fit: {fit.warning}")
         except (FitError, ValidationError) as exc:  # odd or short scans
             extras["fit_error"] = str(exc)
     return ExperimentResult(
@@ -966,4 +970,5 @@ def run_spectroscopy(
         metrics=metrics,
         extras=extras,
         config_echo=cfg,
+        warnings=warnings,
     )

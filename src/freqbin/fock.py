@@ -91,15 +91,17 @@ def _mode_index(i) -> int:
 
 
 def _complex_matrix(matrix, error: type[Exception]) -> np.ndarray:
-    """A complex copy of ``matrix``; ``error`` unless its entries are numbers
-    (a string or None is not)."""
+    """A complex copy of ``matrix``; ``error`` unless its entries are finite
+    numbers (a string or None is not a number)."""
     try:
         a = np.asarray(matrix)
-        if a.dtype.kind in "biufc":
-            return a.astype(complex)
     except (TypeError, ValueError):  # a ragged nesting
-        pass
-    raise error("matrix entries are not all numbers")
+        a = np.asarray(None)
+    if a.dtype.kind not in "biufc":
+        raise error("matrix entries are not all numbers")
+    if not np.isfinite(a).all():
+        raise error("matrix has a non-finite entry")
+    return a.astype(complex)
 
 
 class PureState:
@@ -193,13 +195,14 @@ class ModeTransform:
     def __post_init__(self):
         m = _complex_matrix(self.matrix, ValidationError)
         m.setflags(write=False)
-        subset = tuple(map(_mode_index, self.mode_subset))
+        try:
+            subset = tuple(map(_mode_index, self.mode_subset))
+        except TypeError:  # not iterable
+            raise ValidationError(f"mode subset {self.mode_subset!r} is not a sequence") from None
         if len(set(subset)) != len(subset):
             raise ValidationError("mode subset contains duplicates")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(subset):
             raise ValidationError("matrix must be square and match the mode subset")
-        if not np.isfinite(m).all():
-            raise ValidationError("matrix has a non-finite entry")
         if np.linalg.norm(m, 2) > 1.0 + _NORM_TOL:
             raise ValidationError("matrix spectral norm exceeds 1: not physical")
         object.__setattr__(self, "mode_subset", subset)
@@ -236,7 +239,9 @@ def permanent(matrix: np.ndarray) -> complex:
     per(A) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} A[i, j] over the
     nonempty column subsets S, evaluated in one pass: the row sums of every
     subset are ``A @ table`` with a cached table of subset indicator
-    columns.  O(n^2 2^n) numpy work; n <= 16.
+    columns.  O(n^2 2^n) numpy work; n <= 16.  A non-finite entry is a
+    `DomainError`; a complex array's entries are read only when its
+    permanent is not finite, after numpy's warnings for an infinity.
     """
     a = matrix
     if type(a) is not np.ndarray or a.dtype != complex:
@@ -249,7 +254,10 @@ def permanent(matrix: np.ndarray) -> complex:
     if n > MAX_PERMANENT_SIZE:
         raise DomainError(f"permanent supported up to n = {MAX_PERMANENT_SIZE}")
     members, signs = _ryser_table(n)
-    return (-1.0) ** n * complex(np.multiply.reduce(a @ members, axis=0).dot(signs))
+    value = (-1.0) ** n * complex(np.multiply.reduce(a @ members, axis=0).dot(signs))
+    if not cmath.isfinite(value) and not np.isfinite(a).all():  # a complex array
+        raise DomainError("matrix has a non-finite entry")
+    return value
 
 
 #: Largest state tensor `apply_transform` builds: m**n complex entries for
@@ -316,6 +324,8 @@ def apply_transform(state: PureState, t: ModeTransform) -> PureState:
 def _columns(t: ModeTransform, n_in: tuple) -> tuple[np.ndarray, int, float]:
     """M[:, photon positions of n_in] (clipped to M: a wrong length is refused
     later), the photon number and prod n_in!."""
+    if not isinstance(t, ModeTransform):
+        raise DomainError(f"transform {t!r} is not a ModeTransform")
     counts, cols, weight = _photon_counts(n_in, DomainError)
     return t.matrix.take(cols, 1, mode="clip"), sum(counts), weight
 

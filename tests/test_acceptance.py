@@ -208,14 +208,14 @@ def test_criterion_6_spectroscopy_recovery():
     y = dr_through_spectrum(gen, x)
 
     clean = fit_doublet(x, y)
-    clean_err = abs(clean.two_g_ghz - 13.49)
+    clean_err = abs(clean.splitting_ghz - 13.49)
     assert clean_err < 0.07
 
     worst = 0.0
     for seed in range(100):
         rng = np.random.default_rng(seed)
         fit = fit_doublet(x, y + rng.normal(0.0, 0.01, y.shape))
-        worst = max(worst, abs(fit.two_g_ghz - 13.49))
+        worst = max(worst, abs(fit.splitting_ghz - 13.49))
     assert worst < 0.2
 
     # Exact linear model: the shift is the literal product, checked

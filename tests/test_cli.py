@@ -892,7 +892,9 @@ def test_non_finite_csv_value_writes_no_file(tmp_path):
 def test_failed_run_keeps_the_earlier_run(tmp_path):
     # The earlier run's sweep.csv and report.txt sat beside a result.json
     # of the failed run.
-    assert _checked_run({"experiment": "spectroscopy", "target": "dr1"}, tmp_path) == (0, [])
+    assert _checked_run({"experiment": "spectroscopy", "target": "dr1"}, tmp_path) == (0, [
+        "warning: dr1 doublet fit: 2 candidates explain the scan equally, with g from 6.4750"
+        " to 6.5092 GHz: only the pole splitting and linewidths are determined"])
     outputs = [tmp_path / name for name in ("result.json", "sweep.csv", "report.txt")]
     before = [path.read_bytes() for path in outputs]
     assert _checked_run(_NON_FINITE_SPECTRA["dr1-coupling"], tmp_path)[0] == 2
@@ -924,7 +926,8 @@ class TestFitCommand:
             writer.writerow(["detuning_ghz", "transmission"])
             writer.writerows(zip(x, y))
         assert main(["fit", str(path)]) in (0, 3)
-        assert all(line.startswith("error: ") for line in capsys.readouterr().err.splitlines())
+        assert all(line.startswith(("error: ", "warning: "))
+                   for line in capsys.readouterr().err.splitlines())
 
     def test_fit_requires_expected_header(self, tmp_path):
         path = tmp_path / "spec.csv"

@@ -468,6 +468,14 @@ _RAISE_SITES = {
                           "matrix entries are not all numbers"),
     "permanent of a ragged nesting": (lambda: permanent([[1, 2], [3]]), DomainError,
                                       "matrix entries are not all numbers"),
+    "permanent of an infinity": (lambda: permanent([[1.0, math.inf], [0.0, 1.0]]), DomainError,
+                                 "matrix has a non-finite entry"),
+    "permanent of a NaN array": (lambda: permanent(np.array([[math.nan]], dtype=complex)),
+                                 DomainError, "matrix has a non-finite entry"),
+    "mode subset None": (lambda: ModeTransform(None, np.eye(2)), ValidationError,
+                         "mode subset None is not a sequence"),
+    "oracle of no transform": (lambda: transition_amplitude(None, (1, 0), (1, 0)), DomainError,
+                               "transform None is not a ModeTransform"),
     "no output occupation": (lambda: transition_amplitude(_SPLITTER, (1, 1), None), DomainError,
                              "occupations must be sequences of photon counts"),
     "no input occupation": (lambda: transition_amplitude(_SPLITTER, None, (1, 1)), DomainError,
@@ -483,6 +491,14 @@ def test_raise_sites(site):
     call, error, message = _RAISE_SITES[site]
     with pytest.raises(error, match=f"^{message}$"):
         call()
+
+
+def test_permanent_of_a_complex_array_with_an_infinite_entry_is_a_domain_error():
+    # Returned (nan+nanj).  A complex array is read only once its permanent
+    # is not finite, so numpy's invalid-value warnings come first.
+    with pytest.warns(RuntimeWarning), pytest.raises(
+            DomainError, match="^matrix has a non-finite entry$"):
+        permanent(np.array([[math.inf, 0.0], [0.0, 1.0]], dtype=complex))
 
 
 N_GRID_MODES = 6

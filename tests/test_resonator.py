@@ -184,7 +184,7 @@ class TestDoubletFit:
     def test_noiseless_roundtrip(self):
         x, y = self.grid_and_spectrum()
         fit = fit_doublet(x, y)
-        assert abs(fit.two_g_ghz - 13.49) < 0.07
+        assert abs(fit.splitting_ghz - 13.49) < 0.07
         assert fit.linewidths_ghz[0] == pytest.approx(2.0, rel=5e-3)
         assert fit.linewidths_ghz[1] == pytest.approx(2.0, rel=5e-3)
         assert fit.residual_rms < 1e-9
@@ -199,37 +199,27 @@ class TestDoubletFit:
         with pytest.raises(ValidationError):
             fit_doublet(x, dr_through_spectrum(self.GEN, x))
 
-    def test_evaluation_budget_running_out_is_a_fit_error(self, monkeypatch):
-        x, y = self.grid_and_spectrum()
-        monkeypatch.setattr(resonator, "MAX_EVALUATIONS", 3)
-        with pytest.raises(FitError, match="3 evaluations") as err:
-            fit_doublet(x, y)
-        assert err.value.residual > 0.0
-
     def test_bus_coupling_above_the_linewidth_is_a_fit_error(self):
-        # The through model with kappa_ex > kappa1, a set DRParams rejects,
-        # fits to a residual of 1e-16: only the coupling rule rejects it.
+        # The through model with kappa_ex > kappa1, a set DRParams rejects.
+        # Its poles and zeros fit exactly, but each parameter set they give
+        # has kappa_ex > kappa1: the rule leaves no candidate.
         x = np.linspace(-15.0, 15.0, 601)
         y = np.abs(resonator._through_field(x, 6.0, 1.0, 1.5, 2.0, 0.0)) ** 2
-        with pytest.raises(FitError, match="exceeds the linewidth"):
+        with pytest.raises(FitError, match="^no doublet found: no physical candidate has"
+                                           " kappa_ex <= kappa1$"):
             fit_doublet(x, y)
 
     @pytest.mark.parametrize("scale_x, scale_y", [(1e154, 1.0), (1e300, 1.0), (1.0, 1e200)],
                              ids=["1e154", "1e300", "transmission-1e200"])
-    def test_start_past_the_float_range_fails_in_one_evaluation(
-            self, scale_x, scale_y, monkeypatch):
-        # Detunings this large overflow g^2 of the start, and a transmission
-        # this large the cost, so no step can lower it.  The fit spent all
-        # 2,000 evaluations before its FitError, and later quoted a
-        # residual RMS of nan or inf, numbers it never had.
+    def test_scan_past_the_float_range_is_a_fit_error(self, scale_x, scale_y):
+        # Detunings this large overflow the model's products, and a
+        # transmission this large the rational fit's moments.  No numpy
+        # warning may escape (pytest turns each into an error), and no
+        # residual of nan or inf is quoted.
         x = np.linspace(-15.0, 15.0, 601)
         y = dr_through_spectrum(DRParams(), x)
-        calls = []
-        residuals = resonator._residuals
-        monkeypatch.setattr(resonator, "_residuals", lambda *a: calls.append(1) or residuals(*a))
         with pytest.raises(FitError, match="^no doublet found: the fit leaves the float range$"):
             fit_doublet(x * scale_x, y * scale_y)
-        assert len(calls) == 1
 
     def test_noisy_roundtrip_many_seeds(self):
         x, y = self.grid_and_spectrum()
@@ -238,62 +228,84 @@ class TestDoubletFit:
             rng = np.random.default_rng(seed)
             noisy = y + rng.normal(0.0, 0.01, y.shape)
             fit = fit_doublet(x, noisy)
-            worst = max(worst, abs(fit.two_g_ghz - 13.49))
+            worst = max(worst, abs(fit.splitting_ghz - 13.49))
         assert worst < 0.2
 
 
-@settings(max_examples=60, deadline=None)
+def _poles(g, kappa1, kappa2, detune):
+    """The hybrid poles of the through model in order of detuning: the roots
+    of (d - i kappa1/2)(d - detune - i kappa2/2) = g^2."""
+    a, b = 0.5j * kappa1, detune + 0.5j * kappa2
+    return np.sort_complex(np.roots([1.0, -(a + b), a * b - g * g]))
+
+
+def _twin(g, kappa1, kappa_ex, kappa2):
+    """(g, kappa1, kappa_ex, kappa2, detune, center) of the twin of a
+    doublet with no detune: the set whose zeros are the conjugates of the
+    doublet's, so that its spectrum is the same."""
+    kappa_ex_twin = kappa1 + kappa2 - kappa_ex
+    kappa2_twin = kappa_ex * kappa2 / kappa_ex_twin
+    kappa1_twin = kappa1 + kappa2 - kappa2_twin
+    g_twin = math.sqrt(g * g + (kappa1 * kappa2 - kappa1_twin * kappa2_twin) / 4.0)
+    return g_twin, kappa1_twin, kappa_ex_twin, kappa2_twin, 0.0, 0.0
+
+
+def _gap(a, b):
+    return max(abs(u - v) for u, v in zip(a, b))
+
+
+#: How near a candidate must lie to a parameter set to be that set, GHz.  A
+#: zero on the real axis (kappa_ex = (kappa1 + kappa2) / 2 with no detune)
+#: is a double root of the fitted numerator, which floats find to about the
+#: square root of their precision: such sets came out up to 4.5e-6 GHz off.
+_SAME_SET_GHZ = 1e-4
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     g=st.floats(3.0, 9.0),
     kappa1=st.floats(0.5, 3.0),
-    coupling_share=st.floats(0.05, 0.5),
+    coupling_share=st.floats(0.1, 1.0, exclude_min=True),
     kappa2=st.floats(0.5, 3.0),
-    detune=st.floats(-1.0, 1.0),
+    detune=st.just(0.0) | st.floats(-2.0, 2.0),
 )
 def test_clean_scan_of_a_resolved_doublet_recovers_the_rates(
     g, kappa1, coupling_share, kappa2, detune
 ):
-    # Resolved: the splitting 2g is at least twice either linewidth.  The
-    # bus coupling stays at or below critical (kappa_ex <= kappa1 / 2),
-    # the branch the fit's start value is taken on.
+    # The fit reports the poles, which every parameter set with the same
+    # spectrum shares, and lists the parameter sets.  Levenberg-Marquardt
+    # accepted wrong minima here (2g off by up to 0.17 GHz) and, with no
+    # detune, returned one of two sets with the same spectrum and no word
+    # of the other.
     p = DRParams(g_ghz=g, kappa1_ghz=kappa1, kappa_ex_ghz=coupling_share * kappa1,
                  kappa2_ghz=kappa2, thermal_detune_ghz=detune)
     x = np.linspace(-15.0, 15.0, 601)
     fit = fit_doublet(x, dr_through_spectrum(p, x))
-    assert fit.two_g_ghz / 2.0 == pytest.approx(g, abs=1e-9)
-    assert fit.linewidths_ghz[0] == pytest.approx(kappa1, abs=1e-9)
-    assert fit.kappa_ex_ghz == pytest.approx(p.kappa_ex_ghz, abs=1e-9)
-    assert fit.linewidths_ghz[1] == pytest.approx(kappa2, abs=1e-9)
+    p1, p2 = _poles(g, kappa1, kappa2, detune)
+    assert fit.splitting_ghz == pytest.approx((p2 - p1).real, abs=1e-9)
+    assert fit.linewidths_ghz == pytest.approx((2.0 * p1.imag, 2.0 * p2.imag), abs=1e-9)
+    truth = (g, kappa1, p.kappa_ex_ghz, kappa2, detune, 0.0)
+    assert min(_gap(c, truth) for c in fit.candidates) < _SAME_SET_GHZ
+    if detune == 0.0:
+        twin = _twin(g, kappa1, p.kappa_ex_ghz, kappa2)
+        assert min(_gap(c, twin) for c in fit.candidates) < _SAME_SET_GHZ
+        assert fit.warning or _gap(twin, truth) < _SAME_SET_GHZ  # a twin that is the truth
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    g=st.floats(3.0, 9.0),
-    kappa1=st.floats(0.5, 3.0),
-    coupling_share=st.floats(0.05, 1.0),
-    kappa2=st.floats(0.5, 3.0),
-    detune=st.floats(-5.0, 5.0),
-    center=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
-)
-def test_jacobian_matches_central_differences_of_the_residuals(
-    g, kappa1, coupling_share, kappa2, detune, center
-):
-    # The fit's analytic Jacobian, row by row, against central differences
-    # of the residuals r = |t(x - x0)|^2 - y it is built for.
-    theta = np.array([g, kappa1, coupling_share * kappa1, kappa2, detune, center])
-    x = np.linspace(-15.0, 15.0, 601)
-    y = dr_through_spectrum(DRParams(), x)
-    r, terms = resonator._residuals(theta, x, y)
-    model = np.abs(resonator._through_field(x - center, *theta[:5])) ** 2
-    np.testing.assert_allclose(r, model - y, rtol=0.0, atol=1e-14)
-    jac = resonator._jacobian(theta, terms)
-    assert jac.shape == (6, x.size)
-    for k in range(6):
-        step = np.zeros(6)
-        step[k] = 1e-6 * max(1.0, abs(theta[k]))
-        diff = (resonator._residuals(theta + step, x, y)[0]
-                - resonator._residuals(theta - step, x, y)[0]) / (2.0 * step[k])
-        assert np.max(np.abs(jac[k] - diff)) <= 1e-6 * np.max(np.abs(diff)), k
+def test_default_doublet_is_reported_with_its_twin():
+    # The default resonator and the set with the same spectrum, g 6.5092,
+    # kappa1 3.333, kappa_ex 3.0 and kappa2 0.667: both fit to rounding, and
+    # only the poles, 2g = 12.95 GHz apart with 2.0 GHz widths, are reported.
+    x = np.linspace(-15.0, 15.0, 6001)
+    fit = fit_doublet(x, dr_through_spectrum(DRParams(), x))
+    assert fit.splitting_ghz == pytest.approx(12.95, abs=1e-12)
+    assert fit.linewidths_ghz == pytest.approx((2.0, 2.0), abs=1e-12)
+    assert fit.candidates[1].residual_rms < 1e-14 < 1e-3 < fit.candidates[2].residual_rms
+    sets = sorted(c[:6] for c in fit.candidates[:2])
+    assert sets[0] == pytest.approx((6.475, 2.0, 1.0, 2.0, 0.0, 0.0), abs=1e-9)
+    assert sets[1] == pytest.approx(_twin(6.475, 2.0, 1.0, 2.0), abs=1e-9)
+    assert fit.warning == ("2 candidates explain the scan equally, with g from 6.4750 to"
+                           " 6.5092 GHz: only the pole splitting and linewidths are determined")
 
 
 def _loop_local_minima(x, y):
@@ -324,60 +336,6 @@ def test_local_minima_of_the_dr1_scan_match_the_loop():
     y = dr_through_spectrum(DRParams(), x)
     minima = _pairs(x, y, resonator._minima_at(y))
     assert len(minima) == 2 and minima == _loop_local_minima(x, y)
-
-
-def _sorted_dip_guesses(x, y):
-    """The dip-guess rule as a sort of every smoothed minimum: the
-    reference `_dip_guesses` must equal (ties go to the lower index, as
-    in a stable sort)."""
-    width = max(3, len(y) // 40) | 1
-    smooth = np.convolve(y, np.ones(width) / width, mode="same")
-    minima = sorted(_loop_local_minima(x, smooth), key=lambda m: m[1])
-    if len(minima) < 2:
-        return "fewer than two local minima"
-    rest = [m for m in minima[1:] if abs(m[0] - minima[0][0]) > 0.05 * abs(x[-1] - x[0])]
-    if not rest:
-        return "dips are not separated"
-    return tuple(sorted((minima[0], rest[0]), key=lambda m: m[0]))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    points=st.sampled_from([601, 6001]),
-    noise=st.sampled_from([0.0, 1e-3, 1e-2, 0.3]),
-    levels=st.sampled_from([None, 4]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_dip_guesses_match_the_sorted_rule(points, noise, levels, seed):
-    # Clean and noisy dr1 scans; rounding to few levels makes equal minima,
-    # whose order the stable sort decides.
-    x = np.linspace(-15.0, 15.0, points)
-    y = dr_through_spectrum(DRParams(), x) + noise * np.random.default_rng(seed).normal(size=points)
-    if levels:
-        y = np.round(y * levels) / levels
-    want = _sorted_dip_guesses(x, y)
-    if isinstance(want, str):
-        with pytest.raises(FitError, match=want):
-            resonator._dip_guesses(x, y)
-    else:
-        assert resonator._dip_guesses(x, y) == want
-
-
-_X200 = np.linspace(-15.0, 15.0, 200)
-
-
-@pytest.mark.parametrize("y", [
-    np.ones(200),
-    1.0 - np.exp(-_X200**2 / 2.0) + 0.3 * np.exp(-_X200**2 / 0.2),
-    np.cos(_X200),
-], ids=["flat", "close-pair", "equal-minima"])
-def test_dip_guesses_of_edge_curves_match_the_sorted_rule(y):
-    want = _sorted_dip_guesses(_X200, y)
-    if isinstance(want, str):
-        with pytest.raises(FitError, match=want):
-            resonator._dip_guesses(_X200, y)
-    else:
-        assert resonator._dip_guesses(_X200, y) == want
 
 
 def _scipy_modules_after(code: str) -> str:
