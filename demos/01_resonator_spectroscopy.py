@@ -24,8 +24,8 @@ for k in range(0, len(detuning), 75):
     bar = "#" * int(40 * transmission[k])
     print(f"  {detuning[k]:+7.2f}  {transmission[k]:.3f}  {bar}")
 
-# The fit is closed-form: a rational fit of |t|^2 gives the two hybrid
-# poles, whose splitting and widths are what the spectrum determines.
+# The fit needs no start value: a rational fit of |t|^2 gives the two
+# hybrid poles, whose splitting and widths are what the spectrum determines.
 fit = fit_doublet(detuning, transmission)
 print(f"\npole splitting           : {fit.splitting_ghz:.3f} GHz (true 2g 13.490)")
 print(f"pole linewidths          : {fit.linewidths_ghz[0]:.3f}, "
@@ -41,10 +41,11 @@ for c in fit.candidates:
           f"  {round(c.thermal_detune_ghz, 3) + 0.0:+.3f}  {c.residual_rms:.1e}")
 print(f"note: {fit.warning}")
 
-# The same fit still works on a noisy trace.
+# The same fit still works on noisy traces.
 rng = np.random.default_rng(1)
-noisy_fit = fit_doublet(detuning, transmission + rng.normal(0.0, 0.01, len(detuning)))
-print(f"with 1% detector noise   : pole splitting {noisy_fit.splitting_ghz:.3f} GHz")
+for noise in (0.01, 0.1):
+    noisy_fit = fit_doublet(detuning, transmission + rng.normal(0.0, noise, len(detuning)))
+    print(f"with {noise:3.0%} detector noise  : pole splitting {noisy_fit.splitting_ghz:.3f} GHz")
 
 # A DC voltage on the inner ring pulls its resonance linearly.  The three
 # resonators respond at 0.226, 0.255, and 0.222 GHz/V.

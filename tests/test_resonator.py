@@ -221,6 +221,44 @@ class TestDoubletFit:
         with pytest.raises(FitError, match="^no doublet found: the fit leaves the float range$"):
             fit_doublet(x * scale_x, y * scale_y)
 
+    @pytest.mark.parametrize("noise", [0.06, 0.08, 0.1])
+    def test_noisy_scans_of_the_default_doublet_fit(self, noise):
+        # Levenberg-Marquardt fitted each of these scans.  Four linear
+        # solves reweighted by 1/Q^2 (Sanathanan-Koerner), with no
+        # Gauss-Newton steps, left real roots in Q, so no upper-half-plane
+        # pair, from 6% noise on.  The worst splitting error at 10% was
+        # 0.22 GHz by Levenberg-Marquardt and is 0.20 GHz now (200 seeds).
+        x = np.linspace(-15.0, 15.0, 601)
+        y = dr_through_spectrum(DRParams(), x)
+        worst = 0.0
+        for seed in range(50):
+            noisy = y + np.random.default_rng(seed).normal(0.0, noise, x.shape)
+            worst = max(worst, abs(fit_doublet(x, noisy).splitting_ghz - 12.95))
+        assert worst < 3.0 * noise
+
+    def test_noisy_scans_of_a_shallow_doublet_fit(self):
+        # Dips 0.3 deep under 5% noise.  Levenberg-Marquardt fitted each scan
+        # (2g off by up to 0.28 GHz, 100 seeds); reweighted linear solves
+        # alone, and Gauss-Newton steps taken whole, fitted none.
+        g, kappa1, kappa_ex, kappa2, detune = 5.0, 1.5, 0.2, 1.0, 0.5
+        p1, p2 = _poles(g, kappa1, kappa2, detune)
+        x = np.linspace(-15.0, 15.0, 601)
+        y = np.abs(resonator._through_field(x, g, kappa1, kappa_ex, kappa2, detune)) ** 2
+        worst = 0.0
+        for seed in range(50):
+            noisy = y + np.random.default_rng(seed).normal(0.0, 0.05, x.shape)
+            worst = max(worst, abs(fit_doublet(x, noisy).splitting_ghz - (p2 - p1).real))
+        assert worst < 0.4
+
+    @pytest.mark.parametrize("noise", [0.01, 0.05])
+    def test_noise_without_a_doublet_is_a_fit_error(self, noise):
+        # The rational fit explains flat noise with some poles and zeros;
+        # the parameter sets they give fit it far worse than noise would.
+        x = np.linspace(-15.0, 15.0, 601)
+        for seed in range(100):
+            with pytest.raises(FitError):
+                fit_doublet(x, 1.0 + np.random.default_rng(seed).normal(0.0, noise, x.shape))
+
     def test_noisy_roundtrip_many_seeds(self):
         x, y = self.grid_and_spectrum()
         worst = 0.0
@@ -254,11 +292,18 @@ def _gap(a, b):
     return max(abs(u - v) for u, v in zip(a, b))
 
 
-#: How near a candidate must lie to a parameter set to be that set, GHz.  A
-#: zero on the real axis (kappa_ex = (kappa1 + kappa2) / 2 with no detune)
-#: is a double root of the fitted numerator, which floats find to about the
-#: square root of their precision: such sets came out up to 4.5e-6 GHz off.
-_SAME_SET_GHZ = 1e-4
+def _same_set_ghz(g, kappa1, kappa_ex, kappa2, detune):
+    """How near a candidate must lie to a parameter set to be that set,
+    GHz.  The zeros of the through field are the poles with kappa1 -
+    2 kappa_ex in place of kappa1.  A zero at height h above the real axis
+    is, with its conjugate, a pair of roots of the fitted numerator h apart,
+    found to about 1e-12 / h GHz: in 3000 draws the gap times h stayed below
+    6e-12, and under 1.5e-6 GHz as h went to 0 (kappa_ex = (kappa1 +
+    kappa2) / 2 with no detune, a double root).  So 1e-9 GHz where the
+    zeros are simple, as for every kappa_ex <= kappa1 / 2, widening to
+    1e-4 GHz near the double root."""
+    h = min(abs(_poles(g, kappa1 - 2.0 * kappa_ex, kappa2, detune).imag))
+    return min(1e-4, max(1e-9, 1e-11 / h)) if h else 1e-4
 
 
 @settings(max_examples=200, deadline=None)
@@ -285,11 +330,14 @@ def test_clean_scan_of_a_resolved_doublet_recovers_the_rates(
     assert fit.splitting_ghz == pytest.approx((p2 - p1).real, abs=1e-9)
     assert fit.linewidths_ghz == pytest.approx((2.0 * p1.imag, 2.0 * p2.imag), abs=1e-9)
     truth = (g, kappa1, p.kappa_ex_ghz, kappa2, detune, 0.0)
-    assert min(_gap(c, truth) for c in fit.candidates) < _SAME_SET_GHZ
+    same = _same_set_ghz(*truth[:5])
+    assert min(_gap(c, truth) for c in fit.candidates) < same
+    if coupling_share <= 0.5:
+        assert same == 1e-9
     if detune == 0.0:
         twin = _twin(g, kappa1, p.kappa_ex_ghz, kappa2)
-        assert min(_gap(c, twin) for c in fit.candidates) < _SAME_SET_GHZ
-        assert fit.warning or _gap(twin, truth) < _SAME_SET_GHZ  # a twin that is the truth
+        assert min(_gap(c, twin) for c in fit.candidates) < same
+        assert fit.warning or _gap(twin, truth) < same  # a twin that is the truth
 
 
 def test_default_doublet_is_reported_with_its_twin():
