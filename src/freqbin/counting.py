@@ -102,13 +102,13 @@ class CountTable:
     (true, accidental, singles A, singles B), and ``expected_true``,
     ``expected_accidental``, ``p_true`` and the uint64 ``seeds``, each
     (k, c).  It reads as a list whose row k is the list of its
-    `CountRecord`s or, given ``keys``, their dict keyed by keys[k][c]; a
-    row's records are built when it is read."""
+    `CountRecord`s or, once ``keys`` is set, their dict keyed by keys[k][c];
+    a row's records are built when it is read."""
 
-    def __init__(self, counts, expected_true, expected_accidental, p_true, seeds, keys=None):
+    def __init__(self, counts, expected_true, expected_accidental, p_true, seeds):
         self.counts, self.totals = counts, counts[..., 0] + counts[..., 1]
         self.expected_true, self.expected_accidental = expected_true, expected_accidental
-        self.p_true, self.seeds, self.keys = p_true, seeds, keys
+        self.p_true, self.seeds, self.keys = p_true, seeds, None
 
     def _columns(self, k=slice(None)) -> list[list]:
         """Each record field of rows k as one flat list, in field order."""

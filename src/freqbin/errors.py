@@ -25,14 +25,7 @@ class DomainError(FreqbinError, ValueError):
 
 
 class FitError(FreqbinError, RuntimeError):
-    """A nonlinear fit failed to converge or the data cannot constrain it.
-
-    Carries the best residual seen, when one exists.
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """A nonlinear fit failed to converge or the data cannot constrain it."""
 
 
 class ManifestError(FreqbinError, ValueError):

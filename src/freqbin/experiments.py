@@ -49,9 +49,10 @@ Conventions, documented once here:
   detects every photon pair (`_coincidences`): P = W_A (M * Q) W_B^T
   routes both photons of the pair probabilities Q (|S|^2, `_pair` of
   |U|^2 for distinguishable photons, or their mix), and the mask M keeps
-  one photon on group A's bins and one on group B's.  hom's reference is
-  the map with M all ones: with every toggle on it reads 0.100972 at
-  R = 0.5, against 0.098672 masked; without crosstalk the two are equal.
+  one photon on group A's bins and one on group B's.  hom's reference
+  alone is unmasked, W_A Q W_B^T, stated in `_hom`: with every toggle on
+  it reads 0.100972 at R = 0.5, against 0.098672 masked; without
+  crosstalk the two are equal.
 * Sampled runs draw counts in `_sample` only: the probability p[k, c]
   of sweep point or truth-table row k and curve or outcome c becomes one
   count record with seed derive_seed(seed, k, c), a column entry of one
@@ -424,24 +425,23 @@ def _pair(circuit: Circuit, i: int, j: int) -> np.ndarray:
     return outer + np.swapaxes(outer, -1, -2)
 
 
-def _coincidences(circuit: Circuit, q: np.ndarray, post_select: bool = True) -> np.ndarray:
+def _coincidences(circuit: Circuit, q: np.ndarray) -> np.ndarray:
     """Probability P[..., x, y] that detector x of group A and detector y
     of group B both fire, for symmetric pair probabilities ``q`` over the
     chip's bins: |S|^2 of `_pair`'s amplitudes S, `_pair` of |U|^2 for
     two distinguishable photons, or a mix.  W_A and W_B route the two
     photons, P = W_A (M * Q) W_B^T.
 
-    The frequency demux measures bin occupations first, so the mask M
-    keeps only occupations with exactly one photon on the group-A bins
-    and one on the group-B bins.  Routing misdirection that breaks the
-    detector-level pattern rejects the event; leakage that promotes a
-    non-coincident occupation into a fake pattern is a background
-    contribution left to the accidental model.  Without ``post_select``,
-    M is all ones: every occupation is routed.
+    The one rule of every pair: the frequency demux measures bin
+    occupations first, so the mask M keeps only occupations with exactly
+    one photon on the group-A bins and one on the group-B bins.  Routing
+    misdirection that breaks the detector-level pattern rejects the
+    event; leakage that promotes a non-coincident occupation into a fake
+    pattern is a background contribution left to the accidental model.
     """
     side = np.zeros(q.shape[-1])  # +1 on group A's bins, -1 on group B's
     side[[*circuit.group_a]], side[[*circuit.group_b]] = 1.0, -1.0
-    mask = np.multiply.outer(side, side) < 0.0 if post_select else True
+    mask = np.multiply.outer(side, side) < 0.0
     w_a, w_b = np.split(circuit.weights, [len(circuit.group_a)])
     return w_a @ (mask * q) @ w_b.T
 
@@ -586,14 +586,15 @@ def _hom(
     chip: ChipConfig, toggles: frozenset[str], rs: list[float]
 ) -> tuple[Circuit, np.ndarray]:
     """The circuit of `run_hom` and p[k, c]: the coincidence probability
-    (c = 0) and its distinguishable reference (c = 1), `_pair` of |U|^2
-    detected without the post-selection."""
+    (c = 0) and its distinguishable reference (c = 1).  The reference is
+    the one exception to `_coincidences`' mask: it routes every occupation
+    of Q = `_pair` of |U|^2, W_A Q W_B^T, as the far-delay level does."""
     circuit = _circuit(chip, toggles, [
         _splitter(chip.dr3, (0, 1), transmissivity=1.0 - np.asarray(rs))
     ], (0,), (1,))
-    power = circuit._replace(u=np.abs(circuit.u) ** 2)
+    q = _pair(circuit._replace(u=np.abs(circuit.u) ** 2), 0, 1)
     p_ind = _coincidences(circuit, np.abs(_pair(circuit, 0, 1)) ** 2)[:, 0, 0]
-    p_dist = _coincidences(circuit, _pair(power, 0, 1), post_select=False)[:, 0, 0]
+    p_dist = (circuit.weights[:1] @ q @ circuit.weights[1:].T)[:, 0, 0]
     p_cc = indistinguishability_mix(p_ind, p_dist, chip.source.indistinguishability)
     return circuit, np.stack([p_cc, p_dist], axis=1)
 
@@ -693,10 +694,6 @@ _CZ_IDEAL_PERM = {
 }
 
 
-def cz_ideal_table(basis: str) -> np.ndarray:
-    return np.eye(4)[list(_CZ_IDEAL_PERM[basis])]
-
-
 def _cz(
     chip: ChipConfig, toggles: frozenset[str], basis: str
 ) -> tuple[Circuit, np.ndarray, np.ndarray]:
@@ -758,7 +755,7 @@ def run_cz(
 
     _, exact, singles_rows = _cz(chip, toggles, basis)
     labels = list(_CZ_INPUTS[basis])
-    ideal = cz_ideal_table(basis)
+    ideal = np.eye(4)[list(_CZ_IDEAL_PERM[basis])]
     success = exact.sum(axis=1)
 
     row_sums = success[:, None]

@@ -239,9 +239,10 @@ def permanent(matrix: np.ndarray) -> complex:
     per(A) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} A[i, j] over the
     nonempty column subsets S, evaluated in one pass: the row sums of every
     subset are ``A @ table`` with a cached table of subset indicator
-    columns.  O(n^2 2^n) numpy work; n <= 16.  A non-finite entry is a
-    `DomainError`; a complex array's entries are read only when its
-    permanent is not finite, after numpy's warnings for an infinity.
+    columns.  O(n^2 2^n) numpy work; n <= 16.  A non-finite entry, or a
+    permanent past the float range, is a `DomainError`; a complex array's
+    entries are read only when its permanent is not finite, after numpy's
+    warnings for an infinity.
     """
     a = matrix
     if type(a) is not np.ndarray or a.dtype != complex:
@@ -255,8 +256,9 @@ def permanent(matrix: np.ndarray) -> complex:
         raise DomainError(f"permanent supported up to n = {MAX_PERMANENT_SIZE}")
     members, signs = _ryser_table(n)
     value = (-1.0) ** n * complex(np.multiply.reduce(a @ members, axis=0).dot(signs))
-    if not cmath.isfinite(value) and not np.isfinite(a).all():  # a complex array
-        raise DomainError("matrix has a non-finite entry")
+    if not cmath.isfinite(value):  # a complex array
+        raise DomainError("the permanent leaves the float range" if np.isfinite(a).all()
+                          else "matrix has a non-finite entry")
     return value
 
 

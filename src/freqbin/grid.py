@@ -83,12 +83,9 @@ class BinGrid:
         except KeyError:
             raise ConfigurationError(f"mode index {index} is not on the grid")
 
-    def role_indices(self, role: str) -> tuple[int, ...]:
-        return tuple(b.index for b in self.bins if b.role == role)
-
     @property
     def computational_indices(self) -> tuple[int, ...]:
-        return self.role_indices(ROLE_COMPUTATIONAL)
+        return tuple(b.index for b in self.bins if b.role == ROLE_COMPUTATIONAL)
 
     def frequency_thz(self, index: int) -> float:
         if self.anchor_thz is None:

@@ -289,16 +289,12 @@ def fit_doublet(detuning_ghz, transmission) -> DoubletFit:
     if not best.residual_rms <= MAX_RESIDUAL_PER_DEPTH * mean_depth:
         raise FitError(
             f"no doublet found: residual RMS {best.residual_rms:.3g} exceeds"
-            f" {MAX_RESIDUAL_PER_DEPTH} of the mean fitted dip depth {mean_depth:.3g}",
-            residual=best.residual_rms,
-        )
+            f" {MAX_RESIDUAL_PER_DEPTH} of the mean fitted dip depth {mean_depth:.3g}")
     if not best.residual_rms <= max(rational_rms * math.sqrt(1.0 + _EXPLAINED_CHI2 / len(x)),
                                     _CLEAN_RMS):
         raise FitError(
             f"no doublet found: residual RMS {best.residual_rms:.3g} of the best candidate"
-            f" exceeds the rational fit's {rational_rms:.3g} by more than noise explains",
-            residual=best.residual_rms,
-        )
+            f" exceeds the rational fit's {rational_rms:.3g} by more than noise explains")
     equal = max(best.residual_rms * math.sqrt(1.0 + _EQUAL_CHI2 / len(x)), _CLEAN_RMS)
     g = [c.g_ghz for c in candidates if c.residual_rms <= equal]
     return DoubletFit(

@@ -139,16 +139,18 @@ class TestHom:
         self, cfg, crosstalk, reference, masked
     ):
         # The reference routes every occupation of two distinguishable
-        # photons, the observed curve only one photon on each detector's
-        # bin.  Filter crosstalk alone tells them apart: at R = 0.5 with
-        # every toggle on, the reference is 2.3% above the masked map.
+        # photons, W_A Q W_B^T; `_coincidences` keeps only one photon on
+        # each detector's bin.  Filter crosstalk alone tells them apart: at
+        # R = 0.5 with every toggle on, the reference is 2.3% above the
+        # masked map.
         cfg = replace(cfg, source=replace(cfg.source, indistinguishability=0.949))
         toggles, chip = _effective(
             cfg, IMPERFECTION_NAMES if crosstalk else IMPERFECTION_NAMES - {"crosstalk"})
         circuit, p = _hom(chip, toggles, [0.5])
         q = _pair(circuit._replace(u=np.abs(circuit.u) ** 2), 0, 1)
-        unmasked, kept = (_coincidences(circuit, q, post_select=on)[0, 0, 0]
-                          for on in (False, True))
+        w_a, w_b = circuit.weights[:1], circuit.weights[1:]
+        unmasked = (w_a @ q @ w_b.T)[0, 0, 0]
+        kept = _coincidences(circuit, q)[0, 0, 0]
         assert unmasked == p[0, 1] == run_hom(cfg, [0.5], imperfections=toggles).extras[
             "p_distinguishable"][0]
         if crosstalk:

@@ -221,6 +221,7 @@ class TestApplyTransform:
         att = ModeTransform((0,), np.array([[math.sqrt(0.5)]]))
         out = apply_transform(fock_state(grid, {0: 1, 1: 1}), att)
         assert out.norm_squared() == pytest.approx(0.5)
+        assert repr(out) == "PureState(n=2, terms=1, norm2=0.500000)"
 
 
 def test_engine_never_calls_the_oracle(monkeypatch):
@@ -472,6 +473,9 @@ _RAISE_SITES = {
                                  "matrix has a non-finite entry"),
     "permanent of a NaN array": (lambda: permanent(np.array([[math.nan]], dtype=complex)),
                                  DomainError, "matrix has a non-finite entry"),
+    "permanent past the float range": (  # returned nan, after numpy's overflow warnings
+        lambda: np.errstate(all="ignore")(permanent)(np.full((3, 3), 1e200)), DomainError,
+        "the permanent leaves the float range"),
     "mode subset None": (lambda: ModeTransform(None, np.eye(2)), ValidationError,
                          "mode subset None is not a sequence"),
     "oracle of no transform": (lambda: transition_amplitude(None, (1, 0), (1, 0)), DomainError,

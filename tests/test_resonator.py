@@ -209,17 +209,32 @@ class TestDoubletFit:
                                            " kappa_ex <= kappa1$"):
             fit_doublet(x, y)
 
-    @pytest.mark.parametrize("scale_x, scale_y", [(1e154, 1.0), (1e300, 1.0), (1.0, 1e200)],
-                             ids=["1e154", "1e300", "transmission-1e200"])
-    def test_scan_past_the_float_range_is_a_fit_error(self, scale_x, scale_y):
+    @pytest.mark.parametrize("scale_x, scale_y, site", [
+        (1e154, 1.0, "fit_doublet"), (1e300, 1.0, "fit_doublet"),
+        (1.0, 1e200, "_relocated"), (1.0, 1e-200, "_rational_roots"),
+    ], ids=["1e154", "1e300", "transmission-1e200", "transmission-1e-200"])
+    def test_scan_past_the_float_range_is_a_fit_error(self, scale_x, scale_y, site):
         # Detunings this large overflow the model's products, and a
-        # transmission this large the rational fit's moments.  No numpy
-        # warning may escape (pytest turns each into an error), and no
-        # residual of nan or inf is quoted.
+        # transmission this large the rational fit's moments.  One this
+        # faint gives Q real roots near 1e185, whose relocated quartic has
+        # coefficients past the float range, caught after the steps.  No
+        # numpy warning may escape (pytest turns each into an error), and
+        # no residual of nan or inf is quoted.
         x = np.linspace(-15.0, 15.0, 601)
         y = dr_through_spectrum(DRParams(), x)
-        with pytest.raises(FitError, match="^no doublet found: the fit leaves the float range$"):
+        with pytest.raises(FitError, match="^no doublet found: the fit leaves the float range$"
+                           ) as raised:
             fit_doublet(x * scale_x, y * scale_y)
+        assert raised.traceback[-1].name == site
+
+    def test_faint_scan_has_no_pole_pair(self):
+        # The linear solve gives Q a double root at 0, which relocation
+        # leaves on the real axis: one pole lies above it.
+        x = np.linspace(-15.0, 15.0, 601)
+        y = dr_through_spectrum(DRParams(), x) * 1e-100
+        with pytest.raises(FitError, match="^no doublet found: fewer than two poles in the"
+                                           " upper half-plane$"):
+            fit_doublet(x, y)
 
     @pytest.mark.parametrize("noise", [0.06, 0.08, 0.1])
     def test_noisy_scans_of_the_default_doublet_fit(self, noise):
